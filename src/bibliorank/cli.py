@@ -28,8 +28,7 @@ def _apply_overrides(config: RunConfig, windows: tuple[str, ...], out: str | Non
     if min_n is not None:
         config = replace(config, min_n=min_n)
     if q1_policy is not None:
-        config = replace(config, q1_policy={"any-relevant": "any-relevant",
-                                            "best-all": "best-all"}[q1_policy])
+        config = replace(config, q1_policy=q1_policy)
     if strict_quartiles:
         config = replace(config, missing_quartile="strict")
     return config

@@ -110,16 +110,21 @@ def compute_indicators(field_corpus: Corpus, threshold: FieldCitationThreshold,
 
     out: dict[str, IndicatorSet] = {}
     total_misses = 0
+    # (is_q1, misses) depends only on the paper's journal and year here
+    decided: dict[tuple[str, int], tuple[bool, int]] = {}
     for inst, records in by_inst.items():
         citations = [r.citations for r in records]
         ndoc = len(records)
         ncit = sum(citations)
         q1_count = 0
         for rec in records:
-            is_q1, misses = _is_q1(
-                field_corpus.journals[rec.journal_id], rec.year,
-                field_categories, q1_policy, missing_quartile,
-            )
+            key = (rec.journal_id, rec.year)
+            if key not in decided:
+                decided[key] = _is_q1(
+                    field_corpus.journals[rec.journal_id], rec.year,
+                    field_categories, q1_policy, missing_quartile,
+                )
+            is_q1, misses = decided[key]
             total_misses += misses
             if is_q1:
                 q1_count += 1

@@ -21,7 +21,14 @@ from .concordance import (
     load_crosswalk,
     run_crosswalk,
 )
-from .corpus import TimeWindow, build_corpus, load_journals, load_publications
+from .corpus import (
+    JournalProfile,
+    PublicationRecord,
+    TimeWindow,
+    build_corpus,
+    load_journals,
+    load_publications,
+)
 from .errors import ConfigError, InputError
 from .indicators import (
     MISSING_QUARTILE_POLICIES,
@@ -32,7 +39,7 @@ from .indicators import (
 )
 from .ranking import RankingTable, build_ranking, load_external_rankings
 from .scoring import IndexScore, QuadrantLabel, classify_quadrants, score_field
-from .taxonomy import assign_fields, field_corpus, load_taxonomy
+from .taxonomy import FieldTaxonomy, assign_fields, field_corpus, load_taxonomy
 
 
 @dataclass(frozen=True)
@@ -116,11 +123,20 @@ def load_config(path: str | Path) -> RunConfig:
             return None
         return (base / value).resolve()
 
+    def _int(value, what: str) -> int:
+        try:
+            number = int(value)
+        except (TypeError, ValueError, OverflowError):
+            number = None
+        if number is None or (isinstance(value, float) and number != value):
+            raise ConfigError(f"{what} must be an integer, got {value!r}")
+        return number
+
     windows = []
     for pair in raw.get("windows", []):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ConfigError(f"each window must be [start, end], got {pair!r}")
-        windows.append(TimeWindow(int(pair[0]), int(pair[1])))
+        windows.append(TimeWindow(_int(pair[0], "window year"), _int(pair[1], "window year")))
 
     config = RunConfig(
         publications=_path("publications", required=True),
@@ -135,7 +151,7 @@ def load_config(path: str | Path) -> RunConfig:
         q1_policy=raw.get("q1_policy", "any-relevant"),
         missing_quartile=raw.get("missing_quartile", "warn"),
         missing_national=raw.get("missing_national", "warn"),
-        min_n=int(raw.get("min_n", 3)),
+        min_n=_int(raw.get("min_n", 3), "min_n"),
         national_system=raw.get("national_system", "national"),
     )
     return config
@@ -186,12 +202,20 @@ class ValidationReport:
     unassigned_by_window: Mapping[str, tuple[str, ...]]
 
 
+def _load_inputs(config: RunConfig) -> tuple[list[PublicationRecord],
+                                             dict[str, JournalProfile], FieldTaxonomy]:
+    """Parse the publications, journals and taxonomy files, once per run."""
+    return (
+        load_publications(config.publications, config.publications_format),
+        load_journals(config.journals),
+        load_taxonomy(config.taxonomy),
+    )
+
+
 def run_validate(config: RunConfig) -> ValidationReport:
     """Run all loaders and per-window corpus builds; raise on hard errors."""
     config.validate()
-    publications = load_publications(config.publications, config.publications_format)
-    journals = load_journals(config.journals)
-    taxonomy = load_taxonomy(config.taxonomy)
+    publications, journals, taxonomy = _load_inputs(config)
     if config.external_rankings is not None:
         load_external_rankings(config.external_rankings)
     if config.national_rankings is not None:
@@ -218,16 +242,16 @@ def run_validate(config: RunConfig) -> ValidationReport:
 
 
 def compute_field_results(config: RunConfig, window: TimeWindow,
-                          field_order: Sequence[str] | None = None,
-                          system_name: str | None = None) -> dict[str, FieldResult]:
+                          publications: Sequence[PublicationRecord],
+                          journals: Mapping[str, JournalProfile],
+                          taxonomy: FieldTaxonomy,
+                          field_order: Sequence[str] | None = None) -> dict[str, FieldResult]:
     """Indicators, scores, quadrants, and ranking table per non-empty field.
 
+    The inputs are the parsed files, loaded once per run by the caller.
     ``field_order`` controls processing order only; results are keyed by
     field name and independent of the order.
     """
-    publications = load_publications(config.publications, config.publications_format)
-    journals = load_journals(config.journals)
-    taxonomy = load_taxonomy(config.taxonomy)
     corpus = build_corpus(publications, journals, window)
     assignment = assign_fields(corpus, taxonomy)
     order = list(field_order) if field_order is not None else taxonomy.field_names()
@@ -250,8 +274,7 @@ def compute_field_results(config: RunConfig, window: TimeWindow,
             indicators=indicators,
             scores=scores,
             quadrants=classify_quadrants(scores),
-            table=build_ranking(scores, system_name or config.national_system,
-                                name, window=window),
+            table=build_ranking(scores, config.national_system, name, window=window),
         )
     return results
 
@@ -304,9 +327,11 @@ def run_rank(config: RunConfig, field_order: Sequence[str] | None = None,
     """
     config.validate()
     outputs = tuple(outputs)
+    publications, journals, taxonomy = _load_inputs(config)
     written: list[Path] = []
     for window in config.windows:
-        results = compute_field_results(config, window, field_order=field_order)
+        results = compute_field_results(config, window, publications, journals, taxonomy,
+                                        field_order=field_order)
         for name in sorted(results):
             result = results[name]
             stem = f"{slugify(name)}_{window.label}"
@@ -367,7 +392,7 @@ def _national_tables(config: RunConfig) -> dict[str, RankingTable]:
             )
         return {f: t for (s, f), t in tables.items() if s == chosen}
     # No supplied national tables: rank internally over the first window.
-    results = compute_field_results(config, config.windows[0])
+    results = compute_field_results(config, config.windows[0], *_load_inputs(config))
     if not results:
         raise InputError("no non-empty fields to build national tables from")
     return {name: r.table for name, r in results.items()}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import Corpus, normalize_category, normalize_id
+from .corpus import Corpus, PublicationRecord, normalize_category, normalize_id
 from .errors import InputError
 
 LEVELS = ("field", "subfield")
@@ -23,7 +23,6 @@ class FieldTaxonomy:
     """Named fields/subfields, each a non-empty set of category codes."""
 
     categories_by_field: Mapping[str, frozenset[str]]
-    level_by_field: Mapping[str, str]
 
     def field_names(self) -> list[str]:
         return sorted(self.categories_by_field)
@@ -37,10 +36,10 @@ class FieldTaxonomy:
 
 @dataclass(frozen=True)
 class FieldAssignment:
-    """Per-record field membership, plus the taxonomy's field names."""
+    """Per-record field membership, and each field's records in corpus order."""
 
     fields_by_record: Mapping[str, frozenset[str]]
-    field_names: frozenset[str]
+    records_by_field: Mapping[str, tuple[PublicationRecord, ...]]
 
     def unassigned(self) -> list[str]:
         """Record ids that matched no field, for the coverage report."""
@@ -81,36 +80,46 @@ def load_taxonomy(path: str | Path) -> FieldTaxonomy:
             categories.setdefault(name, set()).add(cat)
     if not categories:
         raise InputError("taxonomy file defines no fields")
-    return FieldTaxonomy(
-        categories_by_field={n: frozenset(c) for n, c in categories.items()},
-        level_by_field=dict(levels),
-    )
+    return FieldTaxonomy({n: frozenset(c) for n, c in categories.items()})
 
 
 def assign_fields(corpus: Corpus, taxonomy: FieldTaxonomy) -> FieldAssignment:
-    """Map every record to the fields whose categories its journal intersects."""
+    """Map every record to the fields whose categories its journal intersects.
+
+    Each journal is matched against the taxonomy once, and each record is
+    appended to its fields' buckets in the same pass, in corpus order.
+    """
+    buckets: dict[str, list[PublicationRecord]] = {
+        name: [] for name in taxonomy.categories_by_field
+    }
+    matched_by_journal: dict[str, frozenset[str]] = {}
     out: dict[str, frozenset[str]] = {}
     for rec in corpus.publications:
-        journal_cats = corpus.journals[rec.journal_id].categories
-        matched = frozenset(
-            name
-            for name, cats in taxonomy.categories_by_field.items()
-            if journal_cats & cats
-        )
+        matched = matched_by_journal.get(rec.journal_id)
+        if matched is None:
+            journal_cats = corpus.journals[rec.journal_id].categories
+            matched = matched_by_journal[rec.journal_id] = frozenset(
+                name
+                for name, cats in taxonomy.categories_by_field.items()
+                if journal_cats & cats
+            )
         out[rec.record_id] = matched
+        for name in matched:
+            buckets[name].append(rec)
     return FieldAssignment(
         fields_by_record=out,
-        field_names=frozenset(taxonomy.categories_by_field),
+        records_by_field={name: tuple(recs) for name, recs in buckets.items()},
     )
 
 
 def field_corpus(corpus: Corpus, assignment: FieldAssignment, field: str) -> Corpus:
-    """Project the corpus onto one field; journals restricted to those referenced."""
-    if field not in assignment.field_names:
-        raise InputError(f"unknown field {field!r}")
-    kept = tuple(
-        rec for rec in corpus.publications
-        if field in assignment.fields_by_record.get(rec.record_id, frozenset())
-    )
+    """Project the corpus onto one field; journals restricted to those referenced.
+
+    ``assignment`` must come from ``assign_fields`` over the same corpus.
+    """
+    try:
+        kept = assignment.records_by_field[field]
+    except KeyError:
+        raise InputError(f"unknown field {field!r}") from None
     journals = {rec.journal_id: corpus.journals[rec.journal_id] for rec in kept}
     return Corpus(publications=kept, journals=journals, window=corpus.window)

@@ -4,6 +4,7 @@ import shutil
 import pytest
 from click.testing import CliRunner
 
+from bibliorank import pipeline
 from bibliorank.cli import main
 from bibliorank.pipeline import load_config, run_rank
 
@@ -59,6 +60,19 @@ class TestValidate:
         result = run_cli("validate", "--config", str(workspace / "config.json"))
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("min_n", "abc"),
+        ("min_n", 3.7),
+        ("windows", [[2008, "x"]]),
+    ], ids=["min_n", "min_n_fraction", "window_year"])
+    def test_non_integer_config_value_exits_two(self, workspace, key, value):
+        config = json.loads((workspace / "config.json").read_text())
+        config[key] = value
+        (workspace / "config.json").write_text(json.dumps(config))
+        result = run_cli("validate", "--config", str(workspace / "config.json"))
+        assert result.exit_code == 2, result.output
+        assert "must be an integer" in result.output
+
 
 class TestRank:
     def test_writes_expected_files_per_window(self, workspace):
@@ -86,6 +100,24 @@ class TestRank:
                                       "Computer Science"])
         second = {p.name: p.read_bytes() for p in config.out_dir.iterdir()}
         assert first == second
+
+    def test_inputs_parsed_once_per_run(self, workspace, monkeypatch):
+        calls = {}
+
+        def counted(name):
+            real = getattr(pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("load_publications", "load_journals", "load_taxonomy"):
+            monkeypatch.setattr(pipeline, name, counted(name))
+        config = load_config(workspace / "config.json")
+        assert len(config.windows) == 2
+        run_rank(config)
+        assert calls == {"load_publications": 1, "load_journals": 1, "load_taxonomy": 1}
 
     def test_window_override_flag(self, workspace):
         result = run_cli("rank", "--config", str(workspace / "config.json"),

@@ -140,6 +140,24 @@ class TestComputeIndicators:
         # warn mode counts the paper as not-Q1
         assert compute_indicators(corpus, t, missing_quartile="warn")["u"].pct_q1 == 0.0
 
+    def test_missing_quartiles_tallied_per_paper_sharing_journal_year(self, caplog):
+        # every 2010 lookup misses in both categories; 2011 is Q1
+        journal = make_journal("J", categories=("a", "b"), quartile=1, years=[2011])
+        records = [PublicationRecord(f"r{i}", inst, 2010, "J", i)
+                   for i, inst in enumerate("uuuvv")]
+        records.append(PublicationRecord("r9", "v", 2011, "J", 0))
+        corpus = Corpus(tuple(records), {"J": journal}, TimeWindow(2008, 2012))
+        t = top10_threshold(corpus, field_name="F")
+        with caplog.at_level("WARNING", logger="bibliorank.indicators"):
+            result = compute_indicators(corpus, t, missing_quartile="warn")
+        assert [r.getMessage() for r in caplog.records] == [
+            "field F: 10 quartile lookup(s) missing, counted as not-Q1"
+        ]
+        assert result["u"].pct_q1 == 0.0
+        assert result["v"].pct_q1 == pytest.approx(1 / 3)
+        with pytest.raises(QuartileLookupError):
+            compute_indicators(corpus, t, missing_quartile="strict")
+
     def test_bad_policy_rejected(self):
         corpus = make_corpus({"u": [1]})
         t = top10_threshold(corpus)

@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bibliorank.corpus import Corpus, PublicationRecord, TimeWindow
 from bibliorank.errors import InputError
-from bibliorank.taxonomy import assign_fields, field_corpus, load_taxonomy
+from bibliorank.taxonomy import FieldTaxonomy, assign_fields, field_corpus, load_taxonomy
 
 from conftest import make_journal
 
@@ -187,3 +188,28 @@ class TestFieldCorpus:
         sub = field_corpus(corpus, assignment, "F")
         assert set(sub.journals) == {"J1"}
         assert sub.window == corpus.window
+
+
+CATS = st.frozensets(st.sampled_from("abcdefg"), min_size=1, max_size=3)
+
+
+@given(
+    field_cats=st.lists(CATS, min_size=1, max_size=6),
+    journal_cats=st.lists(CATS, min_size=1, max_size=8),
+    picks=st.lists(st.tuples(st.integers(0, 7), st.integers(2008, 2012)), max_size=60),
+)
+def test_field_corpus_matches_order_preserving_filter(field_cats, journal_cats, picks):
+    taxonomy = FieldTaxonomy({f"F{i}": cats for i, cats in enumerate(field_cats)})
+    journals = [make_journal(f"J{i}", categories=cats) for i, cats in enumerate(journal_cats)]
+    records = [PublicationRecord(f"r{i}", f"u{i % 5}", year,
+                                 f"J{j % len(journals)}", i)
+               for i, (j, year) in enumerate(picks)]
+    corpus = corpus_with_journals(journals, records)
+    assignment = assign_fields(corpus, taxonomy)
+    for name, cats in taxonomy.categories_by_field.items():
+        expected = tuple(rec for rec in corpus.publications
+                         if corpus.journals[rec.journal_id].categories & cats)
+        sub = field_corpus(corpus, assignment, name)
+        assert sub.publications == expected
+        assert sub.journals == {rec.journal_id: corpus.journals[rec.journal_id]
+                                for rec in expected}
