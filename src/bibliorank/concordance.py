@@ -10,20 +10,21 @@ fraction is kept exact and never pre-reduced.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import normalize_id
+from .corpus import normalize_id, read_csv
 from .errors import ConfigError, ConstantInputError, InputError, InsufficientDataError
 from .ranking import RankingTable, restrict_to_system
 
 MISSING_NATIONAL_POLICIES = ("strict", "warn")
 
 DEFAULT_MIN_N = 3
+
+CROSSWALK_COLUMNS = ("source_system", "source_field", "target_system", "target_field")
 
 
 def midranks(values: Sequence[float]) -> list[float]:
@@ -165,15 +166,14 @@ def compare_pair(intl: RankingTable, natl: RankingTable, system_set: set[str],
 
 def aggregate_agreement(pairs: Sequence[ConcordancePair]) -> AggregateAgreement:
     """Pooled (sum of numerators over sum of denominators) and unweighted
-    mean-of-fractions aggregates."""
-    if not pairs:
-        raise InputError("cannot aggregate zero concordance pairs")
-    num = sum(p.agreement.numerator for p in pairs)
-    den = sum(p.agreement.denominator for p in pairs)
-    if den == 0:
-        raise InputError("total agreement denominator is zero")
-    nonempty = [p for p in pairs if p.agreement.denominator > 0]
-    mean = sum((p.agreement.as_fraction for p in nonempty), Fraction(0)) / len(nonempty)
+    mean-of-fractions aggregates over the pairs with a non-zero denominator;
+    0/0 and 0 when no pair has one."""
+    measurable = [p for p in pairs if p.agreement.denominator > 0]
+    if not measurable:
+        return AggregateAgreement(AgreementFraction(0, 0), Fraction(0))
+    num = sum(p.agreement.numerator for p in measurable)
+    den = sum(p.agreement.denominator for p in measurable)
+    mean = sum((p.agreement.as_fraction for p in measurable), Fraction(0)) / len(measurable)
     return AggregateAgreement(pooled=AgreementFraction(num, den), mean_of_fractions=mean)
 
 
@@ -204,25 +204,15 @@ class ConcordanceReport:
 
 def load_crosswalk(path: str | Path) -> list[FieldCrosswalk]:
     """Load crosswalks from CSV, grouped by (source_system, target_system)."""
-    path = Path(path)
     grouped: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"source_system", "source_field", "target_system", "target_field"}
-        if reader.fieldnames is None or required - set(reader.fieldnames):
-            raise InputError(
-                "crosswalk file must have columns "
-                "source_system,source_field,target_system,target_field",
-                line=1,
-            )
-        for line, row in enumerate(reader, start=2):
-            values = {k: normalize_id(row[k] or "") for k in required}
-            if not all(values.values()):
-                raise InputError("empty crosswalk cell", line)
-            key = (values["source_system"], values["target_system"])
-            grouped.setdefault(key, []).append(
-                (values["source_field"], values["target_field"])
-            )
+    for line, row in read_csv(path, CROSSWALK_COLUMNS, "crosswalk"):
+        values = {k: normalize_id(row[k] or "") for k in CROSSWALK_COLUMNS}
+        if not all(values.values()):
+            raise InputError("empty crosswalk cell", line)
+        key = (values["source_system"], values["target_system"])
+        grouped.setdefault(key, []).append(
+            (values["source_field"], values["target_field"])
+        )
     return [
         FieldCrosswalk(src, tgt, tuple(pairs))
         for (src, tgt), pairs in grouped.items()
@@ -253,15 +243,10 @@ def run_crosswalk(crosswalk: FieldCrosswalk,
             f"crosswalk {crosswalk.source_system} -> {crosswalk.target_system} "
             "resolves to zero field pairs"
         )
-    measurable = [p for p in pairs if p.agreement.denominator > 0]
-    if measurable:
-        aggregate = aggregate_agreement(measurable)
-    else:
-        aggregate = AggregateAgreement(AgreementFraction(0, 0), Fraction(0))
     return ConcordanceReport(
         source_system=crosswalk.source_system,
         target_system=crosswalk.target_system,
         pairs=tuple(pairs),
         unresolved=tuple(unresolved),
-        aggregate=aggregate,
+        aggregate=aggregate_agreement(pairs),
     )

@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, TextIO
 
-from .errors import InputError, QuartileLookupError
+from .errors import ConfigError, InputError, QuartileLookupError
 
 YEAR_MIN = 1900
 YEAR_MAX = 2100
 
 PUBLICATION_COLUMNS = ("record_id", "institution_id", "year", "journal_id", "citations")
+PUBLICATION_FORMATS = ("csv", "jsonl")
 JOURNAL_COLUMNS = ("journal_id", "category", "year", "quartile")
 
 
@@ -70,7 +72,7 @@ class TimeWindow:
 
     def __post_init__(self):
         if self.start_year > self.end_year:
-            raise InputError(
+            raise ConfigError(
                 f"window start {self.start_year} is after end {self.end_year}"
             )
 
@@ -104,8 +106,45 @@ class Corpus:
     def citations(self) -> list[int]:
         return [p.citations for p in self.publications]
 
-    def institutions(self) -> set[str]:
-        return {p.institution_id for p in self.publications}
+
+@contextmanager
+def _open_input(path: Path) -> Iterator[TextIO]:
+    """Open a UTF-8 input file; a failure to open or decode it is an InputError
+    without a line number, since decoding runs a buffer ahead of the rows."""
+    try:
+        with path.open(encoding="utf-8", newline="") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def read_csv(path: str | Path, columns: Sequence[str],
+             what: str) -> Iterator[tuple[int, dict[str, str | None]]]:
+    """Yield (line, row) for each data row of a CSV file with a header.
+
+    A header lacking any of ``columns`` is an error at line 1, naming the
+    file as ``what``. Rows are numbered from 2, one line per row.
+    """
+    with _open_input(Path(path)) as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or set(columns) - set(reader.fieldnames):
+            raise InputError(f"{what} file must have columns {','.join(columns)}", line=1)
+        yield from enumerate(reader, start=2)
+
+
+def _read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line, object) for each non-blank line of a JSON Lines file."""
+    with _open_input(Path(path)) as fh:
+        for line, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            try:
+                row = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"invalid JSON: {exc.msg}", line) from None
+            if not isinstance(row, dict):
+                raise InputError(f"expected a JSON object, got {type(row).__name__}", line)
+            yield line, row
 
 
 def _parse_int(raw: str, what: str, line: int) -> int:
@@ -139,102 +178,54 @@ def load_publications(path: str | Path, format: str = "csv") -> list[Publication
 
     Row order is preserved; duplicate record ids are an error naming both rows.
     """
-    path = Path(path)
-    if format not in ("csv", "jsonl"):
+    if format == "csv":
+        rows = read_csv(path, PUBLICATION_COLUMNS, "publications")
+    elif format == "jsonl":
+        rows = _read_jsonl(path)
+    else:
         raise InputError(f"unknown publications format {format!r}")
     records: list[PublicationRecord] = []
     seen: dict[str, int] = {}
-    with path.open(encoding="utf-8", newline="") as fh:
-        if format == "csv":
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or set(PUBLICATION_COLUMNS) - set(reader.fieldnames):
-                raise InputError(
-                    f"publications file must have columns {','.join(PUBLICATION_COLUMNS)}",
-                    line=1,
-                )
-            rows: Iterable[tuple[int, Mapping[str, str]]] = (
-                (i, row) for i, row in enumerate(reader, start=2)
+    for line, row in rows:
+        rec = _validate_record(row, line)
+        if rec.record_id in seen:
+            raise InputError(
+                f"duplicate record_id {rec.record_id!r} "
+                f"(first seen at line {seen[rec.record_id]})",
+                line,
             )
-        else:
-            def _jsonl_rows():
-                for i, raw in enumerate(fh, start=1):
-                    if not raw.strip():
-                        continue
-                    try:
-                        yield i, json.loads(raw)
-                    except json.JSONDecodeError as exc:
-                        raise InputError(f"invalid JSON: {exc.msg}", i) from None
-            rows = _jsonl_rows()
-        for line, row in rows:
-            rec = _validate_record(row, line)
-            if rec.record_id in seen:
-                raise InputError(
-                    f"duplicate record_id {rec.record_id!r} "
-                    f"(first seen at line {seen[rec.record_id]})",
-                    line,
-                )
-            seen[rec.record_id] = line
-            records.append(rec)
+        seen[rec.record_id] = line
+        records.append(rec)
     return records
-
-
-def dump_publications(records: Sequence[PublicationRecord], path: str | Path,
-                      format: str = "csv") -> None:
-    """Serialize records so that a re-load round-trips exactly."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        if format == "csv":
-            writer = csv.writer(fh)
-            writer.writerow(PUBLICATION_COLUMNS)
-            for r in records:
-                writer.writerow([r.record_id, r.institution_id, r.year, r.journal_id, r.citations])
-        elif format == "jsonl":
-            for r in records:
-                fh.write(json.dumps({
-                    "record_id": r.record_id,
-                    "institution_id": r.institution_id,
-                    "year": r.year,
-                    "journal_id": r.journal_id,
-                    "citations": r.citations,
-                }) + "\n")
-        else:
-            raise InputError(f"unknown publications format {format!r}")
 
 
 def load_journals(path: str | Path) -> dict[str, JournalProfile]:
     """Load journal profiles from a (journal_id, category, year, quartile) CSV."""
-    path = Path(path)
     categories: dict[str, set[str]] = {}
     quartiles: dict[str, dict[tuple[str, int], int]] = {}
     first_seen: dict[tuple[str, str, int], int] = {}
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(JOURNAL_COLUMNS) - set(reader.fieldnames):
-            raise InputError(
-                f"journals file must have columns {','.join(JOURNAL_COLUMNS)}", line=1
-            )
-        for line, row in enumerate(reader, start=2):
-            jid = normalize_id(row["journal_id"] or "")
-            cat = normalize_category(row["category"] or "")
-            if not jid or not cat:
-                raise InputError("empty journal_id or category", line)
-            year = _parse_int(row["year"], "year", line)
-            quartile = _parse_int(row["quartile"], "quartile", line)
-            if quartile not in (1, 2, 3, 4):
-                raise InputError(f"quartile {quartile} outside {{1,2,3,4}}", line)
-            key = (jid, cat, year)
-            if key in first_seen:
-                existing = quartiles[jid][(cat, year)]
-                if existing != quartile:
-                    raise InputError(
-                        f"conflicting quartiles for journal {jid!r}, category {cat!r}, "
-                        f"year {year}: Q{existing} (line {first_seen[key]}) vs Q{quartile}",
-                        line,
-                    )
-                continue
-            first_seen[key] = line
-            categories.setdefault(jid, set()).add(cat)
-            quartiles.setdefault(jid, {})[(cat, year)] = quartile
+    for line, row in read_csv(path, JOURNAL_COLUMNS, "journals"):
+        jid = normalize_id(row["journal_id"] or "")
+        cat = normalize_category(row["category"] or "")
+        if not jid or not cat:
+            raise InputError("empty journal_id or category", line)
+        year = _parse_int(row["year"], "year", line)
+        quartile = _parse_int(row["quartile"], "quartile", line)
+        if quartile not in (1, 2, 3, 4):
+            raise InputError(f"quartile {quartile} outside {{1,2,3,4}}", line)
+        key = (jid, cat, year)
+        if key in first_seen:
+            existing = quartiles[jid][(cat, year)]
+            if existing != quartile:
+                raise InputError(
+                    f"conflicting quartiles for journal {jid!r}, category {cat!r}, "
+                    f"year {year}: Q{existing} (line {first_seen[key]}) vs Q{quartile}",
+                    line,
+                )
+            continue
+        first_seen[key] = line
+        categories.setdefault(jid, set()).add(cat)
+        quartiles.setdefault(jid, {})[(cat, year)] = quartile
     return {
         jid: JournalProfile(jid, frozenset(cats), dict(quartiles[jid]))
         for jid, cats in categories.items()

@@ -17,11 +17,13 @@ from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .concordance import (
+    MISSING_NATIONAL_POLICIES,
     ConcordanceReport,
     load_crosswalk,
     run_crosswalk,
 )
 from .corpus import (
+    PUBLICATION_FORMATS,
     JournalProfile,
     PublicationRecord,
     TimeWindow,
@@ -60,24 +62,24 @@ class RunConfig:
     national_system: str = "national"
 
     def validate(self) -> None:
+        if self.publications_format not in PUBLICATION_FORMATS:
+            raise ConfigError(f"publications_format must be one of {PUBLICATION_FORMATS}")
         if self.q1_policy not in Q1_POLICIES:
             raise ConfigError(f"q1_policy must be one of {Q1_POLICIES}")
         if self.missing_quartile not in MISSING_QUARTILE_POLICIES:
             raise ConfigError(
                 f"missing_quartile must be one of {MISSING_QUARTILE_POLICIES}"
             )
-        if self.missing_national not in ("strict", "warn"):
-            raise ConfigError("missing_national must be 'strict' or 'warn'")
+        if self.missing_national not in MISSING_NATIONAL_POLICIES:
+            raise ConfigError(f"missing_national must be one of {MISSING_NATIONAL_POLICIES}")
         if self.min_n < 2:
             raise ConfigError("min_n must be >= 2")
         if not self.windows:
             raise ConfigError("at least one window is required")
-        for p in (self.publications, self.journals, self.taxonomy):
-            if not p.exists():
-                raise ConfigError(f"input file does not exist: {p}")
-        for p in (self.external_rankings, self.national_rankings, self.crosswalk):
-            if p is not None and not p.exists():
-                raise ConfigError(f"input file does not exist: {p}")
+        for p in (self.publications, self.journals, self.taxonomy,
+                  self.external_rankings, self.national_rankings, self.crosswalk):
+            if p is not None and not p.is_file():
+                raise ConfigError(f"input is not an existing file: {p}")
 
     def digest(self) -> str:
         payload = {
@@ -111,8 +113,10 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got {type(raw).__name__}")
     base = path.parent
 
     def _path(key: str, required: bool = False) -> Path | None:

@@ -9,17 +9,17 @@ use competition ranking ("1,2,2,4").
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import TimeWindow, normalize_id
+from .corpus import TimeWindow, normalize_id, read_csv
 from .errors import InputError
 from .scoring import IndexScore
 
 _RANK_RE = re.compile(r"^(\d+)(?:-(\d+))?$")
+EXTERNAL_COLUMNS = ("system_name", "field_name", "institution_id", "rank")
 
 
 @dataclass(frozen=True)
@@ -104,15 +104,18 @@ class RankingTable:
 
     def competition_ranks(self) -> dict[str, int]:
         """Local 1..m competition ranks from effective ranks; ties share a rank."""
-        ranks: dict[str, int] = {}
-        current = 1
-        prev_effective: float | None = None
-        for position, entry in enumerate(self.entries, start=1):
-            if prev_effective is None or entry.rank.effective != prev_effective:
-                current = position
-                prev_effective = entry.rank.effective
-            ranks[entry.institution_id] = current
-        return ranks
+        ranks = competition_ranks([e.rank.effective for e in self.entries])
+        return {e.institution_id: r for e, r in zip(self.entries, ranks)}
+
+
+def competition_ranks(keys: Sequence) -> list[int]:
+    """1-based competition ranks ("1,2,2,4") of keys already in rank order."""
+    ranks: list[int] = []
+    for position, key in enumerate(keys, start=1):
+        if position == 1 or key != keys[position - 2]:
+            rank = position
+        ranks.append(rank)
+    return ranks
 
 
 def build_ranking(scores: Mapping[str, IndexScore], system_name: str,
@@ -126,15 +129,12 @@ def build_ranking(scores: Mapping[str, IndexScore], system_name: str,
     if not scores:
         raise InputError("cannot rank an empty score map")
     ordered = sorted(scores.values(), key=lambda s: (-s.ifq2a, s.institution_id))
-    entries: list[RankEntry] = []
-    rank = 1
-    prev_score: float | None = None
-    for position, s in enumerate(ordered, start=1):
-        if prev_score is None or s.ifq2a != prev_score:
-            rank = position
-            prev_score = s.ifq2a
-        entries.append(RankEntry(s.institution_id, ExactRank(rank), score=s.ifq2a))
-    return RankingTable(system_name, field_name, tuple(entries), window=window)
+    ranks = competition_ranks([s.ifq2a for s in ordered])
+    entries = tuple(
+        RankEntry(s.institution_id, ExactRank(rank), score=s.ifq2a)
+        for s, rank in zip(ordered, ranks)
+    )
+    return RankingTable(system_name, field_name, entries, window=window)
 
 
 def _table_from_rows(system: str, field: str,
@@ -146,40 +146,19 @@ def _table_from_rows(system: str, field: str,
 
 def load_external_rankings(path: str | Path) -> dict[tuple[str, str], RankingTable]:
     """Load every (system, field) table from an external-ranking CSV."""
-    path = Path(path)
     rows: dict[tuple[str, str], list[tuple[str, RankValue]]] = {}
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"system_name", "field_name", "institution_id", "rank"}
-        if reader.fieldnames is None or required - set(reader.fieldnames):
-            raise InputError(
-                "external ranking file must have columns "
-                "system_name,field_name,institution_id,rank",
-                line=1,
-            )
-        for line, row in enumerate(reader, start=2):
-            system = normalize_id(row["system_name"] or "")
-            field = normalize_id(row["field_name"] or "")
-            inst = normalize_id(row["institution_id"] or "")
-            if not system or not field or not inst:
-                raise InputError("empty system_name, field_name or institution_id", line)
-            try:
-                rank = parse_rank(row["rank"] or "")
-            except InputError as exc:
-                raise InputError(str(exc), line) from None
-            rows.setdefault((system, field), []).append((inst, rank))
+    for line, row in read_csv(path, EXTERNAL_COLUMNS, "external ranking"):
+        system = normalize_id(row["system_name"] or "")
+        field = normalize_id(row["field_name"] or "")
+        inst = normalize_id(row["institution_id"] or "")
+        if not system or not field or not inst:
+            raise InputError("empty system_name, field_name or institution_id", line)
+        try:
+            rank = parse_rank(row["rank"] or "")
+        except InputError as exc:
+            raise InputError(str(exc), line) from None
+        rows.setdefault((system, field), []).append((inst, rank))
     return {key: _table_from_rows(key[0], key[1], r) for key, r in rows.items()}
-
-
-def load_external_ranking(path: str | Path) -> RankingTable:
-    """Load a single-table external-ranking CSV."""
-    tables = load_external_rankings(path)
-    if len(tables) != 1:
-        raise InputError(
-            f"expected exactly one (system, field) table in {path}, "
-            f"found {len(tables)}"
-        )
-    return next(iter(tables.values()))
 
 
 def restrict_to_system(table: RankingTable, system_institutions: set[str]) -> RankingTable:

@@ -13,9 +13,6 @@ from typing import Mapping
 from .errors import InputError
 from .indicators import IndicatorSet
 
-QUADRANTS = ("both_outstanding", "quantitative_only", "qualitative_only", "neither")
-
-
 @dataclass(frozen=True)
 class IndexScore:
     institution_id: str

@@ -7,15 +7,15 @@ k fields counts fully in each of them.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import Corpus, PublicationRecord, normalize_category, normalize_id
+from .corpus import Corpus, PublicationRecord, normalize_category, normalize_id, read_csv
 from .errors import InputError
 
 LEVELS = ("field", "subfield")
+TAXONOMY_COLUMNS = ("field_name", "level", "category")
 
 
 @dataclass(frozen=True)
@@ -52,32 +52,26 @@ def load_taxonomy(path: str | Path) -> FieldTaxonomy:
     Categories may appear in several fields; a field's level must be
     consistent across its rows.
     """
-    path = Path(path)
     categories: dict[str, set[str]] = {}
     levels: dict[str, str] = {}
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"field_name", "level", "category"}
-        if reader.fieldnames is None or required - set(reader.fieldnames):
-            raise InputError("taxonomy file must have columns field_name,level,category", line=1)
-        for line, row in enumerate(reader, start=2):
-            name = normalize_id(row["field_name"] or "")
-            level = normalize_id(row["level"] or "")
-            cat = normalize_category(row["category"] or "")
-            if not name:
-                raise InputError("empty field name", line)
-            if level not in LEVELS:
-                raise InputError(f"level must be one of {LEVELS}, got {level!r}", line)
-            if not cat:
-                raise InputError(f"field {name!r} has an empty category", line)
-            if name in levels and levels[name] != level:
-                raise InputError(
-                    f"field {name!r} listed with conflicting levels "
-                    f"{levels[name]!r} and {level!r}",
-                    line,
-                )
-            levels[name] = level
-            categories.setdefault(name, set()).add(cat)
+    for line, row in read_csv(path, TAXONOMY_COLUMNS, "taxonomy"):
+        name = normalize_id(row["field_name"] or "")
+        level = normalize_id(row["level"] or "")
+        cat = normalize_category(row["category"] or "")
+        if not name:
+            raise InputError("empty field name", line)
+        if level not in LEVELS:
+            raise InputError(f"level must be one of {LEVELS}, got {level!r}", line)
+        if not cat:
+            raise InputError(f"field {name!r} has an empty category", line)
+        if name in levels and levels[name] != level:
+            raise InputError(
+                f"field {name!r} listed with conflicting levels "
+                f"{levels[name]!r} and {level!r}",
+                line,
+            )
+        levels[name] = level
+        categories.setdefault(name, set()).add(cat)
     if not categories:
         raise InputError("taxonomy file defines no fields")
     return FieldTaxonomy({n: frozenset(c) for n, c in categories.items()})

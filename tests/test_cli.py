@@ -26,6 +26,13 @@ def run_cli(*args):
     return CliRunner().invoke(main, list(args))
 
 
+def edit_config(workspace, **changes):
+    path = workspace / "config.json"
+    config = json.loads(path.read_text(encoding="utf-8"))
+    config.update(changes)
+    path.write_text(json.dumps(config), encoding="utf-8")
+
+
 class TestValidate:
     def test_fixture_set_passes(self, workspace):
         result = run_cli("validate", "--config", str(workspace / "config.json"))
@@ -59,6 +66,31 @@ class TestValidate:
         (workspace / "journals.csv").unlink()
         result = run_cli("validate", "--config", str(workspace / "config.json"))
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("setup, args, code, message", [
+        (lambda ws: edit_config(ws, windows=[[2012, 2008]]), (), 2, "after end"),
+        (lambda ws: None, ("--window", "2012:2008"), 2, "after end"),
+        (lambda ws: (ws / "config.json").write_text("[]"), (), 2, "JSON object"),
+        (lambda ws: edit_config(ws, publications_format="xml"), (), 2,
+         "publications_format"),
+        (lambda ws: edit_config(ws, journals="."), (), 2, "not an existing file"),
+        (lambda ws: (ws / "config.json").write_bytes(b'{"min_n": "\xff"}'), (), 2,
+         "cannot read config"),
+        (lambda ws: (ws / "journals.csv").write_bytes(
+            b"journal_id,category,year,quartile\nJ\xff,a,2010,1\n"), (), 1, "journals.csv"),
+        (lambda ws: ((ws / "p.jsonl").write_text("[1]\n"),
+                     edit_config(ws, publications="p.jsonl", publications_format="jsonl")),
+         (), 1, "line 1"),
+    ], ids=["reversed_window", "reversed_window_flag", "json_list", "unknown_format",
+            "directory_input", "non_utf8_config", "non_utf8_csv", "jsonl_not_object"])
+    def test_boundary_fault_exit_code(self, workspace, setup, args, code, message):
+        setup(workspace)
+        result = run_cli("validate", "--config", str(workspace / "config.json"), *args)
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, SystemExit)
+        prefix = "configuration error: " if code == 2 else "error: "
+        assert result.output.startswith(prefix), result.output
+        assert message in result.output
 
     @pytest.mark.parametrize("key, value", [
         ("min_n", "abc"),

@@ -212,6 +212,14 @@ class TestAggregateAgreement:
         assert agg.pooled.decimal == 1.0
         assert agg.mean_of_fractions == 1
 
+    def test_empty_tables_left_out(self):
+        agg = aggregate_agreement([self.pair(2, 6), self.pair(0, 0), self.pair(4, 4)])
+        assert (agg.pooled.numerator, agg.pooled.denominator) == (6, 10)
+        assert agg.mean_of_fractions == Fraction(2, 3)
+        empty = aggregate_agreement([self.pair(0, 0)] * 3)
+        assert (empty.pooled.numerator, empty.pooled.denominator) == (0, 0)
+        assert empty.mean_of_fractions == 0
+
     def test_pooled_bounded_by_extremes(self):
         pairs = [self.pair(1, 4), self.pair(3, 4), self.pair(2, 5)]
         agg = aggregate_agreement(pairs)

@@ -1,15 +1,21 @@
+import csv
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
+from bibliorank.concordance import load_crosswalk
 from bibliorank.corpus import (
+    PUBLICATION_COLUMNS,
     PublicationRecord,
     TimeWindow,
     build_corpus,
-    dump_publications,
     load_journals,
     load_publications,
 )
-from bibliorank.errors import InputError, QuartileLookupError
+from bibliorank.errors import ConfigError, InputError, QuartileLookupError
+from bibliorank.ranking import load_external_rankings
+from bibliorank.taxonomy import load_taxonomy
 
 from conftest import make_journal
 
@@ -18,6 +24,25 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def dump_publications(records, path, format):
+    """Serialize records so that a re-load round-trips exactly."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        if format == "csv":
+            writer = csv.writer(fh)
+            writer.writerow(PUBLICATION_COLUMNS)
+            for r in records:
+                writer.writerow([r.record_id, r.institution_id, r.year, r.journal_id, r.citations])
+        else:
+            for r in records:
+                fh.write(json.dumps({
+                    "record_id": r.record_id,
+                    "institution_id": r.institution_id,
+                    "year": r.year,
+                    "journal_id": r.journal_id,
+                    "citations": r.citations,
+                }) + "\n")
 
 
 PUB_HEADER = "record_id,institution_id,year,journal_id,citations\n"
@@ -71,6 +96,14 @@ class TestLoadPublications:
     def test_jsonl_parse_error_has_line(self, tmp_path):
         path = write(tmp_path, "p.jsonl", '{"record_id": "r1"\n')
         with pytest.raises(InputError, match="line 1"):
+            load_publications(path, "jsonl")
+
+    @pytest.mark.parametrize("value", ["[1, 2]", "7"], ids=["array", "number"])
+    def test_jsonl_non_object_line_has_line(self, tmp_path, value):
+        path = write(tmp_path, "p.jsonl",
+                     '{"record_id":"r1","institution_id":"ua","year":2010,'
+                     '"journal_id":"j1","citations":3}\n' + value + "\n")
+        with pytest.raises(InputError, match="line 2.*JSON object"):
             load_publications(path, "jsonl")
 
     def test_ids_trimmed(self, tmp_path):
@@ -139,8 +172,25 @@ class TestTimeWindow:
         assert w.label == "w5"
 
     def test_reversed_window_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigError):
             TimeWindow(2012, 2008)
+
+
+@pytest.mark.parametrize("loader, header", [
+    (lambda p: load_publications(p, "csv"), PUB_HEADER),
+    (lambda p: load_publications(p, "jsonl"), ""),
+    (load_journals, JOURNAL_HEADER),
+    (load_taxonomy, "field_name,level,category\n"),
+    (load_external_rankings, "system_name,field_name,institution_id,rank\n"),
+    (load_crosswalk, "source_system,source_field,target_system,target_field\n"),
+], ids=["publications_csv", "publications_jsonl", "journals", "taxonomy",
+        "external_rankings", "crosswalk"])
+def test_non_utf8_input_names_the_file(tmp_path, loader, header):
+    path = tmp_path / "input.txt"
+    path.write_bytes(header.encode("utf-8") + b"caf\xe9,x,y,z\n")
+    with pytest.raises(InputError, match="cannot read .*input.txt") as info:
+        loader(path)
+    assert info.value.line is None
 
 
 def _records(years):

@@ -10,7 +10,6 @@ from bibliorank.ranking import (
     RankEntry,
     RankingTable,
     build_ranking,
-    load_external_ranking,
     load_external_rankings,
     parse_rank,
     restrict_to_system,
@@ -109,10 +108,6 @@ class TestExternalTables:
         assert ntu.entries[0].rank == ExactRank(89)
         assert len(ntu) == 13
 
-    def test_single_table_loader_rejects_multi(self, fixtures_dir):
-        with pytest.raises(InputError, match="exactly one"):
-            load_external_ranking(fixtures_dir / "external_rankings.csv")
-
     def test_duplicate_institution_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(
@@ -175,7 +170,11 @@ class TestCompetitionRanks:
         table = RankingTable("s", "f", entries)
         assert table.competition_ranks() == {"a": 1, "b": 1, "c": 3}
 
-    def test_internal_table_ranks_consistent(self):
-        table = build_ranking(scores_from([5.0, 5.0, 1.0]), "s", "f")
+    @given(st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=6)
+           .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=25)))
+    def test_internal_table_ranks_consistent(self, values):
+        table = build_ranking(scores_from(values), "s", "f")
         stored = {e.institution_id: e.rank.position for e in table.entries}
         assert table.competition_ranks() == stored
+        for entry in table.entries:
+            assert entry.rank.position == 1 + sum(v > entry.score for v in values)
