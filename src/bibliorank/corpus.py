@@ -12,7 +12,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import ConfigError, InputError, QuartileLookupError
 
@@ -32,8 +32,7 @@ def normalize_category(raw: str) -> str:
     return raw.strip().casefold()
 
 
-@dataclass(frozen=True)
-class PublicationRecord:
+class PublicationRecord(NamedTuple):
     """One citable paper with a snapshot citation count."""
 
     record_id: str
@@ -123,13 +122,15 @@ def read_csv(path: str | Path, columns: Sequence[str],
     """Yield (line, row) for each data row of a CSV file with a header.
 
     A header lacking any of ``columns`` is an error at line 1, naming the
-    file as ``what``. Rows are numbered from 2, one line per row.
+    file as ``what``. A row's line is the physical line it ends on, so blank
+    lines and quoted fields that span lines are counted.
     """
     with _open_input(Path(path)) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or set(columns) - set(reader.fieldnames):
             raise InputError(f"{what} file must have columns {','.join(columns)}", line=1)
-        yield from enumerate(reader, start=2)
+        for row in reader:
+            yield reader.line_num, row
 
 
 def _read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:

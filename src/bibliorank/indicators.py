@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Corpus, JournalProfile
 from .errors import ConfigError, QuartileLookupError
@@ -21,8 +22,7 @@ Q1_POLICIES = ("any-relevant", "best-all")
 MISSING_QUARTILE_POLICIES = ("strict", "warn")
 
 
-@dataclass(frozen=True)
-class IndicatorSet:
+class IndicatorSet(NamedTuple):
     institution_id: str
     ndoc: int
     ncit: int
@@ -43,13 +43,16 @@ class FieldCitationThreshold:
 
 def h_index(citations: Iterable[int]) -> int:
     """Largest h such that at least h papers have >= h citations each."""
-    ranked = sorted(citations, reverse=True)
+    return _h_of_ascending(sorted(citations))
+
+
+def _h_of_ascending(cites: Sequence[int]) -> int:
+    """h-index of citation counts already sorted ascending."""
     h = 0
-    for i, c in enumerate(ranked, start=1):
-        if c >= i:
-            h = i
-        else:
+    for c in reversed(cites):  # c is the (h + 1)-th most cited paper
+        if c <= h:
             break
+        h += 1
     return h
 
 
@@ -104,44 +107,40 @@ def compute_indicators(field_corpus: Corpus, threshold: FieldCitationThreshold,
             f"missing_quartile must be one of {MISSING_QUARTILE_POLICIES}, "
             f"got {missing_quartile!r}"
         )
-    by_inst: dict[str, list] = {}
-    for rec in field_corpus.publications:
-        by_inst.setdefault(rec.institution_id, []).append(rec)
+    # One pass in corpus order: each institution's citation counts and Q1
+    # tally. (is_q1, misses) depends only on the paper's journal and year here.
+    cites_by_inst: dict[str, list[int]] = {}
+    q1_by_inst: dict[str, int] = {}
+    decided: dict[tuple[str, int], tuple[bool, int]] = {}
+    total_misses = 0
+    for _, inst, year, journal_id, citations in field_corpus.publications:
+        key = (journal_id, year)
+        if key not in decided:
+            decided[key] = _is_q1(
+                field_corpus.journals[journal_id], year,
+                field_categories, q1_policy, missing_quartile,
+            )
+        is_q1, misses = decided[key]
+        total_misses += misses
+        cites = cites_by_inst.get(inst)
+        if cites is None:
+            cites = cites_by_inst[inst] = []
+            q1_by_inst[inst] = 0
+        cites.append(citations)
+        q1_by_inst[inst] += is_q1
 
     out: dict[str, IndicatorSet] = {}
-    total_misses = 0
-    # (is_q1, misses) depends only on the paper's journal and year here
-    decided: dict[tuple[str, int], tuple[bool, int]] = {}
-    for inst, records in by_inst.items():
-        citations = [r.citations for r in records]
-        ndoc = len(records)
-        ncit = sum(citations)
-        q1_count = 0
-        for rec in records:
-            key = (rec.journal_id, rec.year)
-            if key not in decided:
-                decided[key] = _is_q1(
-                    field_corpus.journals[rec.journal_id], rec.year,
-                    field_categories, q1_policy, missing_quartile,
-                )
-            is_q1, misses = decided[key]
-            total_misses += misses
-            if is_q1:
-                q1_count += 1
+    for inst, cites in cites_by_inst.items():
+        cites.sort()
+        ndoc = len(cites)
+        ncit = sum(cites)
         if threshold.pool_size > 0:
-            top_count = sum(1 for c in citations if c >= threshold.threshold)
+            top_count = ndoc - bisect_left(cites, threshold.threshold)
             topcit = top_count / ndoc
         else:
             topcit = 0.0
-        out[inst] = IndicatorSet(
-            institution_id=inst,
-            ndoc=ndoc,
-            ncit=ncit,
-            h=h_index(citations),
-            pct_q1=q1_count / ndoc,
-            acit=ncit / ndoc,
-            topcit=topcit,
-        )
+        out[inst] = IndicatorSet(inst, ndoc, ncit, _h_of_ascending(cites),
+                                 q1_by_inst[inst] / ndoc, ncit / ndoc, topcit)
     if total_misses:
         log.warning(
             "field %s: %d quartile lookup(s) missing, counted as not-Q1",

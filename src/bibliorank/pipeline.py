@@ -119,8 +119,17 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config {path} must be a JSON object, got {type(raw).__name__}")
     base = path.parent
 
+    def _str(key: str, default: str | None = None) -> str | None:
+        """The string at ``key``; null is allowed only where there is no default."""
+        value = raw.get(key, default)
+        if value is None and default is None:
+            return None
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string, got {value!r}")
+        return value
+
     def _path(key: str, required: bool = False) -> Path | None:
-        value = raw.get(key)
+        value = _str(key)
         if value is None:
             if required:
                 raise ConfigError(f"config is missing required key {key!r}")
@@ -128,16 +137,17 @@ def load_config(path: str | Path) -> RunConfig:
         return (base / value).resolve()
 
     def _int(value, what: str) -> int:
-        try:
-            number = int(value)
-        except (TypeError, ValueError, OverflowError):
-            number = None
-        if number is None or (isinstance(value, float) and number != value):
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{what} must be an integer, got {value!r}")
-        return number
+        return value
 
+    pairs = raw.get("windows", [])
+    if not isinstance(pairs, list):
+        raise ConfigError(f"windows must be a list of [start, end] pairs, got {pairs!r}")
     windows = []
-    for pair in raw.get("windows", []):
+    for pair in pairs:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ConfigError(f"each window must be [start, end], got {pair!r}")
         windows.append(TimeWindow(_int(pair[0], "window year"), _int(pair[1], "window year")))
@@ -147,16 +157,16 @@ def load_config(path: str | Path) -> RunConfig:
         journals=_path("journals", required=True),
         taxonomy=_path("taxonomy", required=True),
         windows=tuple(windows),
-        out_dir=(base / raw.get("out_dir", "out")).resolve(),
+        out_dir=(base / _str("out_dir", "out")).resolve(),
         external_rankings=_path("external_rankings"),
         national_rankings=_path("national_rankings"),
         crosswalk=_path("crosswalk"),
-        publications_format=raw.get("publications_format", "csv"),
-        q1_policy=raw.get("q1_policy", "any-relevant"),
-        missing_quartile=raw.get("missing_quartile", "warn"),
-        missing_national=raw.get("missing_national", "warn"),
+        publications_format=_str("publications_format", "csv"),
+        q1_policy=_str("q1_policy", "any-relevant"),
+        missing_quartile=_str("missing_quartile", "warn"),
+        missing_national=_str("missing_national", "warn"),
         min_n=_int(raw.get("min_n", 3), "min_n"),
-        national_system=raw.get("national_system", "national"),
+        national_system=_str("national_system", "national"),
     )
     return config
 
@@ -234,7 +244,7 @@ def run_validate(config: RunConfig) -> ValidationReport:
         assignment = assign_fields(corpus, taxonomy)
         retained[str(window)] = len(corpus)
         dropped[str(window)] = corpus.dropped_outside_window
-        unassigned[str(window)] = tuple(assignment.unassigned())
+        unassigned[str(window)] = assignment.unassigned
     return ValidationReport(
         publication_count=len(publications),
         journal_count=len(journals),
@@ -284,42 +294,37 @@ def compute_field_results(config: RunConfig, window: TimeWindow,
 
 
 def _ranking_csv(result: FieldResult, config: RunConfig) -> str:
-    buf = io.StringIO()
-    buf.write(_header(config, result.window))
-    buf.write("system_name,field_name,institution_id,rank,ifq2a\n")
-    for entry in result.table.entries:
-        buf.write(
-            f"{result.table.system_name},{result.field_name},{entry.institution_id},"
-            f"{entry.rank},{entry.score:.6f}\n"
-        )
-    return buf.getvalue()
+    prefix = f"{result.table.system_name},{result.field_name},"
+    return "".join([
+        _header(config, result.window),
+        "system_name,field_name,institution_id,rank,ifq2a\n",
+        *[f"{prefix}{e.institution_id},{e.rank},{e.score:.6f}\n"
+          for e in result.table.entries],
+    ])
 
 
 def _quadrant_csv(result: FieldResult, config: RunConfig) -> str:
-    buf = io.StringIO()
-    buf.write(_header(config, result.window))
-    buf.write("field_name,institution_id,qnif,qlif,ifq2a,quadrant,mean_qnif,mean_qlif\n")
-    for inst in sorted(result.scores):
-        s = result.scores[inst]
-        q = result.quadrants[inst]
-        buf.write(
-            f"{result.field_name},{inst},{s.qnif:.6f},{s.qlif:.6f},{s.ifq2a:.6f},"
-            f"{q.label},{q.mean_qnif:.6f},{q.mean_qlif:.6f}\n"
-        )
-    return buf.getvalue()
+    quadrants = result.quadrants
+    # classify_quadrants gives every label of a field the same two means.
+    first = next(iter(quadrants.values()))
+    means = f"{first.mean_qnif:.6f},{first.mean_qlif:.6f}\n"
+    return "".join([
+        _header(config, result.window),
+        "field_name,institution_id,qnif,qlif,ifq2a,quadrant,mean_qnif,mean_qlif\n",
+        *[f"{result.field_name},{inst},{s.qnif:.6f},{s.qlif:.6f},{s.ifq2a:.6f},"
+          f"{quadrants[inst].label},{means}"
+          for inst, s in sorted(result.scores.items())],
+    ])
 
 
 def _indicator_csv(result: FieldResult, config: RunConfig) -> str:
-    buf = io.StringIO()
-    buf.write(_header(config, result.window))
-    buf.write("field_name,institution_id,ndoc,ncit,h,pct_q1,acit,topcit\n")
-    for inst in sorted(result.indicators):
-        ind = result.indicators[inst]
-        buf.write(
-            f"{result.field_name},{inst},{ind.ndoc},{ind.ncit},{ind.h},"
-            f"{ind.pct_q1:.6f},{ind.acit:.6f},{ind.topcit:.6f}\n"
-        )
-    return buf.getvalue()
+    return "".join([
+        _header(config, result.window),
+        "field_name,institution_id,ndoc,ncit,h,pct_q1,acit,topcit\n",
+        *[f"{result.field_name},{inst},{ind.ndoc},{ind.ncit},{ind.h},"
+          f"{ind.pct_q1:.6f},{ind.acit:.6f},{ind.topcit:.6f}\n"
+          for inst, ind in sorted(result.indicators.items())],
+    ])
 
 
 def run_rank(config: RunConfig, field_order: Sequence[str] | None = None,

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import TimeWindow, normalize_id, read_csv
 from .errors import InputError
@@ -22,13 +23,10 @@ _RANK_RE = re.compile(r"^(\d+)(?:-(\d+))?$")
 EXTERNAL_COLUMNS = ("system_name", "field_name", "institution_id", "rank")
 
 
-@dataclass(frozen=True)
-class ExactRank:
-    position: int
+class ExactRank(NamedTuple):
+    """A position >= 1: ``parse_rank`` checks text, ``build_ranking`` counts from 1."""
 
-    def __post_init__(self):
-        if self.position < 1:
-            raise InputError(f"rank position must be >= 1, got {self.position}")
+    position: int
 
     @property
     def effective(self) -> float:
@@ -65,13 +63,15 @@ def parse_rank(text: str) -> RankValue:
     m = _RANK_RE.match(text.strip())
     if m is None:
         raise InputError(f"malformed rank {text!r} (expected 'N' or 'LO-HI')")
-    if m.group(2) is None:
-        return ExactRank(int(m.group(1)))
-    return IntervalRank(int(m.group(1)), int(m.group(2)))
+    position = int(m.group(1))
+    if m.group(2) is not None:
+        return IntervalRank(position, int(m.group(2)))
+    if position < 1:
+        raise InputError(f"rank position must be >= 1, got {position}")
+    return ExactRank(position)
 
 
-@dataclass(frozen=True)
-class RankEntry:
+class RankEntry(NamedTuple):
     institution_id: str
     rank: RankValue
     score: float | None = None
@@ -128,12 +128,12 @@ def build_ranking(scores: Mapping[str, IndexScore], system_name: str,
     """
     if not scores:
         raise InputError("cannot rank an empty score map")
-    ordered = sorted(scores.values(), key=lambda s: (-s.ifq2a, s.institution_id))
-    ranks = competition_ranks([s.ifq2a for s in ordered])
-    entries = tuple(
-        RankEntry(s.institution_id, ExactRank(rank), score=s.ifq2a)
-        for s, rank in zip(ordered, ranks)
-    )
+    # Two stable sorts: by id, then by score descending, so ties stay in id order.
+    ordered = sorted(scores.values(), key=attrgetter("institution_id"))
+    ordered.sort(key=attrgetter("ifq2a"), reverse=True)
+    keys = [s.ifq2a for s in ordered]
+    entries = tuple(map(RankEntry, [s.institution_id for s in ordered],
+                        map(ExactRank, competition_ranks(keys)), keys))
     return RankingTable(system_name, field_name, entries, window=window)
 
 

@@ -7,22 +7,20 @@ product. Quadrants split institutions by the field means of both dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InputError
 from .indicators import IndicatorSet
 
-@dataclass(frozen=True)
-class IndexScore:
+
+class IndexScore(NamedTuple):
     institution_id: str
     qnif: float
     qlif: float
     ifq2a: float
 
 
-@dataclass(frozen=True)
-class QuadrantLabel:
+class QuadrantLabel(NamedTuple):
     """Position relative to the field means of both dimensions."""
 
     label: str
@@ -34,12 +32,7 @@ def score(ind: IndicatorSet) -> IndexScore:
     """Combine one institution's six indicators into the composite index."""
     qnif = (ind.ndoc * ind.ncit * ind.h) ** (1.0 / 3.0)
     qlif = (ind.pct_q1 * ind.acit * ind.topcit) ** (1.0 / 3.0)
-    return IndexScore(
-        institution_id=ind.institution_id,
-        qnif=qnif,
-        qlif=qlif,
-        ifq2a=qnif * qlif,
-    )
+    return IndexScore(ind.institution_id, qnif, qlif, qnif * qlif)
 
 
 def score_field(indicators: Mapping[str, IndicatorSet]) -> dict[str, IndexScore]:
@@ -60,17 +53,15 @@ def classify_quadrants(scores: Mapping[str, IndexScore]) -> dict[str, QuadrantLa
     n = len(scores)
     mean_qnif = sum(s.qnif for s in scores.values()) / n
     mean_qlif = sum(s.qlif for s in scores.values()) / n
-    out: dict[str, QuadrantLabel] = {}
-    for inst, s in scores.items():
-        quant = s.qnif >= mean_qnif
-        qual = s.qlif >= mean_qlif
-        if quant and qual:
-            label = "both_outstanding"
-        elif quant:
-            label = "quantitative_only"
-        elif qual:
-            label = "qualitative_only"
-        else:
-            label = "neither"
-        out[inst] = QuadrantLabel(label=label, mean_qnif=mean_qnif, mean_qlif=mean_qlif)
-    return out
+    # Every label holds the same two means, so each quadrant has one label,
+    # keyed by (qnif >= mean_qnif, qlif >= mean_qlif).
+    labels = {
+        (True, True): QuadrantLabel("both_outstanding", mean_qnif, mean_qlif),
+        (True, False): QuadrantLabel("quantitative_only", mean_qnif, mean_qlif),
+        (False, True): QuadrantLabel("qualitative_only", mean_qnif, mean_qlif),
+        (False, False): QuadrantLabel("neither", mean_qnif, mean_qlif),
+    }
+    return {
+        inst: labels[s.qnif >= mean_qnif, s.qlif >= mean_qlif]
+        for inst, s in scores.items()
+    }

@@ -36,14 +36,11 @@ class FieldTaxonomy:
 
 @dataclass(frozen=True)
 class FieldAssignment:
-    """Per-record field membership, and each field's records in corpus order."""
+    """Each field's records in corpus order, and the sorted ids of the
+    records that matched no field, for the coverage report."""
 
-    fields_by_record: Mapping[str, frozenset[str]]
     records_by_field: Mapping[str, tuple[PublicationRecord, ...]]
-
-    def unassigned(self) -> list[str]:
-        """Record ids that matched no field, for the coverage report."""
-        return sorted(rid for rid, fields in self.fields_by_record.items() if not fields)
+    unassigned: tuple[str, ...]
 
 
 def load_taxonomy(path: str | Path) -> FieldTaxonomy:
@@ -87,7 +84,7 @@ def assign_fields(corpus: Corpus, taxonomy: FieldTaxonomy) -> FieldAssignment:
         name: [] for name in taxonomy.categories_by_field
     }
     matched_by_journal: dict[str, frozenset[str]] = {}
-    out: dict[str, frozenset[str]] = {}
+    unassigned: list[str] = []
     for rec in corpus.publications:
         matched = matched_by_journal.get(rec.journal_id)
         if matched is None:
@@ -97,12 +94,13 @@ def assign_fields(corpus: Corpus, taxonomy: FieldTaxonomy) -> FieldAssignment:
                 for name, cats in taxonomy.categories_by_field.items()
                 if journal_cats & cats
             )
-        out[rec.record_id] = matched
+        if not matched:
+            unassigned.append(rec.record_id)
         for name in matched:
             buckets[name].append(rec)
     return FieldAssignment(
-        fields_by_record=out,
         records_by_field={name: tuple(recs) for name, recs in buckets.items()},
+        unassigned=tuple(sorted(unassigned)),
     )
 
 

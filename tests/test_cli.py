@@ -81,8 +81,19 @@ class TestValidate:
         (lambda ws: ((ws / "p.jsonl").write_text("[1]\n"),
                      edit_config(ws, publications="p.jsonl", publications_format="jsonl")),
          (), 1, "line 1"),
+        (lambda ws: edit_config(ws, journals=5), (), 2, "journals must be a string"),
+        (lambda ws: edit_config(ws, out_dir=7), (), 2, "out_dir must be a string"),
+        (lambda ws: edit_config(ws, windows=5), (), 2, "windows must be a list"),
+        (lambda ws: edit_config(ws, national_system=["a"]), (), 2,
+         "national_system must be a string"),
+        (lambda ws: edit_config(ws, q1_policy=None), (), 2, "q1_policy must be a string"),
+        (lambda ws: edit_config(ws, windows=[[2008, True]]), (), 2,
+         "window year must be an integer, got True"),
+        (lambda ws: edit_config(ws, min_n=False), (), 2, "min_n must be an integer"),
     ], ids=["reversed_window", "reversed_window_flag", "json_list", "unknown_format",
-            "directory_input", "non_utf8_config", "non_utf8_csv", "jsonl_not_object"])
+            "directory_input", "non_utf8_config", "non_utf8_csv", "jsonl_not_object",
+            "path_number", "out_dir_number", "windows_number", "national_system_list",
+            "policy_null", "window_year_bool", "min_n_bool"])
     def test_boundary_fault_exit_code(self, workspace, setup, args, code, message):
         setup(workspace)
         result = run_cli("validate", "--config", str(workspace / "config.json"), *args)

@@ -76,6 +76,15 @@ class TestLoadPublications:
         with pytest.raises(InputError, match=r"line 5.*'dup'.*line 3"):
             load_publications(path, "csv")
 
+    def test_duplicate_after_blank_and_multiline_rows_names_physical_lines(self, tmp_path):
+        path = write(tmp_path, "p.csv", PUB_HEADER + (
+            "\n"
+            'dup,"u\na",2010,j1,1\n'
+            "dup,ub,2011,j1,2\n"
+        ))
+        with pytest.raises(InputError, match=r"line 5.*'dup'.*line 4"):
+            load_publications(path, "csv")
+
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "p.csv", "record_id,year,journal_id,citations\nr1,2010,j1,1\n")
         with pytest.raises(InputError):
@@ -141,6 +150,17 @@ class TestLoadJournals:
         path = write(tmp_path, "j.csv", JOURNAL_HEADER + "J,A,2010,5\n")
         with pytest.raises(InputError, match="quartile 5"):
             load_journals(path)
+
+    @pytest.mark.parametrize("rows, line", [
+        ('"J\nX",A,2010,1\nJ,A,2010,9\n', 4),
+        ("J,A,2010,1\n\nJ,A,2010,9\n", 4),
+        ("\nJ,A,2010,9\n", 3),
+    ], ids=["after_multiline_field", "after_blank_line", "blank_line_first"])
+    def test_error_names_physical_line(self, tmp_path, rows, line):
+        path = write(tmp_path, "j.csv", JOURNAL_HEADER + rows)
+        with pytest.raises(InputError, match=f"^line {line}: quartile 9") as info:
+            load_journals(path)
+        assert info.value.line == line
 
     def test_conflicting_quartiles(self, tmp_path):
         path = write(tmp_path, "j.csv", JOURNAL_HEADER + (

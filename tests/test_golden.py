@@ -1,0 +1,45 @@
+"""Output bytes of the fixture runs, pinned by a sha256 of each file's data rows.
+
+The ``#`` header lines are left out because ``config_sha256`` hashes absolute
+paths, so they change with where the fixtures sit. When an output is meant to
+change, regenerate the JSON with ``PYTHONPATH=src python tests/test_golden.py``
+and say which outputs changed and why.
+"""
+
+import hashlib
+import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+from bibliorank.pipeline import load_config, run_compare, run_rank
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden_rows.json"
+
+
+def data_rows_sha256(path: Path) -> str:
+    lines = path.read_bytes().splitlines(keepends=True)
+    return hashlib.sha256(b"".join(l for l in lines if not l.startswith(b"#"))).hexdigest()
+
+
+def fixture_row_digests(out: Path) -> dict[str, str]:
+    """rank + compare on fixtures/config.json, and rank with no national file
+    under best-all; keyed by output path relative to ``out``."""
+    config = load_config(FIXTURES / "config.json")
+    full = replace(config, out_dir=out / "fixtures")
+    no_national = replace(config, out_dir=out / "best_all_no_national",
+                          national_rankings=None, q1_policy="best-all")
+    paths = run_rank(full) + run_compare(full) + run_rank(no_national)
+    return {p.relative_to(out).as_posix(): data_rows_sha256(p) for p in paths}
+
+
+def test_fixture_outputs_match_golden_rows(tmp_path):
+    assert fixture_row_digests(tmp_path) == json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = fixture_row_digests(Path(tmp))
+    GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"{len(digests)} digests written to {GOLDEN}")

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from bibliorank.corpus import Corpus, PublicationRecord, TimeWindow
+from bibliorank.corpus import Corpus, JournalProfile, PublicationRecord, TimeWindow
 from bibliorank.errors import ConfigError, QuartileLookupError
 from bibliorank.indicators import (
     FieldCitationThreshold,
@@ -158,6 +158,19 @@ class TestComputeIndicators:
         with pytest.raises(QuartileLookupError):
             compute_indicators(corpus, t, missing_quartile="strict")
 
+    def test_strict_names_first_missing_quartile_in_corpus_order(self):
+        # u's papers come first and last; the first miss in corpus order is v's
+        journals = [make_journal("JOK", categories=("a",)),
+                    make_journal("JM1", categories=("a",), years=[2011]),
+                    make_journal("JM2", categories=("a",), years=[2011])]
+        records = [PublicationRecord("r1", "u", 2010, "JOK", 1),
+                   PublicationRecord("r2", "v", 2010, "JM1", 1),
+                   PublicationRecord("r3", "u", 2010, "JM2", 1)]
+        corpus = Corpus(tuple(records), {j.journal_id: j for j in journals},
+                        TimeWindow(2008, 2012))
+        with pytest.raises(QuartileLookupError, match="'JM1'"):
+            compute_indicators(corpus, top10_threshold(corpus), missing_quartile="strict")
+
     def test_bad_policy_rejected(self):
         corpus = make_corpus({"u": [1]})
         t = top10_threshold(corpus)
@@ -196,3 +209,64 @@ class TestComputeIndicators:
             assert indk[inst].acit == pytest.approx(ind1[inst].acit, rel=1e-12)
             assert indk[inst].pct_q1 == pytest.approx(ind1[inst].pct_q1, rel=1e-12)
             assert indk[inst].topcit == pytest.approx(ind1[inst].topcit, rel=1e-12)
+
+
+def brute_force_indicators(corpus, threshold, field_categories, q1_policy):
+    """The six indicators per institution, straight from their definitions."""
+    def is_q1(rec):
+        journal = corpus.journals[rec.journal_id]
+        cats = journal.categories
+        if q1_policy == "any-relevant" and field_categories is not None:
+            cats = cats & field_categories
+        # a missing quartile counts as not-Q1 under "warn"
+        return any(journal.quartile_by_year.get((c, rec.year)) == 1 for c in cats)
+
+    out = {}
+    for inst in {rec.institution_id for rec in corpus.publications}:
+        papers = [rec for rec in corpus.publications if rec.institution_id == inst]
+        cites = [rec.citations for rec in papers]
+        ndoc, ncit = len(papers), sum(cites)
+        top = sum(1 for c in cites if c >= threshold.threshold)
+        out[inst] = (ndoc, ncit, brute_force_h(cites),
+                     sum(1 for rec in papers if is_q1(rec)) / ndoc, ncit / ndoc, top / ndoc)
+    return out
+
+
+CATEGORY_SETS = st.frozensets(st.sampled_from("abc"), min_size=1)
+YEARS = (2009, 2010, 2011)
+
+
+@st.composite
+def quartile_corpora(draw):
+    """Journals with some (category, year) quartiles missing, and their papers."""
+    journals = {}
+    for i in range(draw(st.integers(1, 4))):
+        cats = draw(CATEGORY_SETS)
+        quartiles = {}
+        for cat in sorted(cats):
+            for year in YEARS:
+                q = draw(st.sampled_from((None, 1, 1, 2, 3, 4)))
+                if q is not None:
+                    quartiles[(cat, year)] = q
+        journals[f"J{i}"] = JournalProfile(f"J{i}", cats, quartiles)
+    picks = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, len(journals) - 1),
+                                    st.sampled_from(YEARS), st.integers(0, 30)),
+                          min_size=1, max_size=60))
+    records = tuple(PublicationRecord(f"r{n}", f"u{inst}", year, f"J{j}", cites)
+                    for n, (inst, j, year, cites) in enumerate(picks))
+    return Corpus(records, journals, TimeWindow(2008, 2012))
+
+
+@given(corpus=quartile_corpora(),
+       field_categories=st.none() | CATEGORY_SETS,
+       q1_policy=st.sampled_from(["any-relevant", "best-all"]))
+def test_compute_indicators_matches_brute_force(corpus, field_categories, q1_policy):
+    threshold = top10_threshold(corpus)
+    result = compute_indicators(corpus, threshold, field_categories=field_categories,
+                                q1_policy=q1_policy, missing_quartile="warn")
+    expected = brute_force_indicators(corpus, threshold, field_categories, q1_policy)
+    assert {
+        ind.institution_id: (ind.ndoc, ind.ncit, ind.h, ind.pct_q1, ind.acit, ind.topcit)
+        for ind in result.values()
+    } == expected
+    assert all(inst == ind.institution_id for inst, ind in result.items())

@@ -33,6 +33,11 @@ class TestRankValue:
     def test_degenerate_interval_equals_exact(self):
         assert IntervalRank(7, 7).effective == ExactRank(7).effective == 7.0
 
+    @pytest.mark.parametrize("text", ["0", "00"])
+    def test_exact_rank_below_one_rejected(self, text):
+        with pytest.raises(InputError, match="must be >= 1"):
+            parse_rank(text)
+
     def test_reversed_interval_rejected(self):
         with pytest.raises(InputError, match="lo > hi"):
             parse_rank("300-201")

@@ -79,21 +79,28 @@ def taxonomy(tmp_path):
     return load_taxonomy(path)
 
 
+def fields_of(assignment, record_id):
+    """Names of the fields whose bucket holds the record."""
+    return {name for name, recs in assignment.records_by_field.items()
+            if any(rec.record_id == record_id for rec in recs)}
+
+
 class TestAssignFields:
     def test_intersection_rule(self, taxonomy):
         journal = make_journal("J", categories=("a",))
         corpus = corpus_with_journals(
             [journal], [PublicationRecord("r1", "u", 2010, "J", 0)])
         assignment = assign_fields(corpus, taxonomy)
-        assert assignment.fields_by_record["r1"] == {"F"}
+        assert fields_of(assignment, "r1") == {"F"}
+        assert assignment.unassigned == ()
 
     def test_no_matching_field_reported_unassigned(self, taxonomy):
         journal = make_journal("J", categories=("zzz",))
         corpus = corpus_with_journals(
             [journal], [PublicationRecord("r1", "u", 2010, "J", 0)])
         assignment = assign_fields(corpus, taxonomy)
-        assert assignment.fields_by_record["r1"] == frozenset()
-        assert assignment.unassigned() == ["r1"]
+        assert fields_of(assignment, "r1") == set()
+        assert assignment.unassigned == ("r1",)
 
     def test_matches_nested_loop_oracle(self, taxonomy):
         rng = random.Random(7)
@@ -109,13 +116,17 @@ class TestAssignFields:
         ]
         corpus = corpus_with_journals(journals, records)
         assignment = assign_fields(corpus, taxonomy)
+        unassigned = []
         for rec in records:
             jcats = corpus.journals[rec.journal_id].categories
             expected = {
                 name for name, fcats in taxonomy.categories_by_field.items()
                 if any(c in fcats for c in jcats)
             }
-            assert assignment.fields_by_record[rec.record_id] == expected
+            assert fields_of(assignment, rec.record_id) == expected
+            if not expected:
+                unassigned.append(rec.record_id)
+        assert assignment.unassigned == tuple(sorted(unassigned))
 
     def test_order_independent(self, taxonomy):
         journals = [make_journal("J1", categories=("a",)),
@@ -124,8 +135,11 @@ class TestAssignFields:
                    for i in range(10)]
         corpus = corpus_with_journals(journals, records)
         shuffled = corpus_with_journals(journals, list(reversed(records)))
-        assert (assign_fields(corpus, taxonomy).fields_by_record
-                == assign_fields(shuffled, taxonomy).fields_by_record)
+        first = assign_fields(corpus, taxonomy)
+        second = assign_fields(shuffled, taxonomy)
+        for rec in records:
+            assert fields_of(first, rec.record_id) == fields_of(second, rec.record_id)
+        assert first.unassigned == second.unassigned
 
 
 class TestFieldCorpus:
@@ -160,7 +174,7 @@ class TestFieldCorpus:
                    for i in range(40)]
         corpus = corpus_with_journals(journals, records)
         assignment = assign_fields(corpus, taxonomy)
-        assigned = {rid for rid, fs in assignment.fields_by_record.items() if fs}
+        assigned = {rec.record_id for rec in records} - set(assignment.unassigned)
         union = set()
         for name in taxonomy.categories_by_field:
             union |= {p.record_id
