@@ -123,14 +123,27 @@ def read_csv(path: str | Path, columns: Sequence[str],
 
     A header lacking any of ``columns`` is an error at line 1, naming the
     file as ``what``. A row's line is the physical line it ends on, so blank
-    lines and quoted fields that span lines are counted.
+    lines and quoted fields that span lines are counted. A row holds only
+    ``columns``, as ``csv.DictReader`` gives them: a repeated name takes its
+    last cell and a short row is padded with None.
     """
     with _open_input(Path(path)) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(columns) - set(reader.fieldnames):
-            raise InputError(f"{what} file must have columns {','.join(columns)}", line=1)
-        for row in reader:
-            yield reader.line_num, row
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None or set(columns) - set(header):
+                raise InputError(f"{what} file must have columns {','.join(columns)}", line=1)
+            index = {name: i for i, name in enumerate(header)}
+            cells = [index[c] for c in columns]
+            width = max(cells) + 1
+            for row in reader:
+                if len(row) < width:
+                    if not row:
+                        continue
+                    row += [None] * (width - len(row))
+                yield reader.line_num, dict(zip(columns, map(row.__getitem__, cells)))
+        except csv.Error as exc:
+            raise InputError(f"malformed CSV: {exc}", reader.line_num) from None
 
 
 def _read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
@@ -143,6 +156,8 @@ def _read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 row = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise InputError(f"invalid JSON: {exc.msg}", line) from None
+            except (RecursionError, ValueError) as exc:  # too deep; an integer too long
+                raise InputError(f"invalid JSON: {exc}", line) from None
             if not isinstance(row, dict):
                 raise InputError(f"expected a JSON object, got {type(row).__name__}", line)
             yield line, row

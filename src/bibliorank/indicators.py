@@ -8,7 +8,6 @@ papers in the field-wide top 10% by citations, pooled across institutions).
 from __future__ import annotations
 
 import logging
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -66,7 +65,7 @@ def top10_threshold(field_corpus: Corpus, field_name: str = "") -> FieldCitation
     n = len(pool)
     if n == 0:
         return FieldCitationThreshold(field_name, 0, 0)
-    k = math.ceil(0.10 * n)
+    k = -(-n // 10)
     return FieldCitationThreshold(field_name, n, pool[k - 1])
 
 

@@ -293,23 +293,23 @@ def compute_field_results(config: RunConfig, window: TimeWindow,
     return results
 
 
-def _ranking_csv(result: FieldResult, config: RunConfig) -> str:
+def _ranking_csv(result: FieldResult, header: str) -> str:
     prefix = f"{result.table.system_name},{result.field_name},"
     return "".join([
-        _header(config, result.window),
+        header,
         "system_name,field_name,institution_id,rank,ifq2a\n",
         *[f"{prefix}{e.institution_id},{e.rank},{e.score:.6f}\n"
           for e in result.table.entries],
     ])
 
 
-def _quadrant_csv(result: FieldResult, config: RunConfig) -> str:
+def _quadrant_csv(result: FieldResult, header: str) -> str:
     quadrants = result.quadrants
     # classify_quadrants gives every label of a field the same two means.
     first = next(iter(quadrants.values()))
     means = f"{first.mean_qnif:.6f},{first.mean_qlif:.6f}\n"
     return "".join([
-        _header(config, result.window),
+        header,
         "field_name,institution_id,qnif,qlif,ifq2a,quadrant,mean_qnif,mean_qlif\n",
         *[f"{result.field_name},{inst},{s.qnif:.6f},{s.qlif:.6f},{s.ifq2a:.6f},"
           f"{quadrants[inst].label},{means}"
@@ -317,14 +317,19 @@ def _quadrant_csv(result: FieldResult, config: RunConfig) -> str:
     ])
 
 
-def _indicator_csv(result: FieldResult, config: RunConfig) -> str:
+def _indicator_csv(result: FieldResult, header: str) -> str:
     return "".join([
-        _header(config, result.window),
+        header,
         "field_name,institution_id,ndoc,ncit,h,pct_q1,acit,topcit\n",
         *[f"{result.field_name},{inst},{ind.ndoc},{ind.ncit},{ind.h},"
           f"{ind.pct_q1:.6f},{ind.acit:.6f},{ind.topcit:.6f}\n"
           for inst, ind in sorted(result.indicators.items())],
     ])
+
+
+# Per field, in this order: (output kind and file suffix, formatter).
+_FIELD_WRITERS = (("ranking", _ranking_csv), ("quadrants", _quadrant_csv),
+                  ("indicators", _indicator_csv))
 
 
 def run_rank(config: RunConfig, field_order: Sequence[str] | None = None,
@@ -341,21 +346,13 @@ def run_rank(config: RunConfig, field_order: Sequence[str] | None = None,
     for window in config.windows:
         results = compute_field_results(config, window, publications, journals, taxonomy,
                                         field_order=field_order)
+        header = _header(config, window)
         for name in sorted(results):
-            result = results[name]
-            stem = f"{slugify(name)}_{window.label}"
-            if "ranking" in outputs:
-                path = config.out_dir / f"{stem}_ranking.csv"
-                _atomic_write(path, _ranking_csv(result, config))
-                written.append(path)
-            if "quadrants" in outputs:
-                path = config.out_dir / f"{stem}_quadrants.csv"
-                _atomic_write(path, _quadrant_csv(result, config))
-                written.append(path)
-            if "indicators" in outputs:
-                path = config.out_dir / f"{stem}_indicators.csv"
-                _atomic_write(path, _indicator_csv(result, config))
-                written.append(path)
+            for kind, to_csv in _FIELD_WRITERS:
+                if kind in outputs:
+                    path = config.out_dir / f"{slugify(name)}_{window.label}_{kind}.csv"
+                    _atomic_write(path, to_csv(results[name], header))
+                    written.append(path)
     return written
 
 
@@ -363,9 +360,9 @@ def _format_rho(rho: float | None) -> str:
     return "*" if rho is None else f"{rho:.3f}"
 
 
-def _report_csv(report: ConcordanceReport, config: RunConfig) -> str:
+def _report_csv(report: ConcordanceReport, header: str) -> str:
     buf = io.StringIO()
-    buf.write(_header(config))
+    buf.write(header)
     buf.write(f"# systems={report.source_system}->{report.target_system}\n")
     buf.write("source_field,target_field,n,rho,agreement_num,agreement_den,agreement_decimal\n")
     for pair in report.pairs:
@@ -420,6 +417,7 @@ def run_compare(config: RunConfig) -> list[Path]:
     crosswalks = load_crosswalk(config.crosswalk)
     if not crosswalks:
         raise InputError("crosswalk file defines no system pairs")
+    header = _header(config)
     written: list[Path] = []
     for cw in sorted(crosswalks, key=lambda c: (c.source_system, c.target_system)):
         intl_tables = {
@@ -436,6 +434,6 @@ def run_compare(config: RunConfig) -> list[Path]:
         path = config.out_dir / (
             f"concordance_{slugify(cw.source_system)}_{slugify(cw.target_system)}.csv"
         )
-        _atomic_write(path, _report_csv(report, config))
+        _atomic_write(path, _report_csv(report, header))
         written.append(path)
     return written

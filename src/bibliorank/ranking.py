@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import cached_property
+from operator import attrgetter, itemgetter
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import TimeWindow, normalize_id, read_csv
@@ -102,10 +104,15 @@ class RankingTable:
     def institution_ids(self) -> set[str]:
         return {e.institution_id for e in self.entries}
 
-    def competition_ranks(self) -> dict[str, int]:
-        """Local 1..m competition ranks from effective ranks; ties share a rank."""
+    def competition_ranks(self) -> Mapping[str, int]:
+        """Local 1..m competition ranks from effective ranks; ties share a rank.
+        Computed once per table and shared, so the mapping is read-only."""
+        return self._competition_ranks
+
+    @cached_property
+    def _competition_ranks(self) -> Mapping[str, int]:
         ranks = competition_ranks([e.rank.effective for e in self.entries])
-        return {e.institution_id: r for e, r in zip(self.entries, ranks)}
+        return MappingProxyType({e.institution_id: r for e, r in zip(self.entries, ranks)})
 
 
 def competition_ranks(keys: Sequence) -> list[int]:
@@ -137,28 +144,29 @@ def build_ranking(scores: Mapping[str, IndexScore], system_name: str,
     return RankingTable(system_name, field_name, entries, window=window)
 
 
-def _table_from_rows(system: str, field: str,
-                     rows: Sequence[tuple[str, RankValue]]) -> RankingTable:
-    # Stable sort by effective rank keeps file order among exact ties.
-    ordered = sorted(rows, key=lambda r: r[1].effective)
-    return RankingTable(system, field, tuple(RankEntry(i, r) for i, r in ordered))
-
-
 def load_external_rankings(path: str | Path) -> dict[tuple[str, str], RankingTable]:
     """Load every (system, field) table from an external-ranking CSV."""
-    rows: dict[tuple[str, str], list[tuple[str, RankValue]]] = {}
+    # Each distinct rank text is parsed once; rows share the immutable value.
+    parsed: dict[str, tuple[float, RankValue]] = {}
+    rows: dict[tuple[str, str], list[tuple[float, RankEntry]]] = {}
     for line, row in read_csv(path, EXTERNAL_COLUMNS, "external ranking"):
         system = normalize_id(row["system_name"] or "")
         field = normalize_id(row["field_name"] or "")
         inst = normalize_id(row["institution_id"] or "")
         if not system or not field or not inst:
             raise InputError("empty system_name, field_name or institution_id", line)
-        try:
-            rank = parse_rank(row["rank"] or "")
-        except InputError as exc:
-            raise InputError(str(exc), line) from None
-        rows.setdefault((system, field), []).append((inst, rank))
-    return {key: _table_from_rows(key[0], key[1], r) for key, r in rows.items()}
+        text = row["rank"] or ""
+        hit = parsed.get(text)
+        if hit is None:
+            try:
+                rank = parse_rank(text)
+            except (InputError, ValueError) as exc:  # ValueError: too many digits for int
+                raise InputError(str(exc), line) from None
+            hit = parsed[text] = (rank.effective, rank)
+        rows.setdefault((system, field), []).append((hit[0], RankEntry(inst, hit[1])))
+    # Stable sort by effective rank keeps file order among exact ties.
+    return {(s, f): RankingTable(s, f, tuple(e for _, e in sorted(entries, key=itemgetter(0))))
+            for (s, f), entries in rows.items()}
 
 
 def restrict_to_system(table: RankingTable, system_institutions: set[str]) -> RankingTable:

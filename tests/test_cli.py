@@ -90,10 +90,27 @@ class TestValidate:
         (lambda ws: edit_config(ws, windows=[[2008, True]]), (), 2,
          "window year must be an integer, got True"),
         (lambda ws: edit_config(ws, min_n=False), (), 2, "min_n must be an integer"),
+        (lambda ws: (ws / "journals.csv").write_text(
+            "journal_id,category,year,quartile\nJ," + "a" * 140_000 + ",2010,1\n"),
+         (), 1, "line 2: malformed CSV: field larger than field limit"),
+        # Python 3.10's csv module rejects NUL; later versions read it into the year.
+        (lambda ws: (ws / "journals.csv").write_bytes(
+            b"journal_id,category,year,quartile\nJ,a,20\x0010,1\n"), (), 1, "line 2: "),
+        (lambda ws: ((ws / "p.jsonl").write_text("[" * 200_000 + "\n"),
+                     edit_config(ws, publications="p.jsonl", publications_format="jsonl")),
+         (), 1, "line 1: invalid JSON"),
+        (lambda ws: ((ws / "p.jsonl").write_text('{"year": ' + "1" * 5000 + "}\n"),
+                     edit_config(ws, publications="p.jsonl", publications_format="jsonl")),
+         (), 1, "line 1: invalid JSON"),
+        (lambda ws: (ws / "external_rankings.csv").write_text(
+            "system_name,field_name,institution_id,rank\ns,f,i," + "1" * 5000 + "\n"),
+         (), 1, "line 2: "),
     ], ids=["reversed_window", "reversed_window_flag", "json_list", "unknown_format",
             "directory_input", "non_utf8_config", "non_utf8_csv", "jsonl_not_object",
             "path_number", "out_dir_number", "windows_number", "national_system_list",
-            "policy_null", "window_year_bool", "min_n_bool"])
+            "policy_null", "window_year_bool", "min_n_bool", "csv_field_too_large",
+            "csv_nul_byte", "jsonl_nested_too_deep", "jsonl_integer_too_long",
+            "rank_too_long"])
     def test_boundary_fault_exit_code(self, workspace, setup, args, code, message):
         setup(workspace)
         result = run_cli("validate", "--config", str(workspace / "config.json"), *args)

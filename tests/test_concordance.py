@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
+from bibliorank import ranking
 from bibliorank.concordance import (
     AgreementFraction,
     FieldCrosswalk,
@@ -271,6 +272,24 @@ class TestRunCrosswalk:
         pair = report.pairs[0]
         assert pair.rho is None
         assert pair.agreement.denominator == 0
+
+    def test_each_national_table_ranked_once(self, monkeypatch):
+        intl, natl, system = self.tables()
+        intl["narrow"] = exact_table([("u1", 3), ("u4", 9), ("u6", 12)], "intl", "narrow")
+        ranked = []
+
+        def counting(keys):
+            ranked.append(len(keys))
+            return real(keys)
+
+        real = ranking.competition_ranks
+        monkeypatch.setattr(ranking, "competition_ranks", counting)
+        crosswalk = FieldCrosswalk("intl", "nat", (
+            ("wide", "alpha"), ("narrow", "alpha"), ("wide", "beta"), ("narrow", "beta")))
+        first = run_crosswalk(crosswalk, intl, natl, system)
+        assert ranked == [8, 8]  # alpha and beta, once each
+        assert run_crosswalk(crosswalk, intl, natl, system) == first
+        assert ranked == [8, 8]
 
     def test_duplicate_crosswalk_pair_rejected(self):
         with pytest.raises(InputError, match="duplicate"):

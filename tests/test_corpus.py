@@ -1,8 +1,11 @@
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bibliorank.concordance import load_crosswalk
 from bibliorank.corpus import (
@@ -12,8 +15,9 @@ from bibliorank.corpus import (
     build_corpus,
     load_journals,
     load_publications,
+    read_csv,
 )
-from bibliorank.errors import ConfigError, InputError, QuartileLookupError
+from bibliorank.errors import BiblioRankError, ConfigError, InputError, QuartileLookupError
 from bibliorank.ranking import load_external_rankings
 from bibliorank.taxonomy import load_taxonomy
 
@@ -196,7 +200,8 @@ class TestTimeWindow:
             TimeWindow(2012, 2008)
 
 
-@pytest.mark.parametrize("loader, header", [
+# Each input loader with the header line its file format needs.
+EVERY_LOADER = pytest.mark.parametrize("loader, header", [
     (lambda p: load_publications(p, "csv"), PUB_HEADER),
     (lambda p: load_publications(p, "jsonl"), ""),
     (load_journals, JOURNAL_HEADER),
@@ -205,12 +210,83 @@ class TestTimeWindow:
     (load_crosswalk, "source_system,source_field,target_system,target_field\n"),
 ], ids=["publications_csv", "publications_jsonl", "journals", "taxonomy",
         "external_rankings", "crosswalk"])
+
+
+@EVERY_LOADER
 def test_non_utf8_input_names_the_file(tmp_path, loader, header):
     path = tmp_path / "input.txt"
     path.write_bytes(header.encode("utf-8") + b"caf\xe9,x,y,z\n")
     with pytest.raises(InputError, match="cannot read .*input.txt") as info:
         loader(path)
     assert info.value.line is None
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=6,
+)
+CELLS = st.sampled_from(["", " ", "0", "1", "-1", "2010", "201-300", "300-201", "9" * 30,
+                         "a", "field", "subfield", '"', ",", "\n", "\x00", "\u0661"])
+FUZZ_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.text(alphabet='019-az ,;"{}[]:\n\r\x00\xe9', max_size=200).map(str.encode),
+    st.lists(st.lists(CELLS, max_size=6).map(",".join), max_size=6)
+    .map(lambda lines: "\n".join(lines).encode()),
+    st.lists(st.dictionaries(st.sampled_from(PUBLICATION_COLUMNS), JSON_VALUES), max_size=4)
+    .map(lambda rows: "".join(json.dumps(r) + "\n" for r in rows).encode()),
+)
+
+
+@EVERY_LOADER
+@settings(max_examples=150, deadline=None)
+@given(data=FUZZ_BYTES, with_header=st.booleans())
+def test_arbitrary_bytes_raise_only_toolkit_errors(loader, header, data, with_header):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.txt"
+        path.write_bytes((header.encode() if with_header else b"") + data)
+        try:
+            loader(path)
+        except BiblioRankError:
+            pass
+
+
+READ_COLUMNS = ("a", "b", "c")
+
+
+def dictreader_rows(path, columns):
+    """The reference for read_csv: csv.DictReader's rows cut to ``columns``."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        return [(reader.line_num, {c: row[c] for c in columns}) for row in reader]
+
+
+def csv_text(rows, terminator):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=terminator).writerows(rows)
+    return buf.getvalue()
+
+
+@settings(deadline=None)
+@given(
+    # Every wanted column, in any order, among extra and repeated names.
+    header=st.lists(st.sampled_from(["a", "b", "c", "x", " a"]), max_size=3)
+    .flatmap(lambda extra: st.permutations([*READ_COLUMNS, *extra])),
+    # Quoted commas, quotes and newlines, whitespace, short and long rows,
+    # blank lines ([]), or raw text that need not come from a writer.
+    body=st.one_of(
+        st.tuples(st.lists(st.lists(st.text(alphabet='ab ,"\n\r', max_size=5), max_size=7),
+                           max_size=8),
+                  st.sampled_from(["\n", "\r\n"])).map(lambda rt: csv_text(*rt)),
+        st.text(alphabet='ab ,"\n\r', max_size=60),
+    ),
+)
+def test_read_csv_matches_dictreader(header, body):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text(csv_text([header], "\n") + body, encoding="utf-8", newline="")
+        expected = dictreader_rows(path, READ_COLUMNS)
+        assert list(read_csv(path, READ_COLUMNS, "test")) == expected
 
 
 def _records(years):

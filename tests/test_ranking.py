@@ -175,6 +175,13 @@ class TestCompetitionRanks:
         table = RankingTable("s", "f", entries)
         assert table.competition_ranks() == {"a": 1, "b": 1, "c": 3}
 
+    def test_ranks_are_read_only(self):
+        table = RankingTable("s", "f", (RankEntry("a", ExactRank(1)), RankEntry("b", ExactRank(2))))
+        ranks = table.competition_ranks()
+        with pytest.raises(TypeError):
+            ranks["a"] = 2
+        assert table.competition_ranks() == {"a": 1, "b": 2}
+
     @given(st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=6)
            .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=25)))
     def test_internal_table_ranks_consistent(self, values):
