@@ -45,8 +45,9 @@ _OPTIONS = (
 def command(body):
     """Register ``body(config)`` as a subcommand taking the shared options.
 
-    The command loads the config, applies the overrides and validates it
-    before calling ``body``; errors become the documented exit codes.
+    The command loads the config and applies the overrides; ``body`` runs a
+    ``run_*`` function, which validates the config first. Errors become the
+    documented exit codes.
     """
     @functools.wraps(body)
     def run(config_path, windows, out, min_n, q1_policy, strict_quartiles) -> None:
@@ -62,7 +63,6 @@ def command(body):
                 config = replace(config, q1_policy=q1_policy)
             if strict_quartiles:
                 config = replace(config, missing_quartile="strict")
-            config.validate()
             body(config)
         except ConfigError as exc:
             click.echo(f"configuration error: {exc}", err=True)

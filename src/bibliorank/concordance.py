@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import normalize_id, read_csv
-from .errors import ConfigError, ConstantInputError, InputError, InsufficientDataError
+from .errors import ConstantInputError, InputError, InsufficientDataError
 from .ranking import RankingTable, restrict_to_system
 
 MISSING_NATIONAL_POLICIES = ("strict", "warn")
@@ -95,13 +95,9 @@ def agreement_level(international: RankingTable, national: RankingTable,
     s is the international table size; positions use the national table's
     competition ranks, so a tie group straddling s counts members with rank
     value <= s. An institution absent from the national table counts as
-    non-coinciding under "warn" and is an error under "strict".
+    non-coinciding under "warn" and is an error under "strict";
+    ``RunConfig.validate`` checks the policy value.
     """
-    if missing_national not in MISSING_NATIONAL_POLICIES:
-        raise ConfigError(
-            f"missing_national must be one of {MISSING_NATIONAL_POLICIES}, "
-            f"got {missing_national!r}"
-        )
     s = len(international)
     national_ranks = national.competition_ranks()
     numerator = 0
@@ -185,13 +181,6 @@ class FieldCrosswalk:
     target_system: str
     pairs: tuple[tuple[str, str], ...]
 
-    def __post_init__(self):
-        if len(self.pairs) != len(set(self.pairs)):
-            raise InputError(
-                f"duplicate (source, target) pair in crosswalk "
-                f"{self.source_system} -> {self.target_system}"
-            )
-
 
 @dataclass(frozen=True)
 class ConcordanceReport:
@@ -204,15 +193,18 @@ class ConcordanceReport:
 
 def load_crosswalk(path: str | Path) -> list[FieldCrosswalk]:
     """Load crosswalks from CSV, grouped by (source_system, target_system)."""
-    grouped: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    grouped: dict[tuple[str, str], dict[tuple[str, str], int]] = {}
     for line, row in read_csv(path, CROSSWALK_COLUMNS, "crosswalk"):
         values = {k: normalize_id(row[k] or "") for k in CROSSWALK_COLUMNS}
         if not all(values.values()):
             raise InputError("empty crosswalk cell", line)
         key = (values["source_system"], values["target_system"])
-        grouped.setdefault(key, []).append(
-            (values["source_field"], values["target_field"])
-        )
+        pair = (values["source_field"], values["target_field"])
+        first_line = grouped.setdefault(key, {})
+        if pair in first_line:
+            raise InputError(f"duplicate (source, target) pair in crosswalk {key[0]} -> "
+                             f"{key[1]} (first seen at line {first_line[pair]})", line)
+        first_line[pair] = line
     return [
         FieldCrosswalk(src, tgt, tuple(pairs))
         for (src, tgt), pairs in grouped.items()

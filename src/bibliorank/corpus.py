@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence, TextIO
 
-from .errors import ConfigError, InputError, QuartileLookupError
+from .errors import ConfigError, InputError
 
 YEAR_MIN = 1900
 YEAR_MAX = 2100
@@ -44,22 +44,12 @@ class PublicationRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class JournalProfile:
-    """A journal's subject categories and per-(category, year) quartile."""
+    """A journal's normalized subject categories and its quartile in {1,2,3,4}
+    per (category, year); a missing pair has no entry."""
 
     journal_id: str
     categories: frozenset[str]
     quartile_by_year: Mapping[tuple[str, int], int]
-
-    def quartile(self, category: str, year: int) -> int:
-        """Quartile in {1,2,3,4}; a missing (category, year) is an error."""
-        key = (normalize_category(category), year)
-        try:
-            return self.quartile_by_year[key]
-        except KeyError:
-            raise QuartileLookupError(
-                f"journal {self.journal_id!r} has no quartile for category "
-                f"{key[0]!r} in year {year}"
-            ) from None
 
 
 @dataclass(frozen=True, order=True)
@@ -171,35 +161,30 @@ def _parse_int(raw: str, what: str, line: int) -> int:
 
 
 def _validate_record(row: Mapping[str, str], line: int) -> PublicationRecord:
-    missing = [c for c in PUBLICATION_COLUMNS if row.get(c) in (None, "")]
+    # Every cell is normalized before the check, so a blank one counts as missing.
+    cells = ["" if row.get(c) is None else normalize_id(str(row[c]))
+             for c in PUBLICATION_COLUMNS]
+    missing = [c for c, cell in zip(PUBLICATION_COLUMNS, cells) if not cell]
     if missing:
         raise InputError(f"missing required column(s) {', '.join(missing)}", line)
-    year = _parse_int(str(row["year"]), "year", line)
+    record_id, institution_id, year_text, journal_id, citations_text = cells
+    year = _parse_int(year_text, "year", line)
     if not YEAR_MIN <= year <= YEAR_MAX:
         raise InputError(f"year {year} outside sanity range [{YEAR_MIN}, {YEAR_MAX}]", line)
-    citations = _parse_int(str(row["citations"]), "citations", line)
+    citations = _parse_int(citations_text, "citations", line)
     if citations < 0:
         raise InputError(f"negative citations ({citations})", line)
-    return PublicationRecord(
-        record_id=normalize_id(str(row["record_id"])),
-        institution_id=normalize_id(str(row["institution_id"])),
-        year=year,
-        journal_id=normalize_id(str(row["journal_id"])),
-        citations=citations,
-    )
+    return PublicationRecord(record_id, institution_id, year, journal_id, citations)
 
 
 def load_publications(path: str | Path, format: str = "csv") -> list[PublicationRecord]:
     """Load publication records from a CSV or JSONL file.
 
     Row order is preserved; duplicate record ids are an error naming both rows.
+    ``RunConfig.validate`` checks ``format``.
     """
-    if format == "csv":
-        rows = read_csv(path, PUBLICATION_COLUMNS, "publications")
-    elif format == "jsonl":
-        rows = _read_jsonl(path)
-    else:
-        raise InputError(f"unknown publications format {format!r}")
+    rows = (read_csv(path, PUBLICATION_COLUMNS, "publications") if format == "csv"
+            else _read_jsonl(path))
     records: list[PublicationRecord] = []
     seen: dict[str, int] = {}
     for line, row in rows:
@@ -243,7 +228,7 @@ def load_journals(path: str | Path) -> dict[str, JournalProfile]:
         categories.setdefault(jid, set()).add(cat)
         quartiles.setdefault(jid, {})[(cat, year)] = quartile
     return {
-        jid: JournalProfile(jid, frozenset(cats), dict(quartiles[jid]))
+        jid: JournalProfile(jid, frozenset(cats), quartiles[jid])
         for jid, cats in categories.items()
     }
 
@@ -269,7 +254,7 @@ def build_corpus(publications: Sequence[PublicationRecord],
             dropped += 1
     return Corpus(
         publications=tuple(kept),
-        journals=dict(journals),
+        journals=journals,
         window=window,
         dropped_outside_window=dropped,
     )

@@ -10,10 +10,10 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import Corpus, JournalProfile
-from .errors import ConfigError, QuartileLookupError
+from .errors import QuartileLookupError
 
 log = logging.getLogger(__name__)
 
@@ -40,13 +40,9 @@ class FieldCitationThreshold:
     threshold: int
 
 
-def h_index(citations: Iterable[int]) -> int:
-    """Largest h such that at least h papers have >= h citations each."""
-    return _h_of_ascending(sorted(citations))
-
-
 def _h_of_ascending(cites: Sequence[int]) -> int:
-    """h-index of citation counts already sorted ascending."""
+    """Largest h such that at least h papers have >= h citations each, for
+    citation counts sorted ascending."""
     h = 0
     for c in reversed(cites):  # c is the (h + 1)-th most cited paper
         if c <= h:
@@ -78,12 +74,15 @@ def _is_q1(journal: JournalProfile, year: int, field_categories: frozenset[str] 
         cats = journal.categories
     misses = 0
     for cat in sorted(cats):
-        try:
-            if journal.quartile(cat, year) == 1:
-                return True, misses
-        except QuartileLookupError:
+        quartile = journal.quartile_by_year.get((cat, year))
+        if quartile == 1:
+            return True, misses
+        if quartile is None:
             if missing_quartile == "strict":
-                raise
+                raise QuartileLookupError(
+                    f"journal {journal.journal_id!r} has no quartile for category "
+                    f"{cat!r} in year {year}"
+                )
             misses += 1
     return False, misses
 
@@ -97,15 +96,9 @@ def compute_indicators(field_corpus: Corpus, threshold: FieldCitationThreshold,
     ``threshold`` must come from the same field corpus. Under the
     "any-relevant" policy a paper is Q1 if its journal is first-quartile in
     some category belonging to the field, for the paper's year; "best-all"
-    considers every category of the journal.
+    considers every category of the journal. ``RunConfig.validate`` checks
+    both policy values.
     """
-    if q1_policy not in Q1_POLICIES:
-        raise ConfigError(f"q1_policy must be one of {Q1_POLICIES}, got {q1_policy!r}")
-    if missing_quartile not in MISSING_QUARTILE_POLICIES:
-        raise ConfigError(
-            f"missing_quartile must be one of {MISSING_QUARTILE_POLICIES}, "
-            f"got {missing_quartile!r}"
-        )
     # One pass in corpus order: each institution's citation counts and Q1
     # tally. (is_q1, misses) depends only on the paper's journal and year here.
     cites_by_inst: dict[str, list[int]] = {}

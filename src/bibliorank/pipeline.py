@@ -175,6 +175,16 @@ def slugify(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", name.casefold()).strip("_")
 
 
+def _check_stems(named: Iterable[tuple[str, str]], what: str) -> None:
+    """Raise InputError if two of the (file stem, name) pairs share a stem:
+    the second one's files would overwrite the first one's."""
+    seen: dict[str, str] = {}
+    for stem, name in named:
+        first = seen.setdefault(stem, name)
+        if first != name:
+            raise InputError(f"{what} {first} and {name} share the output name {stem!r}")
+
+
 def _atomic_write(path: Path, content: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
@@ -199,7 +209,6 @@ class FieldResult:
     """Everything computed for one (field, window)."""
 
     field_name: str
-    window: TimeWindow
     indicators: Mapping[str, IndicatorSet]
     scores: Mapping[str, IndexScore]
     quadrants: Mapping[str, QuadrantLabel]
@@ -258,37 +267,32 @@ def run_validate(config: RunConfig) -> ValidationReport:
 def compute_field_results(config: RunConfig, window: TimeWindow,
                           publications: Sequence[PublicationRecord],
                           journals: Mapping[str, JournalProfile],
-                          taxonomy: FieldTaxonomy,
-                          field_order: Sequence[str] | None = None) -> dict[str, FieldResult]:
+                          taxonomy: FieldTaxonomy) -> dict[str, FieldResult]:
     """Indicators, scores, quadrants, and ranking table per non-empty field.
 
     The inputs are the parsed files, loaded once per run by the caller.
-    ``field_order`` controls processing order only; results are keyed by
-    field name and independent of the order.
     """
     corpus = build_corpus(publications, journals, window)
     assignment = assign_fields(corpus, taxonomy)
-    order = list(field_order) if field_order is not None else taxonomy.field_names()
     results: dict[str, FieldResult] = {}
-    for name in order:
+    for name in taxonomy.field_names():
         fc = field_corpus(corpus, assignment, name)
         if len(fc) == 0:
             continue
         threshold = top10_threshold(fc, field_name=name)
         indicators = compute_indicators(
             fc, threshold,
-            field_categories=taxonomy.categories(name),
+            field_categories=taxonomy.categories_by_field[name],
             q1_policy=config.q1_policy,
             missing_quartile=config.missing_quartile,
         )
         scores = score_field(indicators)
         results[name] = FieldResult(
             field_name=name,
-            window=window,
             indicators=indicators,
             scores=scores,
             quadrants=classify_quadrants(scores),
-            table=build_ranking(scores, config.national_system, name, window=window),
+            table=build_ranking(scores, config.national_system, name),
         )
     return results
 
@@ -332,7 +336,7 @@ _FIELD_WRITERS = (("ranking", _ranking_csv), ("quadrants", _quadrant_csv),
                   ("indicators", _indicator_csv))
 
 
-def run_rank(config: RunConfig, field_order: Sequence[str] | None = None,
+def run_rank(config: RunConfig,
              outputs: Iterable[str] = ("ranking", "quadrants", "indicators")) -> list[Path]:
     """Write per-field ranking, quadrant scatter, and indicator files.
 
@@ -342,10 +346,10 @@ def run_rank(config: RunConfig, field_order: Sequence[str] | None = None,
     config.validate()
     outputs = tuple(outputs)
     publications, journals, taxonomy = _load_inputs(config)
+    _check_stems(((slugify(name), repr(name)) for name in taxonomy.field_names()), "fields")
     written: list[Path] = []
     for window in config.windows:
-        results = compute_field_results(config, window, publications, journals, taxonomy,
-                                        field_order=field_order)
+        results = compute_field_results(config, window, publications, journals, taxonomy)
         header = _header(config, window)
         for name in sorted(results):
             for kind, to_csv in _FIELD_WRITERS:
@@ -414,12 +418,16 @@ def run_compare(config: RunConfig) -> list[Path]:
     system_set = set()
     for table in natl_tables.values():
         system_set |= table.institution_ids()
-    crosswalks = load_crosswalk(config.crosswalk)
+    crosswalks = sorted(load_crosswalk(config.crosswalk),
+                        key=lambda c: (c.source_system, c.target_system))
     if not crosswalks:
         raise InputError("crosswalk file defines no system pairs")
+    stems = [f"{slugify(cw.source_system)}_{slugify(cw.target_system)}" for cw in crosswalks]
+    _check_stems(((stem, f"{cw.source_system!r}->{cw.target_system!r}")
+                  for stem, cw in zip(stems, crosswalks)), "system pairs")
     header = _header(config)
     written: list[Path] = []
-    for cw in sorted(crosswalks, key=lambda c: (c.source_system, c.target_system)):
+    for stem, cw in zip(stems, crosswalks):
         intl_tables = {
             f: t for (s, f), t in intl_all.items() if s == cw.source_system
         }
@@ -431,9 +439,7 @@ def run_compare(config: RunConfig) -> list[Path]:
             cw, intl_tables, natl_tables, system_set,
             min_n=config.min_n, missing_national=config.missing_national,
         )
-        path = config.out_dir / (
-            f"concordance_{slugify(cw.source_system)}_{slugify(cw.target_system)}.csv"
-        )
+        path = config.out_dir / f"concordance_{stem}.csv"
         _atomic_write(path, _report_csv(report, header))
         written.append(path)
     return written

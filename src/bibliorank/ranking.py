@@ -10,6 +10,7 @@ use competition ranking ("1,2,2,4").
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter
@@ -17,7 +18,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .corpus import TimeWindow, normalize_id, read_csv
+from .corpus import normalize_id, read_csv
 from .errors import InputError
 from .scoring import IndexScore
 
@@ -38,16 +39,11 @@ class ExactRank(NamedTuple):
         return str(self.position)
 
 
-@dataclass(frozen=True)
-class IntervalRank:
+class IntervalRank(NamedTuple):
+    """A published band "LO-HI" with 1 <= lo <= hi; ``parse_rank`` checks text."""
+
     lo: int
     hi: int
-
-    def __post_init__(self):
-        if self.lo < 1:
-            raise InputError(f"rank interval start must be >= 1, got {self.lo}")
-        if self.lo > self.hi:
-            raise InputError(f"rank interval {self.lo}-{self.hi} has lo > hi")
 
     @property
     def effective(self) -> float:
@@ -65,12 +61,17 @@ def parse_rank(text: str) -> RankValue:
     m = _RANK_RE.match(text.strip())
     if m is None:
         raise InputError(f"malformed rank {text!r} (expected 'N' or 'LO-HI')")
-    position = int(m.group(1))
-    if m.group(2) is not None:
-        return IntervalRank(position, int(m.group(2)))
-    if position < 1:
-        raise InputError(f"rank position must be >= 1, got {position}")
-    return ExactRank(position)
+    lo = int(m.group(1))
+    if m.group(2) is None:
+        if lo < 1:
+            raise InputError(f"rank position must be >= 1, got {lo}")
+        return ExactRank(lo)
+    hi = int(m.group(2))
+    if lo < 1:
+        raise InputError(f"rank interval start must be >= 1, got {lo}")
+    if lo > hi:
+        raise InputError(f"rank interval {lo}-{hi} has lo > hi")
+    return IntervalRank(lo, hi)
 
 
 class RankEntry(NamedTuple):
@@ -81,22 +82,12 @@ class RankEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class RankingTable:
+    """Entries in ascending effective rank, one per institution: built sorted
+    by ``build_ranking``, checked by ``load_external_rankings``."""
+
     system_name: str
     field_name: str
     entries: tuple[RankEntry, ...]
-    window: TimeWindow | None = None
-
-    def __post_init__(self):
-        ids = [e.institution_id for e in self.entries]
-        if len(ids) != len(set(ids)):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise InputError(
-                f"duplicate institution(s) in table {self.system_name}/{self.field_name}: "
-                f"{', '.join(dupes)}"
-            )
-        effectives = [e.rank.effective for e in self.entries]
-        if effectives != sorted(effectives):
-            raise InputError("table entries must be ordered by effective rank ascending")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -126,22 +117,20 @@ def competition_ranks(keys: Sequence) -> list[int]:
 
 
 def build_ranking(scores: Mapping[str, IndexScore], system_name: str,
-                  field_name: str, window: TimeWindow | None = None) -> RankingTable:
+                  field_name: str) -> RankingTable:
     """Rank institutions by composite score descending, competition ranking.
 
     Ties share a rank; the next distinct score is ranked at preceding rank
     plus tie-group size. Display order within a tie is institution id
     lexicographic and never affects rank values.
     """
-    if not scores:
-        raise InputError("cannot rank an empty score map")
     # Two stable sorts: by id, then by score descending, so ties stay in id order.
     ordered = sorted(scores.values(), key=attrgetter("institution_id"))
     ordered.sort(key=attrgetter("ifq2a"), reverse=True)
     keys = [s.ifq2a for s in ordered]
     entries = tuple(map(RankEntry, [s.institution_id for s in ordered],
                         map(ExactRank, competition_ranks(keys)), keys))
-    return RankingTable(system_name, field_name, entries, window=window)
+    return RankingTable(system_name, field_name, entries)
 
 
 def load_external_rankings(path: str | Path) -> dict[tuple[str, str], RankingTable]:
@@ -164,12 +153,21 @@ def load_external_rankings(path: str | Path) -> dict[tuple[str, str], RankingTab
                 raise InputError(str(exc), line) from None
             hit = parsed[text] = (rank.effective, rank)
         rows.setdefault((system, field), []).append((hit[0], RankEntry(inst, hit[1])))
-    # Stable sort by effective rank keeps file order among exact ties.
-    return {(s, f): RankingTable(s, f, tuple(e for _, e in sorted(entries, key=itemgetter(0))))
-            for (s, f), entries in rows.items()}
+    tables: dict[tuple[str, str], RankingTable] = {}
+    for (system, field), keyed in rows.items():
+        # Stable sort by effective rank keeps file order among exact ties.
+        entries = tuple(e for _, e in sorted(keyed, key=itemgetter(0)))
+        ids = [e.institution_id for e in entries]
+        if len(set(ids)) != len(ids):
+            dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
+            raise InputError(
+                f"duplicate institution(s) in table {system}/{field}: {', '.join(dupes)}"
+            )
+        tables[system, field] = RankingTable(system, field, entries)
+    return tables
 
 
 def restrict_to_system(table: RankingTable, system_institutions: set[str]) -> RankingTable:
     """Filter a table to a set of institutions, preserving rank values and order."""
     kept = tuple(e for e in table.entries if e.institution_id in system_institutions)
-    return RankingTable(table.system_name, table.field_name, kept, window=table.window)
+    return RankingTable(table.system_name, table.field_name, kept)

@@ -27,12 +27,6 @@ class FieldTaxonomy:
     def field_names(self) -> list[str]:
         return sorted(self.categories_by_field)
 
-    def categories(self, field_name: str) -> frozenset[str]:
-        try:
-            return self.categories_by_field[field_name]
-        except KeyError:
-            raise InputError(f"unknown field {field_name!r}") from None
-
 
 @dataclass(frozen=True)
 class FieldAssignment:
@@ -105,7 +99,7 @@ def assign_fields(corpus: Corpus, taxonomy: FieldTaxonomy) -> FieldAssignment:
 
 
 def field_corpus(corpus: Corpus, assignment: FieldAssignment, field: str) -> Corpus:
-    """Project the corpus onto one field; journals restricted to those referenced.
+    """Project the corpus onto one field; the journal mapping is shared.
 
     ``assignment`` must come from ``assign_fields`` over the same corpus.
     """
@@ -113,5 +107,4 @@ def field_corpus(corpus: Corpus, assignment: FieldAssignment, field: str) -> Cor
         kept = assignment.records_by_field[field]
     except KeyError:
         raise InputError(f"unknown field {field!r}") from None
-    journals = {rec.journal_id: corpus.journals[rec.journal_id] for rec in kept}
-    return Corpus(publications=kept, journals=journals, window=corpus.window)
+    return Corpus(publications=kept, journals=corpus.journals, window=corpus.window)

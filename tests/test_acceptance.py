@@ -15,7 +15,7 @@ import scipy.stats
 
 from bibliorank.concordance import agreement_level, spearman_rho
 from bibliorank.corpus import Corpus, PublicationRecord, TimeWindow
-from bibliorank.indicators import IndicatorSet, compute_indicators, h_index, top10_threshold
+from bibliorank.indicators import IndicatorSet, compute_indicators, top10_threshold
 from bibliorank.pipeline import load_config, run_compare, run_rank
 from bibliorank.ranking import (
     ExactRank,
@@ -61,6 +61,7 @@ def test_01_formula_fidelity():
 
 def test_02_h_index_oracle_equivalence():
     rng = np.random.default_rng(2)
+    journals, window = {"J": make_journal()}, TimeWindow(2008, 2012)
     start = time.perf_counter()
     for _ in range(10_000):
         n = int(rng.integers(0, 201))
@@ -73,7 +74,12 @@ def test_02_h_index_oracle_equivalence():
             counts = (citations[None, :] >= hs[:, None]).sum(axis=1)
             feasible = hs[counts >= hs]
             expected = int(feasible.max()) if feasible.size else 0
-        assert h_index(citations.tolist()) == expected
+        # one institution's papers; record ids do not matter to the indicators
+        corpus = Corpus(tuple(PublicationRecord("r", "u", 2010, "J", c)
+                              for c in citations.tolist()), journals, window)
+        indicators = compute_indicators(corpus, top10_threshold(corpus))
+        # no papers, no indicator row
+        assert {u: ind.h for u, ind in indicators.items()} == ({"u": expected} if n else {})
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"h-index oracle took {elapsed:.2f}s"
 
@@ -233,14 +239,15 @@ def test_09_end_to_end_determinism(tmp_path, fixtures_dir):
     def snapshot():
         return {p.name: p.read_bytes() for p in sorted(config.out_dir.iterdir())}
 
-    orders = [
-        None,
-        ["Physics", "Artificial Intelligence", "Computer Science"],
-        ["Computer Science", "Physics", "Artificial Intelligence"],
-    ]
+    # the taxonomy file's rows as shipped, reversed, and shuffled
+    header, *rows = (tmp_path / "taxonomy.csv").read_text(encoding="utf-8").splitlines()
+    shuffled = rows[:]
+    random.Random(9).shuffle(shuffled)
     outputs = []
-    for order in orders:
-        run_rank(config, field_order=order)
+    for order in (rows, rows[::-1], shuffled):
+        (tmp_path / "taxonomy.csv").write_text("\n".join([header, *order]) + "\n",
+                                               encoding="utf-8")
+        run_rank(config)
         run_compare(config)
         outputs.append(snapshot())
     assert outputs[0] == outputs[1] == outputs[2]

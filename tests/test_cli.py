@@ -105,12 +105,16 @@ class TestValidate:
         (lambda ws: (ws / "external_rankings.csv").write_text(
             "system_name,field_name,institution_id,rank\ns,f,i," + "1" * 5000 + "\n"),
          (), 1, "line 2: "),
+        (lambda ws: edit_config(ws, missing_quartile="nonsense"), (), 2,
+         "missing_quartile must be one of"),
+        (lambda ws: edit_config(ws, missing_national="nonsense"), (), 2,
+         "missing_national must be one of"),
     ], ids=["reversed_window", "reversed_window_flag", "json_list", "unknown_format",
             "directory_input", "non_utf8_config", "non_utf8_csv", "jsonl_not_object",
             "path_number", "out_dir_number", "windows_number", "national_system_list",
             "policy_null", "window_year_bool", "min_n_bool", "csv_field_too_large",
             "csv_nul_byte", "jsonl_nested_too_deep", "jsonl_integer_too_long",
-            "rank_too_long"])
+            "rank_too_long", "missing_quartile", "missing_national"])
     def test_boundary_fault_exit_code(self, workspace, setup, args, code, message):
         setup(workspace)
         result = run_cli("validate", "--config", str(workspace / "config.json"), *args)
@@ -152,14 +156,25 @@ class TestRank:
         assert first == second
 
     def test_field_processing_order_does_not_change_output(self, workspace):
+        # fields are listed in the taxonomy file in one order, then reversed
         config = load_config(workspace / "config.json")
-        run_rank(config, field_order=["Physics", "Computer Science",
-                                      "Artificial Intelligence"])
+        taxonomy = workspace / "taxonomy.csv"
+        header, *rows = taxonomy.read_text(encoding="utf-8").splitlines()
+        run_rank(config)
         first = {p.name: p.read_bytes() for p in config.out_dir.iterdir()}
-        run_rank(config, field_order=["Artificial Intelligence", "Physics",
-                                      "Computer Science"])
+        taxonomy.write_text("\n".join([header, *rows[::-1]]) + "\n", encoding="utf-8")
+        run_rank(config)
         second = {p.name: p.read_bytes() for p in config.out_dir.iterdir()}
         assert first == second
+
+    def test_field_name_collision_exits_one_before_writing(self, workspace):
+        # "Physics" and "Physics!" would both write physics_w5_ranking.csv
+        with (workspace / "taxonomy.csv").open("a", encoding="utf-8") as fh:
+            fh.write('Physics!,field,"Physics, Applied"\n')
+        result = run_cli("rank", "--config", str(workspace / "config.json"))
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("error: fields 'Physics' and 'Physics!' "), result.output
+        assert not (workspace / "out").exists()
 
     def test_inputs_parsed_once_per_run(self, workspace, monkeypatch):
         calls = {}
@@ -253,6 +268,16 @@ class TestCompare:
         _, _, n, rho, num, den, _ = row.split(",")
         assert float(rho) == pytest.approx(1.0)
         assert num == den == n == "19"
+
+    def test_system_pair_collision_exits_one_before_writing(self, workspace):
+        # both pairs would write concordance_shanghai_national.csv
+        with (workspace / "crosswalk.csv").open("a", encoding="utf-8") as fh:
+            fh.write("shanghai,overall,National!,overall\n")
+        result = run_cli("compare", "--config", str(workspace / "config.json"))
+        assert result.exit_code == 1, result.output
+        assert "'shanghai'->'National!'" in result.output
+        assert "'shanghai'->'national'" in result.output
+        assert not (workspace / "out").exists()
 
     def test_nonexistent_crosswalk_field_exits_one(self, workspace):
         (workspace / "crosswalk.csv").write_text(

@@ -291,9 +291,14 @@ class TestRunCrosswalk:
         assert run_crosswalk(crosswalk, intl, natl, system) == first
         assert ranked == [8, 8]
 
-    def test_duplicate_crosswalk_pair_rejected(self):
-        with pytest.raises(InputError, match="duplicate"):
-            FieldCrosswalk("a", "b", (("f", "g"), ("f", "g")))
+    def test_duplicate_crosswalk_pair_rejected(self, tmp_path):
+        path = tmp_path / "cw.csv"
+        path.write_text(
+            "source_system,source_field,target_system,target_field\n"
+            "a,f,b,g\na,f,c,g\na,f,b,g\n",
+            encoding="utf-8")
+        with pytest.raises(InputError, match=r"^line 4: duplicate .* a -> b \(first seen at line 2\)$"):
+            load_crosswalk(path)
 
 
 class TestLoadCrosswalk:

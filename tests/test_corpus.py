@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -18,10 +19,11 @@ from bibliorank.corpus import (
     read_csv,
 )
 from bibliorank.errors import BiblioRankError, ConfigError, InputError, QuartileLookupError
+from bibliorank.indicators import compute_indicators, top10_threshold
 from bibliorank.ranking import load_external_rankings
 from bibliorank.taxonomy import load_taxonomy
 
-from conftest import make_journal
+from conftest import make_corpus, make_journal
 
 
 def write(tmp_path, name, text):
@@ -124,6 +126,22 @@ class TestLoadPublications:
         rec = load_publications(path, "csv")[0]
         assert (rec.record_id, rec.institution_id, rec.journal_id) == ("r1", "ua", "j1")
 
+    @pytest.mark.parametrize("column", ["record_id", "institution_id", "journal_id"])
+    @pytest.mark.parametrize("format", ["csv", "jsonl"])
+    def test_whitespace_only_id_is_missing(self, tmp_path, format, column):
+        row = {"record_id": "r1", "institution_id": "ua", "year": "2010",
+               "journal_id": "j1", "citations": "5", column: "   "}
+        path = tmp_path / f"p.{format}"
+        if format == "csv":
+            path.write_text(PUB_HEADER + ",".join(row[c] for c in PUBLICATION_COLUMNS) + "\n",
+                            encoding="utf-8")
+        else:
+            path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        line = 2 if format == "csv" else 1
+        with pytest.raises(InputError,
+                           match=re.escape(f"line {line}: missing required column(s) {column}")):
+            load_publications(path, format)
+
     @pytest.mark.parametrize("format", ["csv", "jsonl"])
     def test_round_trip(self, tmp_path, format):
         records = [
@@ -147,8 +165,7 @@ class TestLoadJournals:
         journals = load_journals(path)
         assert set(journals) == {"J"}
         assert journals["J"].categories == {"a", "b"}
-        assert journals["J"].quartile("A", 2010) == 1
-        assert journals["J"].quartile("B", 2010) == 3
+        assert journals["J"].quartile_by_year == {("a", 2010): 1, ("b", 2010): 3}
 
     def test_quartile_out_of_range(self, tmp_path):
         path = write(tmp_path, "j.csv", JOURNAL_HEADER + "J,A,2010,5\n")
@@ -179,12 +196,13 @@ class TestLoadJournals:
             "J,A,2010,1\n"
             "J,A,2010,1\n"
         ))
-        assert load_journals(path)["J"].quartile("A", 2010) == 1
+        assert load_journals(path)["J"].quartile_by_year == {("a", 2010): 1}
 
     def test_missing_quartile_is_defined_error(self):
-        journal = make_journal(years=[2010])
-        with pytest.raises(QuartileLookupError):
-            journal.quartile("alpha", 1999)
+        corpus = make_corpus({"u": [1]}, journal=make_journal(years=[2010]), year=1999)
+        with pytest.raises(QuartileLookupError,
+                           match="journal 'J' has no quartile for category 'alpha' in year 1999"):
+            compute_indicators(corpus, top10_threshold(corpus), missing_quartile="strict")
 
 
 class TestTimeWindow:

@@ -33,7 +33,7 @@ class TestRankValue:
     def test_degenerate_interval_equals_exact(self):
         assert IntervalRank(7, 7).effective == ExactRank(7).effective == 7.0
 
-    @pytest.mark.parametrize("text", ["0", "00"])
+    @pytest.mark.parametrize("text", ["0", "00", "0-5"])
     def test_exact_rank_below_one_rejected(self, text):
         with pytest.raises(InputError, match="must be >= 1"):
             parse_rank(text)
@@ -122,6 +122,13 @@ class TestExternalTables:
             encoding="utf-8",
         )
         with pytest.raises(InputError, match="duplicate institution"):
+            load_external_rankings(path)
+        # one institution in two tables is fine; a repeat within a table is not
+        header = "system_name,field_name,institution_id,rank\n"
+        path.write_text(header + "s,f,X,1\ns,g,X,1\n", encoding="utf-8")
+        assert set(load_external_rankings(path)) == {("s", "f"), ("s", "g")}
+        path.write_text(header + "s,f,X,1\ns,g,X,1\ns,g,Y,2\ns,g,X,3\n", encoding="utf-8")
+        with pytest.raises(InputError, match=r"duplicate institution\(s\) in table s/g: X$"):
             load_external_rankings(path)
 
     def test_malformed_rank_has_line(self, tmp_path):

@@ -26,7 +26,7 @@ class TestLoadTaxonomy:
             "F2,field,OTHER\n"
         ))
         taxonomy = load_taxonomy(path)
-        assert taxonomy.categories("F1") & taxonomy.categories("F2")
+        assert taxonomy.categories_by_field["F1"] & taxonomy.categories_by_field["F2"]
 
     def test_empty_category_rejected(self, tmp_path):
         path = write(tmp_path, "F1,field,\n")
@@ -55,11 +55,11 @@ class TestLoadTaxonomy:
         taxonomy = load_taxonomy(write(tmp_path, "".join(rows)))
         assert len(taxonomy.categories_by_field) == 12
         for name, cats in expected.items():
-            assert taxonomy.categories(name) == cats
+            assert taxonomy.categories_by_field[name] == cats
 
     def test_categories_normalized(self, tmp_path):
         path = write(tmp_path, "F1,field,  Physics APPLIED \n")
-        assert load_taxonomy(path).categories("F1") == {"physics applied"}
+        assert load_taxonomy(path).categories_by_field["F1"] == {"physics applied"}
 
 
 def corpus_with_journals(journals, records, window=TimeWindow(2008, 2012)):
@@ -193,14 +193,14 @@ class TestFieldCorpus:
         g_ids = {p.record_id for p in field_corpus(corpus, assignment, "G").publications}
         assert not (f_ids & g_ids)
 
-    def test_journals_restricted_and_window_kept(self, taxonomy):
+    def test_journals_shared_and_window_kept(self, taxonomy):
         journals = [make_journal("J1", categories=("a",)),
                     make_journal("J2", categories=("c",))]
         corpus = corpus_with_journals(
             journals, [PublicationRecord("r1", "u", 2010, "J1", 0)])
         assignment = assign_fields(corpus, taxonomy)
         sub = field_corpus(corpus, assignment, "F")
-        assert set(sub.journals) == {"J1"}
+        assert sub.journals is corpus.journals
         assert sub.window == corpus.window
 
 
@@ -225,5 +225,4 @@ def test_field_corpus_matches_order_preserving_filter(field_cats, journal_cats, 
                          if corpus.journals[rec.journal_id].categories & cats)
         sub = field_corpus(corpus, assignment, name)
         assert sub.publications == expected
-        assert sub.journals == {rec.journal_id: corpus.journals[rec.journal_id]
-                                for rec in expected}
+        assert sub.journals is corpus.journals
