@@ -194,12 +194,13 @@ class ConcordanceReport:
 def load_crosswalk(path: str | Path) -> list[FieldCrosswalk]:
     """Load crosswalks from CSV, grouped by (source_system, target_system)."""
     grouped: dict[tuple[str, str], dict[tuple[str, str], int]] = {}
-    for line, row in read_csv(path, CROSSWALK_COLUMNS, "crosswalk"):
-        values = {k: normalize_id(row[k] or "") for k in CROSSWALK_COLUMNS}
-        if not all(values.values()):
+    for line, cells in read_csv(path, CROSSWALK_COLUMNS, "crosswalk"):
+        values = [normalize_id(c or "") for c in cells]
+        if not all(values):
             raise InputError("empty crosswalk cell", line)
-        key = (values["source_system"], values["target_system"])
-        pair = (values["source_field"], values["target_field"])
+        source_system, source_field, target_system, target_field = values
+        key = (source_system, target_system)
+        pair = (source_field, target_field)
         first_line = grouped.setdefault(key, {})
         if pair in first_line:
             raise InputError(f"duplicate (source, target) pair in crosswalk {key[0]} -> "

@@ -11,6 +11,7 @@ import csv
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence, TextIO
 
@@ -108,14 +109,15 @@ def _open_input(path: Path) -> Iterator[TextIO]:
 
 
 def read_csv(path: str | Path, columns: Sequence[str],
-             what: str) -> Iterator[tuple[int, dict[str, str | None]]]:
-    """Yield (line, row) for each data row of a CSV file with a header.
+             what: str) -> Iterator[tuple[int, tuple[str | None, ...]]]:
+    """Yield (line, cells) for each data row of a CSV file with a header.
 
     A header lacking any of ``columns`` is an error at line 1, naming the
     file as ``what``. A row's line is the physical line it ends on, so blank
-    lines and quoted fields that span lines are counted. A row holds only
-    ``columns``, as ``csv.DictReader`` gives them: a repeated name takes its
-    last cell and a short row is padded with None.
+    lines and quoted fields that span lines are counted. ``cells`` holds the
+    row's cells for ``columns``, in that order, as ``csv.DictReader`` gives
+    them: a repeated name takes its last cell and a short row is padded with
+    None.
     """
     with _open_input(Path(path)) as fh:
         reader = csv.reader(fh)
@@ -124,20 +126,25 @@ def read_csv(path: str | Path, columns: Sequence[str],
             if header is None or set(columns) - set(header):
                 raise InputError(f"{what} file must have columns {','.join(columns)}", line=1)
             index = {name: i for i, name in enumerate(header)}
-            cells = [index[c] for c in columns]
-            width = max(cells) + 1
+            wanted = [index[c] for c in columns]
+            width = max(wanted) + 1
+            # itemgetter of one index gives the bare cell, so wrap it.
+            take = itemgetter(*wanted) if len(wanted) > 1 else lambda row: (row[wanted[0]],)
             for row in reader:
                 if len(row) < width:
                     if not row:
                         continue
                     row += [None] * (width - len(row))
-                yield reader.line_num, dict(zip(columns, map(row.__getitem__, cells)))
+                yield reader.line_num, take(row)
         except csv.Error as exc:
             raise InputError(f"malformed CSV: {exc}", reader.line_num) from None
 
 
-def _read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line, object) for each non-blank line of a JSON Lines file."""
+def _read_jsonl(path: str | Path,
+                columns: Sequence[str]) -> Iterator[tuple[int, tuple[str | None, ...]]]:
+    """Yield (line, cells) for each non-blank line of a JSON Lines file, with
+    the cells as ``read_csv`` gives them: each value of ``columns`` as text,
+    or None where the key is absent or null."""
     with _open_input(Path(path)) as fh:
         for line, raw in enumerate(fh, start=1):
             if not raw.strip():
@@ -150,7 +157,7 @@ def _read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 raise InputError(f"invalid JSON: {exc}", line) from None
             if not isinstance(row, dict):
                 raise InputError(f"expected a JSON object, got {type(row).__name__}", line)
-            yield line, row
+            yield line, tuple(None if (v := row.get(c)) is None else str(v) for c in columns)
 
 
 def _parse_int(raw: str, what: str, line: int) -> int:
@@ -160,21 +167,37 @@ def _parse_int(raw: str, what: str, line: int) -> int:
         raise InputError(f"{what} must be a base-10 integer, got {raw!r}", line)
 
 
-def _validate_record(row: Mapping[str, str], line: int) -> PublicationRecord:
+def memoize_checked(memos: Sequence[dict], cells: Sequence[str | None],
+                    values: Sequence) -> tuple:
+    """Store each checked value in its column's memo under its raw cell text
+    and return the stored values; an earlier entry wins, so rows share it.
+
+    The publication, journal and ranking loaders keep one memo per column, so
+    each distinct cell text is normalized or parsed once. A row whose cells
+    are all in the memos is valid; any other row takes the full checks, in
+    order, and stores its values here only once all of them passed. So a
+    fault is reported at its own line with its own message.
+    """
+    return tuple(memo.setdefault(raw, value) for memo, raw, value in zip(memos, cells, values))
+
+
+def _check_record(cells: Sequence[str | None], line: int,
+                  memos: Sequence[dict]) -> PublicationRecord:
     # Every cell is normalized before the check, so a blank one counts as missing.
-    cells = ["" if row.get(c) is None else normalize_id(str(row[c]))
-             for c in PUBLICATION_COLUMNS]
-    missing = [c for c, cell in zip(PUBLICATION_COLUMNS, cells) if not cell]
+    texts = ["" if c is None else normalize_id(c) for c in cells]
+    missing = [c for c, text in zip(PUBLICATION_COLUMNS, texts) if not text]
     if missing:
         raise InputError(f"missing required column(s) {', '.join(missing)}", line)
-    record_id, institution_id, year_text, journal_id, citations_text = cells
+    record_id, institution_id, year_text, journal_id, citations_text = texts
     year = _parse_int(year_text, "year", line)
     if not YEAR_MIN <= year <= YEAR_MAX:
         raise InputError(f"year {year} outside sanity range [{YEAR_MIN}, {YEAR_MAX}]", line)
     citations = _parse_int(citations_text, "citations", line)
     if citations < 0:
         raise InputError(f"negative citations ({citations})", line)
-    return PublicationRecord(record_id, institution_id, year, journal_id, citations)
+    # record_id is unique, so it is not memoized.
+    return PublicationRecord(record_id, *memoize_checked(
+        memos, cells[1:], (institution_id, year, journal_id, citations)))
 
 
 def load_publications(path: str | Path, format: str = "csv") -> list[PublicationRecord]:
@@ -184,11 +207,20 @@ def load_publications(path: str | Path, format: str = "csv") -> list[Publication
     ``RunConfig.validate`` checks ``format``.
     """
     rows = (read_csv(path, PUBLICATION_COLUMNS, "publications") if format == "csv"
-            else _read_jsonl(path))
+            else _read_jsonl(path, PUBLICATION_COLUMNS))
+    memos: tuple[dict, ...] = ({}, {}, {}, {})
+    institutions, years, journals, citations = memos
     records: list[PublicationRecord] = []
     seen: dict[str, int] = {}
-    for line, row in rows:
-        rec = _validate_record(row, line)
+    for line, cells in rows:
+        rid, inst, year, jid, cites = cells
+        try:
+            rec = PublicationRecord(rid.strip(), institutions[inst], years[year],
+                                    journals[jid], citations[cites])
+        except (AttributeError, KeyError):  # a None record_id, or a cell not checked yet
+            rec = None
+        if rec is None or not rec.record_id:
+            rec = _check_record(cells, line, memos)
         if rec.record_id in seen:
             raise InputError(
                 f"duplicate record_id {rec.record_id!r} "
@@ -200,20 +232,34 @@ def load_publications(path: str | Path, format: str = "csv") -> list[Publication
     return records
 
 
+def _check_journal_row(cells: Sequence[str | None], line: int,
+                       memos: Sequence[dict]) -> tuple[str, str, int, int]:
+    raw_jid, raw_cat, raw_year, raw_quartile = cells
+    jid = normalize_id(raw_jid or "")
+    cat = normalize_category(raw_cat or "")
+    if not jid or not cat:
+        raise InputError("empty journal_id or category", line)
+    year = _parse_int(raw_year, "year", line)
+    quartile = _parse_int(raw_quartile, "quartile", line)
+    if quartile not in (1, 2, 3, 4):
+        raise InputError(f"quartile {quartile} outside {{1,2,3,4}}", line)
+    return memoize_checked(memos, cells, (jid, cat, year, quartile))
+
+
 def load_journals(path: str | Path) -> dict[str, JournalProfile]:
     """Load journal profiles from a (journal_id, category, year, quartile) CSV."""
+    memos: tuple[dict, ...] = ({}, {}, {}, {})
+    jid_memo, cat_memo, year_memo, quartile_memo = memos
     categories: dict[str, set[str]] = {}
     quartiles: dict[str, dict[tuple[str, int], int]] = {}
     first_seen: dict[tuple[str, str, int], int] = {}
-    for line, row in read_csv(path, JOURNAL_COLUMNS, "journals"):
-        jid = normalize_id(row["journal_id"] or "")
-        cat = normalize_category(row["category"] or "")
-        if not jid or not cat:
-            raise InputError("empty journal_id or category", line)
-        year = _parse_int(row["year"], "year", line)
-        quartile = _parse_int(row["quartile"], "quartile", line)
-        if quartile not in (1, 2, 3, 4):
-            raise InputError(f"quartile {quartile} outside {{1,2,3,4}}", line)
+    for line, cells in read_csv(path, JOURNAL_COLUMNS, "journals"):
+        raw_jid, raw_cat, raw_year, raw_quartile = cells
+        try:
+            jid, cat, year, quartile = (jid_memo[raw_jid], cat_memo[raw_cat],
+                                        year_memo[raw_year], quartile_memo[raw_quartile])
+        except KeyError:  # a cell not checked yet
+            jid, cat, year, quartile = _check_journal_row(cells, line, memos)
         key = (jid, cat, year)
         if key in first_seen:
             existing = quartiles[jid][(cat, year)]

@@ -19,6 +19,7 @@ from . import __version__
 from .concordance import (
     MISSING_NATIONAL_POLICIES,
     ConcordanceReport,
+    FieldCrosswalk,
     load_crosswalk,
     run_crosswalk,
 )
@@ -76,6 +77,15 @@ class RunConfig:
             raise ConfigError("min_n must be >= 2")
         if not self.windows:
             raise ConfigError("at least one window is required")
+        # run_rank names each window's files by its label, so two windows
+        # of one length would overwrite each other's files.
+        by_label: dict[str, TimeWindow] = {}
+        for window in self.windows:
+            first = by_label.setdefault(window.label, window)
+            if first is not window:
+                raise ConfigError(
+                    f"windows {first} and {window} share the output label {window.label!r}"
+                )
         for p in (self.publications, self.journals, self.taxonomy,
                   self.external_rankings, self.national_rankings, self.crosswalk):
             if p is not None and not p.is_file():
@@ -185,6 +195,20 @@ def _check_stems(named: Iterable[tuple[str, str]], what: str) -> None:
             raise InputError(f"{what} {first} and {name} share the output name {stem!r}")
 
 
+def _check_field_stems(taxonomy: FieldTaxonomy) -> None:
+    _check_stems(((slugify(name), repr(name)) for name in taxonomy.field_names()), "fields")
+
+
+def _load_crosswalks(path: Path) -> list[tuple[str, FieldCrosswalk]]:
+    """The crosswalks in output order, each with its report's file stem;
+    InputError if two system pairs would write the same file."""
+    crosswalks = sorted(load_crosswalk(path), key=lambda c: (c.source_system, c.target_system))
+    stems = [f"{slugify(cw.source_system)}_{slugify(cw.target_system)}" for cw in crosswalks]
+    _check_stems(((stem, f"{cw.source_system!r}->{cw.target_system!r}")
+                  for stem, cw in zip(stems, crosswalks)), "system pairs")
+    return list(zip(stems, crosswalks))
+
+
 def _atomic_write(path: Path, content: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
@@ -239,12 +263,13 @@ def run_validate(config: RunConfig) -> ValidationReport:
     """Run all loaders and per-window corpus builds; raise on hard errors."""
     config.validate()
     publications, journals, taxonomy = _load_inputs(config)
+    _check_field_stems(taxonomy)
     if config.external_rankings is not None:
         load_external_rankings(config.external_rankings)
     if config.national_rankings is not None:
         load_external_rankings(config.national_rankings)
     if config.crosswalk is not None:
-        load_crosswalk(config.crosswalk)
+        _load_crosswalks(config.crosswalk)
     retained: dict[str, int] = {}
     dropped: dict[str, int] = {}
     unassigned: dict[str, tuple[str, ...]] = {}
@@ -346,7 +371,7 @@ def run_rank(config: RunConfig,
     config.validate()
     outputs = tuple(outputs)
     publications, journals, taxonomy = _load_inputs(config)
-    _check_stems(((slugify(name), repr(name)) for name in taxonomy.field_names()), "fields")
+    _check_field_stems(taxonomy)
     written: list[Path] = []
     for window in config.windows:
         results = compute_field_results(config, window, publications, journals, taxonomy)
@@ -418,16 +443,12 @@ def run_compare(config: RunConfig) -> list[Path]:
     system_set = set()
     for table in natl_tables.values():
         system_set |= table.institution_ids()
-    crosswalks = sorted(load_crosswalk(config.crosswalk),
-                        key=lambda c: (c.source_system, c.target_system))
+    crosswalks = _load_crosswalks(config.crosswalk)
     if not crosswalks:
         raise InputError("crosswalk file defines no system pairs")
-    stems = [f"{slugify(cw.source_system)}_{slugify(cw.target_system)}" for cw in crosswalks]
-    _check_stems(((stem, f"{cw.source_system!r}->{cw.target_system!r}")
-                  for stem, cw in zip(stems, crosswalks)), "system pairs")
     header = _header(config)
     written: list[Path] = []
-    for stem, cw in zip(stems, crosswalks):
+    for stem, cw in crosswalks:
         intl_tables = {
             f: t for (s, f), t in intl_all.items() if s == cw.source_system
         }

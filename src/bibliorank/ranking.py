@@ -18,7 +18,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .corpus import normalize_id, read_csv
+from .corpus import memoize_checked, normalize_id, read_csv
 from .errors import InputError
 from .scoring import IndexScore
 
@@ -133,26 +133,34 @@ def build_ranking(scores: Mapping[str, IndexScore], system_name: str,
     return RankingTable(system_name, field_name, entries)
 
 
+def _check_ranking_row(cells: Sequence[str | None], line: int,
+                       memos: Sequence[dict]) -> tuple:
+    system, field, inst = (normalize_id(c or "") for c in cells[:3])
+    if not system or not field or not inst:
+        raise InputError("empty system_name, field_name or institution_id", line)
+    try:
+        rank = parse_rank(cells[3] or "")
+    except (InputError, ValueError) as exc:  # ValueError: too many digits for int
+        raise InputError(str(exc), line) from None
+    return memoize_checked(memos, cells, (system, field, inst, (rank.effective, rank)))
+
+
 def load_external_rankings(path: str | Path) -> dict[tuple[str, str], RankingTable]:
     """Load every (system, field) table from an external-ranking CSV."""
-    # Each distinct rank text is parsed once; rows share the immutable value.
-    parsed: dict[str, tuple[float, RankValue]] = {}
+    # One memo per column (see memoize_checked); the rank's holds the
+    # effective value and the immutable rank value that rows share.
+    memos: tuple[dict, ...] = ({}, {}, {}, {})
+    system_memo, field_memo, inst_memo, rank_memo = memos
     rows: dict[tuple[str, str], list[tuple[float, RankEntry]]] = {}
-    for line, row in read_csv(path, EXTERNAL_COLUMNS, "external ranking"):
-        system = normalize_id(row["system_name"] or "")
-        field = normalize_id(row["field_name"] or "")
-        inst = normalize_id(row["institution_id"] or "")
-        if not system or not field or not inst:
-            raise InputError("empty system_name, field_name or institution_id", line)
-        text = row["rank"] or ""
-        hit = parsed.get(text)
-        if hit is None:
-            try:
-                rank = parse_rank(text)
-            except (InputError, ValueError) as exc:  # ValueError: too many digits for int
-                raise InputError(str(exc), line) from None
-            hit = parsed[text] = (rank.effective, rank)
-        rows.setdefault((system, field), []).append((hit[0], RankEntry(inst, hit[1])))
+    for line, cells in read_csv(path, EXTERNAL_COLUMNS, "external ranking"):
+        raw_system, raw_field, raw_inst, raw_rank = cells
+        try:
+            system, field, inst, (effective, rank) = (
+                system_memo[raw_system], field_memo[raw_field], inst_memo[raw_inst],
+                rank_memo[raw_rank])
+        except KeyError:  # a cell not checked yet
+            system, field, inst, (effective, rank) = _check_ranking_row(cells, line, memos)
+        rows.setdefault((system, field), []).append((effective, RankEntry(inst, rank)))
     tables: dict[tuple[str, str], RankingTable] = {}
     for (system, field), keyed in rows.items():
         # Stable sort by effective rank keeps file order among exact ties.

@@ -45,10 +45,10 @@ def load_taxonomy(path: str | Path) -> FieldTaxonomy:
     """
     categories: dict[str, set[str]] = {}
     levels: dict[str, str] = {}
-    for line, row in read_csv(path, TAXONOMY_COLUMNS, "taxonomy"):
-        name = normalize_id(row["field_name"] or "")
-        level = normalize_id(row["level"] or "")
-        cat = normalize_category(row["category"] or "")
+    for line, (raw_name, raw_level, raw_cat) in read_csv(path, TAXONOMY_COLUMNS, "taxonomy"):
+        name = normalize_id(raw_name or "")
+        level = normalize_id(raw_level or "")
+        cat = normalize_category(raw_cat or "")
         if not name:
             raise InputError("empty field name", line)
         if level not in LEVELS:

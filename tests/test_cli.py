@@ -109,12 +109,17 @@ class TestValidate:
          "missing_quartile must be one of"),
         (lambda ws: edit_config(ws, missing_national="nonsense"), (), 2,
          "missing_national must be one of"),
+        (lambda ws: edit_config(ws, windows=[[2008, 2012], [2003, 2007]]), (), 2,
+         "windows 2008-2012 and 2003-2007 share the output label 'w5'"),
+        (lambda ws: None, ("--window", "2008:2012", "--window", "2008:2012"), 2,
+         "share the output label 'w5'"),
     ], ids=["reversed_window", "reversed_window_flag", "json_list", "unknown_format",
             "directory_input", "non_utf8_config", "non_utf8_csv", "jsonl_not_object",
             "path_number", "out_dir_number", "windows_number", "national_system_list",
             "policy_null", "window_year_bool", "min_n_bool", "csv_field_too_large",
             "csv_nul_byte", "jsonl_nested_too_deep", "jsonl_integer_too_long",
-            "rank_too_long", "missing_quartile", "missing_national"])
+            "rank_too_long", "missing_quartile", "missing_national",
+            "equal_length_windows", "repeated_window_flag"])
     def test_boundary_fault_exit_code(self, workspace, setup, args, code, message):
         setup(workspace)
         result = run_cli("validate", "--config", str(workspace / "config.json"), *args)
@@ -123,6 +128,21 @@ class TestValidate:
         prefix = "configuration error: " if code == 2 else "error: "
         assert result.output.startswith(prefix), result.output
         assert message in result.output
+
+    @pytest.mark.parametrize("name, row, message", [
+        ("taxonomy.csv", 'Physics!,field,"Physics, Applied"\n',
+         "error: fields 'Physics' and 'Physics!' share the output name 'physics'"),
+        ("crosswalk.csv", "shanghai,overall,National!,overall\n",
+         "error: system pairs 'shanghai'->'National!' and 'shanghai'->'national' "
+         "share the output name 'shanghai_national'"),
+    ], ids=["fields", "system_pairs"])
+    def test_output_name_collision_exits_one(self, workspace, name, row, message):
+        # validate runs the same checks as rank and compare
+        with (workspace / name).open("a", encoding="utf-8") as fh:
+            fh.write(row)
+        result = run_cli("validate", "--config", str(workspace / "config.json"))
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith(message), result.output
 
     @pytest.mark.parametrize("key, value", [
         ("min_n", "abc"),

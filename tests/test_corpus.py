@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from bibliorank.concordance import load_crosswalk
 from bibliorank.corpus import (
+    JOURNAL_COLUMNS,
     PUBLICATION_COLUMNS,
+    JournalProfile,
     PublicationRecord,
     TimeWindow,
     build_corpus,
@@ -20,7 +22,7 @@ from bibliorank.corpus import (
 )
 from bibliorank.errors import BiblioRankError, ConfigError, InputError, QuartileLookupError
 from bibliorank.indicators import compute_indicators, top10_threshold
-from bibliorank.ranking import load_external_rankings
+from bibliorank.ranking import EXTERNAL_COLUMNS, RankEntry, load_external_rankings, parse_rank
 from bibliorank.taxonomy import load_taxonomy
 
 from conftest import make_corpus, make_journal
@@ -273,10 +275,11 @@ READ_COLUMNS = ("a", "b", "c")
 
 
 def dictreader_rows(path, columns):
-    """The reference for read_csv: csv.DictReader's rows cut to ``columns``."""
+    """The reference for read_csv: csv.DictReader's rows cut to ``columns``,
+    as tuples in ``columns`` order."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        return [(reader.line_num, {c: row[c] for c in columns}) for row in reader]
+        return [(reader.line_num, tuple(row[c] for c in columns)) for row in reader]
 
 
 def csv_text(rows, terminator):
@@ -303,8 +306,240 @@ def test_read_csv_matches_dictreader(header, body):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         path.write_text(csv_text([header], "\n") + body, encoding="utf-8", newline="")
-        expected = dictreader_rows(path, READ_COLUMNS)
-        assert list(read_csv(path, READ_COLUMNS, "test")) == expected
+        # One wanted column still gives 1-tuples.
+        for columns in (READ_COLUMNS, READ_COLUMNS[1:2]):
+            expected = dictreader_rows(path, columns)
+            assert list(read_csv(path, columns, "test")) == expected
+
+
+# The loaders memoize each column's checked values by raw cell text. These
+# references check every row on its own, with no memo, in the loaders' order.
+
+
+def _reference_rows(path, columns, format):
+    """(line, cells) per row, None where a cell is absent."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        if format == "jsonl":
+            rows = [(line, json.loads(raw)) for line, raw in enumerate(fh, start=1)
+                    if raw.strip()]
+            return [(line, [None if row.get(c) is None else str(row[c]) for c in columns])
+                    for line, row in rows]
+        reader = csv.DictReader(fh)
+        return [(reader.line_num, [row[c] for c in columns]) for row in reader]
+
+
+def _strip(cells):
+    return ["" if c is None else c.strip() for c in cells]
+
+
+def _reference_int(raw, what, line):
+    """int of the stripped cell; the message shows the cell as given."""
+    try:
+        return int((raw or "").strip())
+    except ValueError:
+        raise InputError(f"{what} must be a base-10 integer, got {raw!r}", line) from None
+
+
+def reference_publications(path, format):
+    records, seen = [], {}
+    for line, cells in _reference_rows(path, PUBLICATION_COLUMNS, format):
+        cells = _strip(cells)
+        missing = [c for c, cell in zip(PUBLICATION_COLUMNS, cells) if not cell]
+        if missing:
+            raise InputError(f"missing required column(s) {', '.join(missing)}", line)
+        record_id, inst, year_text, jid, citations_text = cells
+        year = _reference_int(year_text, "year", line)
+        if not 1900 <= year <= 2100:
+            raise InputError(f"year {year} outside sanity range [1900, 2100]", line)
+        citations = _reference_int(citations_text, "citations", line)
+        if citations < 0:
+            raise InputError(f"negative citations ({citations})", line)
+        if record_id in seen:
+            raise InputError(f"duplicate record_id {record_id!r} "
+                             f"(first seen at line {seen[record_id]})", line)
+        seen[record_id] = line
+        records.append(PublicationRecord(record_id, inst, year, jid, citations))
+    return records
+
+
+def reference_journals(path):
+    quartiles, first_seen = {}, {}
+    for line, cells in _reference_rows(path, JOURNAL_COLUMNS, "csv"):
+        jid, cat = _strip(cells[:2])
+        cat = cat.casefold()
+        year_text, quartile_text = cells[2:]
+        if not jid or not cat:
+            raise InputError("empty journal_id or category", line)
+        year = _reference_int(year_text, "year", line)
+        quartile = _reference_int(quartile_text, "quartile", line)
+        if quartile not in (1, 2, 3, 4):
+            raise InputError(f"quartile {quartile} outside {{1,2,3,4}}", line)
+        by_key = quartiles.setdefault(jid, {})
+        if (cat, year) in by_key and by_key[cat, year] != quartile:
+            raise InputError(
+                f"conflicting quartiles for journal {jid!r}, category {cat!r}, year {year}: "
+                f"Q{by_key[cat, year]} (line {first_seen[jid, cat, year]}) vs Q{quartile}", line)
+        by_key.setdefault((cat, year), quartile)
+        first_seen.setdefault((jid, cat, year), line)
+    return {jid: JournalProfile(jid, frozenset(c for c, _ in q), q)
+            for jid, q in quartiles.items()}
+
+
+def reference_rankings(path):
+    rows = {}
+    for line, cells in _reference_rows(path, EXTERNAL_COLUMNS, "csv"):
+        system, field, inst = _strip(cells[:3])
+        if not system or not field or not inst:
+            raise InputError("empty system_name, field_name or institution_id", line)
+        try:
+            rank = parse_rank(cells[3] or "")  # names the rank text as given
+        except InputError as exc:
+            raise InputError(str(exc), line) from None
+        rows.setdefault((system, field), []).append(RankEntry(inst, rank))
+    tables = {}
+    for (system, field), entries in rows.items():
+        ids = [e.institution_id for e in entries]
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        if dupes:
+            raise InputError(f"duplicate institution(s) in table {system}/{field}: "
+                             f"{', '.join(dupes)}")
+        tables[system, field] = sorted(entries, key=lambda e: e.rank.effective)
+    return tables
+
+
+def outcome(load, path):
+    """What a loader gives: its result, or its error message."""
+    try:
+        return load(path)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+def write_rows(path, header, rows, format="csv"):
+    """Write rows of cells; a short row lacks the last columns' cells."""
+    if format == "jsonl":
+        path.write_text("".join(json.dumps(dict(zip(header, row))) + "\n" for row in rows),
+                        encoding="utf-8")
+    else:
+        path.write_text(csv_text([header, *rows], "\n"), encoding="utf-8", newline="")
+
+
+UNIQUE = object()  # stands for a text no other row has
+
+
+def rows_then_fault(valid, faults):
+    """Rows of cells drawn from ``valid`` (one list of texts per column, which
+    repeat and vary in whitespace), then perhaps one row that copies a drawn
+    row but for a cell from ``faults``, so that its other cells are all in
+    the loader's memos. A None fault cuts the row short at that column."""
+    def build(drawn):
+        rows, fault = drawn
+        rows = [[f"u{i}" if c is UNIQUE else c for c in row] for i, row in enumerate(rows)]
+        if fault is not None:
+            source, column, text = fault
+            row = list(rows[source % len(rows)])
+            row[column] = text
+            rows.append(row[:column] if text is None else row)
+        return rows
+    fault = st.one_of(*(st.tuples(st.integers(0, 7), st.just(column), st.sampled_from(texts))
+                        for column, texts in enumerate(faults)))
+    return st.tuples(st.lists(st.tuples(*map(st.sampled_from, valid)), min_size=1, max_size=8),
+                     st.none() | fault).map(build)
+
+
+BLANK = ["", " ", None]
+IDS = ["I1", " I1", "I1 ", "I2", "I3"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=rows_then_fault(
+        valid=[[UNIQUE] * 4 + [" r0", "r0 "], IDS, ["2010", " 2010", "2010 ", "2011"], IDS,
+               ["0", "5", " 5", "5 ", "12"]],
+        faults=[BLANK, BLANK, ["5", "1899", "2101", "x", "20 10", *BLANK], BLANK,
+                ["-1", "x", *BLANK]]),
+    format=st.sampled_from(["csv", "jsonl"]),
+)
+def test_load_publications_matches_per_row_reference(rows, format):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"p.{format}"
+        write_rows(path, PUBLICATION_COLUMNS, rows, format)
+        assert (outcome(lambda p: load_publications(p, format), path)
+                == outcome(lambda p: reference_publications(p, format), path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=rows_then_fault(
+    # A journal year has no range check, so "5" is valid here.
+    valid=[IDS, ["A", " a", "A ", "B"], ["2010", " 2010", "2011", "5"], ["1", " 1", "1 ", "4"]],
+    faults=[BLANK, BLANK, ["x", "20 10", *BLANK], ["0", "5", "x", *BLANK]]))
+def test_load_journals_matches_per_row_reference(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "j.csv"
+        write_rows(path, JOURNAL_COLUMNS, rows)
+        assert outcome(load_journals, path) == outcome(reference_journals, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=rows_then_fault(
+    valid=[["S", " S", "S ", "T"], ["F", " F", "G"], [UNIQUE] * 3 + IDS,
+           ["1", " 1", "1 ", "2", "201-300", " 201-300"]],
+    faults=[BLANK, BLANK, BLANK, ["0", "300-201", "0-5", "x", "1-", *BLANK]]))
+def test_load_external_rankings_matches_per_row_reference(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "r.csv"
+        write_rows(path, EXTERNAL_COLUMNS, rows)
+        loaded = outcome(load_external_rankings, path)
+        if isinstance(loaded, dict):
+            loaded = {key: list(t.entries) for key, t in loaded.items()}
+        assert loaded == outcome(reference_rankings, path)
+
+
+class TestMemoizedCells:
+    """A cell text the memo holds for one column never skips another column's
+    checks, and a fault after valid rows is reported at its own line."""
+
+    def test_citations_memo_does_not_pass_a_year(self, tmp_path):
+        path = write(tmp_path, "p.csv", PUB_HEADER + "r1,ua,2010,j1,5\nr2,ua,5,j1,5\n")
+        with pytest.raises(InputError,
+                           match=re.escape("line 3: year 5 outside sanity range [1900, 2100]")):
+            load_publications(path, "csv")
+
+    @pytest.mark.parametrize("format, text", [
+        ("csv", PUB_HEADER + "r1,ua,2010,j1,1\nr2,ua,20x0,j1,1\n"),
+        ("jsonl", "".join(json.dumps(dict(zip(PUBLICATION_COLUMNS, row))) + "\n" for row in [
+            ["r1", "ua", 2010, "j1", 1], ["r2", "ua", 2010.0, "j1", 1]])),
+    ])
+    def test_malformed_year_after_valid_one(self, tmp_path, format, text):
+        path = write(tmp_path, f"p.{format}", text)
+        line = 3 if format == "csv" else 2
+        with pytest.raises(InputError, match=f"^line {line}: year must be a base-10 integer"):
+            load_publications(path, format)
+
+    def test_year_memo_does_not_pass_a_quartile(self, tmp_path):
+        path = write(tmp_path, "j.csv", JOURNAL_HEADER + "J,A,5,1\nJ,A,5,5\n")
+        with pytest.raises(InputError, match=re.escape("line 3: quartile 5 outside {1,2,3,4}")):
+            load_journals(path)
+
+    def test_malformed_journal_year_after_valid_one(self, tmp_path):
+        path = write(tmp_path, "j.csv", JOURNAL_HEADER + "J,A,2010,1\nJ,A,2010x,1\n")
+        with pytest.raises(InputError, match="^line 3: year must be a base-10 integer"):
+            load_journals(path)
+
+    @pytest.mark.parametrize("rank, message", [
+        ("5x", "malformed rank '5x'"),
+        ("300-201", "rank interval 300-201 has lo > hi"),
+    ])
+    def test_malformed_rank_after_valid_one(self, tmp_path, rank, message):
+        path = write(tmp_path, "r.csv", "system_name,field_name,institution_id,rank\n"
+                     f"s,f,i1,5\ns,f,i2,201-300\ns,f,i3,{rank}\n")
+        with pytest.raises(InputError, match=f"^line 4: {re.escape(message)}"):
+            load_external_rankings(path)
+
+    def test_rows_share_one_object_per_cell_text(self, tmp_path):
+        path = write(tmp_path, "p.csv", PUB_HEADER + "r1,ua,2010,j1,5\nr2,ua,2010,j1,5\n")
+        first, second = load_publications(path, "csv")
+        assert all(a is b for a, b in zip(first[1:], second[1:]))
 
 
 def _records(years):
