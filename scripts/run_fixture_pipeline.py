@@ -2,7 +2,8 @@
 """Run the full pipeline over the shipped fixture set.
 
 Writes per-field ranking, quadrant, and indicator files for both configured
-windows, then the four concordance reports, into fixtures/out/.
+windows, then one concordance report per crosswalk system pair, into
+fixtures/out/.
 """
 
 import sys

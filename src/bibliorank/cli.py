@@ -1,4 +1,4 @@
-"""Command-line driver: validate, rank, compare, quadrant.
+"""Command-line driver: validate, rank, compare.
 
 Exit codes: 0 success, 1 input error, 2 configuration error.
 """
@@ -98,13 +98,6 @@ def validate(config: RunConfig) -> None:
 def rank(config: RunConfig) -> None:
     """Write per-field ranking, quadrant, and indicator files per window."""
     for path in run_rank(config):
-        click.echo(str(path))
-
-
-@command
-def quadrant(config: RunConfig) -> None:
-    """Write only the quadrant scatter files (plot-ready CSV)."""
-    for path in run_rank(config, outputs=("quadrants",)):
         click.echo(str(path))
 
 

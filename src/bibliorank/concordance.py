@@ -3,9 +3,11 @@ agreement level A.
 
 Rho is Pearson correlation over midranks (fractional ranks for ties), which
 reduces to 1 - 6*sum(d^2)/(n(n^2-1)) in the tie-free case. Agreement is the
-fraction of a system's institutions in an international field table of size
-s that also occupy the top-s positions of the national field table; the
-fraction is kept exact and never pre-reduced.
+fraction of the institutions in a source field table of size s that also
+occupy the top-s positions of the target field table; the fraction is kept
+exact and never pre-reduced. Either side may be the national system or an
+international one; the caller restricts both to the national system's
+institutions first.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .corpus import normalize_id, read_csv
 from .errors import ConstantInputError, InputError, InsufficientDataError
-from .ranking import RankingTable, restrict_to_system
+from .ranking import RankingTable
 
 MISSING_NATIONAL_POLICIES = ("strict", "warn")
 
@@ -88,26 +90,26 @@ class AgreementFraction:
         return f"{self.numerator}/{self.denominator}"
 
 
-def agreement_level(international: RankingTable, national: RankingTable,
+def agreement_level(source: RankingTable, target: RankingTable,
                     missing_national: str = "warn") -> AgreementFraction:
-    """Share of the international table's institutions in the national top-s.
+    """Share of the source table's institutions in the target's top-s.
 
-    s is the international table size; positions use the national table's
+    s is the source table size; positions use the target table's
     competition ranks, so a tie group straddling s counts members with rank
-    value <= s. An institution absent from the national table counts as
+    value <= s. An institution absent from the target table counts as
     non-coinciding under "warn" and is an error under "strict";
     ``RunConfig.validate`` checks the policy value.
     """
-    s = len(international)
-    national_ranks = national.competition_ranks()
+    s = len(source)
+    target_ranks = target.competition_ranks()
     numerator = 0
-    for entry in international.entries:
-        rank = national_ranks.get(entry.institution_id)
+    for entry in source.entries:
+        rank = target_ranks.get(entry.institution_id)
         if rank is None:
             if missing_national == "strict":
                 raise InputError(
-                    f"institution {entry.institution_id!r} missing from national table "
-                    f"{national.system_name}/{national.field_name}"
+                    f"institution {entry.institution_id!r} missing from target table "
+                    f"{target.system_name}/{target.field_name}"
                 )
             continue
         if rank <= s:
@@ -132,28 +134,27 @@ class AggregateAgreement:
     mean_of_fractions: Fraction
 
 
-def compare_pair(intl: RankingTable, natl: RankingTable, system_set: set[str],
+def compare_pair(source: RankingTable, target: RankingTable,
                  min_n: int = DEFAULT_MIN_N,
                  missing_national: str = "warn") -> ConcordancePair:
     """Rho and agreement for one crosswalk-matched field pair.
 
-    The international table is restricted to the system's institutions; rho
-    correlates international effective ranks with national competition ranks
-    over the institutions present on both sides.
+    Both tables come restricted to the national system's institutions. Rho
+    correlates source effective ranks with target competition ranks over the
+    institutions present on both sides.
     """
-    restricted = restrict_to_system(intl, system_set)
-    natl_ranks = natl.competition_ranks()
-    joined = [e for e in restricted.entries if e.institution_id in natl_ranks]
+    target_ranks = target.competition_ranks()
+    joined = [e for e in source.entries if e.institution_id in target_ranks]
     x = [e.rank.effective for e in joined]
-    y = [float(natl_ranks[e.institution_id]) for e in joined]
+    y = [float(target_ranks[e.institution_id]) for e in joined]
     try:
         rho: float | None = spearman_rho(x, y, min_n=min_n)
     except (InsufficientDataError, ConstantInputError):
         rho = None
-    agreement = agreement_level(restricted, natl, missing_national=missing_national)
+    agreement = agreement_level(source, target, missing_national=missing_national)
     return ConcordancePair(
-        source_field=intl.field_name,
-        target_field=natl.field_name,
+        source_field=source.field_name,
+        target_field=target.field_name,
         n=len(joined),
         rho=rho,
         agreement=agreement,
@@ -213,23 +214,21 @@ def load_crosswalk(path: str | Path) -> list[FieldCrosswalk]:
 
 
 def run_crosswalk(crosswalk: FieldCrosswalk,
-                  intl_tables: Mapping[str, RankingTable],
-                  natl_tables: Mapping[str, RankingTable],
-                  system_set: set[str],
+                  source_tables: Mapping[str, RankingTable],
+                  target_tables: Mapping[str, RankingTable],
                   min_n: int = DEFAULT_MIN_N,
                   missing_national: str = "warn") -> ConcordanceReport:
     """One concordance pair per crosswalk row; unresolvable rows are reported."""
     pairs: list[ConcordancePair] = []
     unresolved: list[tuple[str, str]] = []
     for source_field, target_field in crosswalk.pairs:
-        intl = intl_tables.get(source_field)
-        natl = natl_tables.get(target_field)
-        if intl is None or natl is None:
+        source = source_tables.get(source_field)
+        target = target_tables.get(target_field)
+        if source is None or target is None:
             unresolved.append((source_field, target_field))
             continue
         pairs.append(
-            compare_pair(intl, natl, system_set, min_n=min_n,
-                         missing_national=missing_national)
+            compare_pair(source, target, min_n=min_n, missing_national=missing_national)
         )
     if not pairs:
         raise InputError(

@@ -40,7 +40,7 @@ from .indicators import (
     compute_indicators,
     top10_threshold,
 )
-from .ranking import RankingTable, build_ranking, load_external_rankings
+from .ranking import RankingTable, build_ranking, load_external_rankings, restrict_to_system
 from .scoring import IndexScore, QuadrantLabel, classify_quadrants, score_field
 from .taxonomy import FieldTaxonomy, assign_fields, field_corpus, load_taxonomy
 
@@ -199,13 +199,25 @@ def _check_field_stems(taxonomy: FieldTaxonomy) -> None:
     _check_stems(((slugify(name), repr(name)) for name in taxonomy.field_names()), "fields")
 
 
-def _load_crosswalks(path: Path) -> list[tuple[str, FieldCrosswalk]]:
-    """The crosswalks in output order, each with its report's file stem;
-    InputError if two system pairs would write the same file."""
-    crosswalks = sorted(load_crosswalk(path), key=lambda c: (c.source_system, c.target_system))
+def _load_crosswalks(config: RunConfig, external: Mapping[tuple[str, str], RankingTable]
+                     ) -> list[tuple[str, FieldCrosswalk]]:
+    """The crosswalks in output order, each with its report's file stem.
+
+    InputError if two system pairs would write the same file, or if a pair
+    names a system that is neither ``config.national_system`` nor one of the
+    ``external`` tables' systems.
+    """
+    crosswalks = sorted(load_crosswalk(config.crosswalk),
+                        key=lambda c: (c.source_system, c.target_system))
     stems = [f"{slugify(cw.source_system)}_{slugify(cw.target_system)}" for cw in crosswalks]
     _check_stems(((stem, f"{cw.source_system!r}->{cw.target_system!r}")
                   for stem, cw in zip(stems, crosswalks)), "system pairs")
+    systems = {system for system, _ in external} | {config.national_system}
+    for cw in crosswalks:
+        for name in (cw.source_system, cw.target_system):
+            if name not in systems:
+                raise InputError(f"system pair {cw.source_system!r}->{cw.target_system!r} "
+                                 f"names unknown system {name!r}")
     return list(zip(stems, crosswalks))
 
 
@@ -264,12 +276,12 @@ def run_validate(config: RunConfig) -> ValidationReport:
     config.validate()
     publications, journals, taxonomy = _load_inputs(config)
     _check_field_stems(taxonomy)
-    if config.external_rankings is not None:
-        load_external_rankings(config.external_rankings)
+    external = ({} if config.external_rankings is None
+                else load_external_rankings(config.external_rankings))
     if config.national_rankings is not None:
         load_external_rankings(config.national_rankings)
     if config.crosswalk is not None:
-        _load_crosswalks(config.crosswalk)
+        _load_crosswalks(config, external)
     retained: dict[str, int] = {}
     dropped: dict[str, int] = {}
     unassigned: dict[str, tuple[str, ...]] = {}
@@ -361,15 +373,13 @@ _FIELD_WRITERS = (("ranking", _ranking_csv), ("quadrants", _quadrant_csv),
                   ("indicators", _indicator_csv))
 
 
-def run_rank(config: RunConfig,
-             outputs: Iterable[str] = ("ranking", "quadrants", "indicators")) -> list[Path]:
+def run_rank(config: RunConfig) -> list[Path]:
     """Write per-field ranking, quadrant scatter, and indicator files.
 
     One output set per configured window, suffixed by window length (w5,
     w10, ...). Returns the written paths in deterministic order.
     """
     config.validate()
-    outputs = tuple(outputs)
     publications, journals, taxonomy = _load_inputs(config)
     _check_field_stems(taxonomy)
     written: list[Path] = []
@@ -378,10 +388,9 @@ def run_rank(config: RunConfig,
         header = _header(config, window)
         for name in sorted(results):
             for kind, to_csv in _FIELD_WRITERS:
-                if kind in outputs:
-                    path = config.out_dir / f"{slugify(name)}_{window.label}_{kind}.csv"
-                    _atomic_write(path, to_csv(results[name], header))
-                    written.append(path)
+                path = config.out_dir / f"{slugify(name)}_{window.label}_{kind}.csv"
+                _atomic_write(path, to_csv(results[name], header))
+                written.append(path)
     return written
 
 
@@ -434,30 +443,31 @@ def _national_tables(config: RunConfig) -> dict[str, RankingTable]:
 
 
 def run_compare(config: RunConfig) -> list[Path]:
-    """Write one concordance report per crosswalk system pair."""
+    """Write one concordance report per crosswalk system pair.
+
+    Each side of a pair is looked up by system name: ``national_system``
+    always names the national tables, and any other name the external
+    tables of that system. Every external table is restricted once to the
+    national system's institutions before any pair is compared.
+    """
     config.validate()
     if config.external_rankings is None or config.crosswalk is None:
         raise ConfigError("compare requires external_rankings and crosswalk paths")
-    intl_all = load_external_rankings(config.external_rankings)
-    natl_tables = _national_tables(config)
-    system_set = set()
-    for table in natl_tables.values():
-        system_set |= table.institution_ids()
-    crosswalks = _load_crosswalks(config.crosswalk)
+    external = load_external_rankings(config.external_rankings)
+    crosswalks = _load_crosswalks(config, external)
     if not crosswalks:
         raise InputError("crosswalk file defines no system pairs")
+    natl_tables = _national_tables(config)
+    system_set = set().union(*(t.institution_ids() for t in natl_tables.values()))
+    tables: dict[str, dict[str, RankingTable]] = {}
+    for (system, field), table in external.items():
+        tables.setdefault(system, {})[field] = restrict_to_system(table, system_set)
+    tables[config.national_system] = natl_tables
     header = _header(config)
     written: list[Path] = []
     for stem, cw in crosswalks:
-        intl_tables = {
-            f: t for (s, f), t in intl_all.items() if s == cw.source_system
-        }
-        if not intl_tables:
-            raise InputError(
-                f"no external tables loaded for system {cw.source_system!r}"
-            )
         report = run_crosswalk(
-            cw, intl_tables, natl_tables, system_set,
+            cw, tables[cw.source_system], tables[cw.target_system],
             min_n=config.min_n, missing_national=config.missing_national,
         )
         path = config.out_dir / f"concordance_{stem}.csv"

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .errors import InputError
 from .indicators import IndicatorSet
 
 
@@ -37,8 +36,6 @@ def score(ind: IndicatorSet) -> IndexScore:
 
 def score_field(indicators: Mapping[str, IndicatorSet]) -> dict[str, IndexScore]:
     """Score every institution of a field; output keyed identically."""
-    if not indicators:
-        raise InputError("cannot score an empty indicator map")
     return {inst: score(ind) for inst, ind in indicators.items()}
 
 
@@ -46,10 +43,9 @@ def classify_quadrants(scores: Mapping[str, IndexScore]) -> dict[str, QuadrantLa
     """Label each institution against the unweighted field means.
 
     At-mean positions count as outstanding on that axis (closed upper
-    quadrant).
+    quadrant). ``scores`` is not empty: ``compute_field_results`` skips
+    empty fields.
     """
-    if not scores:
-        raise InputError("cannot classify an empty score map")
     n = len(scores)
     mean_qnif = sum(s.qnif for s in scores.values()) / n
     mean_qlif = sum(s.qlif for s in scores.values()) / n

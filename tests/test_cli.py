@@ -144,6 +144,15 @@ class TestValidate:
         assert result.exit_code == 1, result.output
         assert result.output.startswith(message), result.output
 
+    def test_unknown_crosswalk_system_exits_one(self, workspace):
+        # validate runs the same check as compare
+        with (workspace / "crosswalk.csv").open("a", encoding="utf-8") as fh:
+            fh.write("zzz,overall,national,overall\n")
+        result = run_cli("validate", "--config", str(workspace / "config.json"))
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith(
+            "error: system pair 'zzz'->'national' names unknown system 'zzz'"), result.output
+
     @pytest.mark.parametrize("key, value", [
         ("min_n", "abc"),
         ("min_n", 3.7),
@@ -238,15 +247,8 @@ class TestRank:
 
 
 class TestQuadrant:
-    def test_scatter_only(self, workspace):
-        result = run_cli("quadrant", "--config", str(workspace / "config.json"))
-        assert result.exit_code == 0
-        names = [p.name for p in (workspace / "out").iterdir()]
-        assert names
-        assert all(n.endswith("_quadrants.csv") for n in names)
-
     def test_quadrant_columns(self, workspace):
-        run_cli("quadrant", "--config", str(workspace / "config.json"))
+        run_cli("rank", "--config", str(workspace / "config.json"))
         text = (workspace / "out" / "physics_w5_quadrants.csv").read_text(encoding="utf-8")
         header = [l for l in text.splitlines() if not l.startswith("#")][0]
         assert header == ("field_name,institution_id,qnif,qlif,ifq2a,"
@@ -297,6 +299,21 @@ class TestCompare:
         assert result.exit_code == 1, result.output
         assert "'shanghai'->'National!'" in result.output
         assert "'shanghai'->'national'" in result.output
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("rows, message", [
+        ("shanghai,overall,nosuch,overall\n",
+         "error: system pair 'shanghai'->'nosuch' names unknown system 'nosuch'"),
+        ("shanghai,overall,national,overall\nzzz,overall,national,overall\n",
+         "error: system pair 'zzz'->'national' names unknown system 'zzz'"),
+    ], ids=["target", "source_of_second_pair"])
+    def test_unknown_system_exits_one_before_writing(self, workspace, rows, message):
+        (workspace / "crosswalk.csv").write_text(
+            "source_system,source_field,target_system,target_field\n" + rows,
+            encoding="utf-8")
+        result = run_cli("compare", "--config", str(workspace / "config.json"))
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith(message), result.output
         assert not (workspace / "out").exists()
 
     def test_nonexistent_crosswalk_field_exits_one(self, workspace):

@@ -1,4 +1,6 @@
+import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -17,12 +19,15 @@ from bibliorank.concordance import (
     run_crosswalk,
     spearman_rho,
 )
+from bibliorank.corpus import TimeWindow
 from bibliorank.errors import ConstantInputError, InputError, InsufficientDataError
+from bibliorank.pipeline import RunConfig, load_config, run_compare
 from bibliorank.ranking import (
     ExactRank,
     RankEntry,
     RankingTable,
     load_external_rankings,
+    restrict_to_system,
 )
 
 
@@ -168,29 +173,42 @@ class TestComparePair:
     def test_small_n_keeps_agreement(self):
         intl = exact_table([("a", 1), ("b", 2)])
         natl = exact_table([("a", 1), ("b", 2)])
-        pair = compare_pair(intl, natl, {"a", "b"})
+        pair = compare_pair(intl, natl)
         assert pair.rho is None
         assert (pair.agreement.numerator, pair.agreement.denominator) == (2, 2)
 
     def test_identical_tables(self):
         pairs = [(f"u{k}", k + 1) for k in range(5)]
-        pair = compare_pair(exact_table(pairs), exact_table(pairs),
-                            {u for u, _ in pairs})
+        pair = compare_pair(exact_table(pairs), exact_table(pairs))
         assert pair.rho == pytest.approx(1.0)
         assert (pair.agreement.numerator, pair.agreement.denominator) == (5, 5)
 
-    def test_fixture_cross_system_rho_matches_oracle(self, fixtures_dir):
+    def test_fixture_cross_system_rho_matches_oracle(self, fixtures_dir, tmp_path):
+        # The six international pairs in the fixture crosswalk, checked on
+        # the real compare path against scipy and a brute-force count.
         scipy_stats = pytest.importorskip("scipy.stats")
+        config = replace(load_config(fixtures_dir / "config.json"), out_dir=tmp_path)
+        reports = {p.name: p for p in run_compare(config)}
         tables = load_external_rankings(fixtures_dir / "external_rankings.csv")
-        leiden = tables[("leiden", "overall")]
-        ntu = tables[("ntu", "overall")]
-        shared = leiden.institution_ids() & ntu.institution_ids()
-        x = [e.rank.effective for e in leiden.entries if e.institution_id in shared]
-        ids = [e.institution_id for e in leiden.entries if e.institution_id in shared]
-        ntu_eff = {e.institution_id: e.rank.effective for e in ntu.entries}
-        y = [ntu_eff[i] for i in ids]
-        assert spearman_rho(x, y) == pytest.approx(
-            scipy_stats.spearmanr(x, y).statistic, abs=1e-12)
+        national = load_external_rankings(fixtures_dir / "national_rankings.csv")
+        system = set().union(*(t.institution_ids() for t in national.values()))
+        effective = {s: {e.institution_id: e.rank.effective for e in t.entries
+                         if e.institution_id in system}
+                     for (s, _), t in tables.items()}
+        for a, b in itertools.combinations(["shanghai", "leiden", "qs", "ntu"], 2):
+            text = reports[f"concordance_{a}_{b}.csv"].read_text(encoding="utf-8")
+            row = [l for l in text.splitlines() if not l.startswith("#")][1]
+            _, _, n, rho, num, den, _ = row.split(",")
+            src, tgt = effective[a], effective[b]
+            shared = sorted(src.keys() & tgt.keys())
+            expected_rho = scipy_stats.spearmanr([src[i] for i in shared],
+                                                 [tgt[i] for i in shared]).statistic
+            assert int(n) == len(shared)
+            assert float(rho) == pytest.approx(expected_rho, abs=5e-4)
+            # target competition rank: 1 + institutions strictly ahead of it
+            ahead = {i: sum(1 for v in tgt.values() if v < tgt[i]) for i in tgt}
+            assert int(den) == len(src)
+            assert int(num) == sum(1 for i in src if i in tgt and ahead[i] + 1 <= len(src))
 
 
 class TestAggregateAgreement:
@@ -240,41 +258,42 @@ class TestRunCrosswalk:
             "wide": exact_table([("u3", 10), ("u0", 40), ("u5", 55), ("u7", 60)],
                                 "intl", "wide"),
         }
-        return intl, natl, {u for u, _ in natl_pairs}
+        return intl, natl
 
     def test_one_source_to_three_targets(self):
-        intl, natl, system = self.tables()
+        intl, natl = self.tables()
         crosswalk = FieldCrosswalk("intl", "nat", (
             ("wide", "alpha"), ("wide", "beta"), ("wide", "gamma")))
-        report = run_crosswalk(crosswalk, intl, natl, system)
+        report = run_crosswalk(crosswalk, intl, natl)
         assert len(report.pairs) == 3
         assert report.unresolved == ()
 
     def test_unresolved_reported_not_fatal(self):
-        intl, natl, system = self.tables()
+        intl, natl = self.tables()
         crosswalk = FieldCrosswalk("intl", "nat", (
             ("wide", "alpha"), ("missing", "beta")))
-        report = run_crosswalk(crosswalk, intl, natl, system)
+        report = run_crosswalk(crosswalk, intl, natl)
         assert report.unresolved == (("missing", "beta"),)
         assert len(report.pairs) == 1
 
     def test_zero_resolvable_is_error(self):
-        intl, natl, system = self.tables()
+        intl, natl = self.tables()
         crosswalk = FieldCrosswalk("intl", "nat", (("missing", "beta"),))
         with pytest.raises(InputError, match="zero field pairs"):
-            run_crosswalk(crosswalk, intl, natl, system)
+            run_crosswalk(crosswalk, intl, natl)
 
     def test_empty_intersection_emits_insufficient_pair(self):
-        intl = {"wide": exact_table([("stranger", 1)], "intl", "wide")}
+        intl = {"wide": restrict_to_system(exact_table([("stranger", 1)], "intl", "wide"),
+                                           {"u0"})}
         natl = {"alpha": exact_table([("u0", 1)], "nat", "alpha")}
         crosswalk = FieldCrosswalk("intl", "nat", (("wide", "alpha"),))
-        report = run_crosswalk(crosswalk, intl, natl, {"u0"})
+        report = run_crosswalk(crosswalk, intl, natl)
         pair = report.pairs[0]
         assert pair.rho is None
         assert pair.agreement.denominator == 0
 
     def test_each_national_table_ranked_once(self, monkeypatch):
-        intl, natl, system = self.tables()
+        intl, natl = self.tables()
         intl["narrow"] = exact_table([("u1", 3), ("u4", 9), ("u6", 12)], "intl", "narrow")
         ranked = []
 
@@ -286,9 +305,9 @@ class TestRunCrosswalk:
         monkeypatch.setattr(ranking, "competition_ranks", counting)
         crosswalk = FieldCrosswalk("intl", "nat", (
             ("wide", "alpha"), ("narrow", "alpha"), ("wide", "beta"), ("narrow", "beta")))
-        first = run_crosswalk(crosswalk, intl, natl, system)
+        first = run_crosswalk(crosswalk, intl, natl)
         assert ranked == [8, 8]  # alpha and beta, once each
-        assert run_crosswalk(crosswalk, intl, natl, system) == first
+        assert run_crosswalk(crosswalk, intl, natl) == first
         assert ranked == [8, 8]
 
     def test_duplicate_crosswalk_pair_rejected(self, tmp_path):
@@ -304,9 +323,10 @@ class TestRunCrosswalk:
 class TestLoadCrosswalk:
     def test_fixture_groups_by_system_pair(self, fixtures_dir):
         crosswalks = load_crosswalk(fixtures_dir / "crosswalk.csv")
+        international = ["shanghai", "leiden", "qs", "ntu"]
         assert {(c.source_system, c.target_system) for c in crosswalks} == {
-            ("shanghai", "national"), ("leiden", "national"),
-            ("qs", "national"), ("ntu", "national")}
+            *((s, "national") for s in international),
+            *itertools.combinations(international, 2)}
         assert all(c.pairs == (("overall", "overall"),) for c in crosswalks)
 
     def test_empty_cell_rejected(self, tmp_path):
@@ -316,3 +336,51 @@ class TestLoadCrosswalk:
             encoding="utf-8")
         with pytest.raises(InputError, match="line 2"):
             load_crosswalk(path)
+
+
+class TestRunCompare:
+    def report_row(self, tmp_path, fixtures_dir, external, crosswalk):
+        """The one data row of the report that compare writes for the given
+        external-ranking and crosswalk rows, against the national table
+        u1..u4 ranked 1..4."""
+        def write(name, header, rows):
+            path = tmp_path / name
+            path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+            return path
+
+        header = "system_name,field_name,institution_id,rank"
+        config = RunConfig(
+            publications=fixtures_dir / "publications.csv",
+            journals=fixtures_dir / "journals.csv",
+            taxonomy=fixtures_dir / "taxonomy.csv",
+            windows=(TimeWindow(2008, 2012),),
+            out_dir=tmp_path / "out",
+            external_rankings=write("external.csv", header, external),
+            national_rankings=write("national.csv", header,
+                                    [f"nat,f,u{k},{k}" for k in range(1, 5)]),
+            crosswalk=write("crosswalk.csv",
+                            "source_system,source_field,target_system,target_field",
+                            crosswalk),
+            national_system="nat",
+        )
+        [path] = run_compare(config)
+        text = path.read_text(encoding="utf-8")
+        return [l for l in text.splitlines() if not l.startswith("#")][1]
+
+    def test_international_target_restricted_to_national_system(self, tmp_path,
+                                                                fixtures_dir):
+        # Restricted, a is u1, u4, u2 (s = 3) and b is u3, u2, u1, u4 with
+        # competition ranks 1-4: rho over ranks (1,2,3) vs (3,4,2) is -0.5, and
+        # u1 and u2 sit in b's top 3. Unrestricted, b would rank them 5 and 4.
+        external = ["a,f,u1,1", "a,f,u4,2", "a,f,u2,3", "a,f,y,4",
+                    "b,f,x1,1", "b,f,u3,2", "b,f,x2,3", "b,f,u2,4", "b,f,u1,5", "b,f,u4,6"]
+        row = self.report_row(tmp_path, fixtures_dir, external, ["a,f,b,f"])
+        assert row == "f,f,3,-0.500,2,3,0.666667"
+
+    def test_national_system_names_the_national_tables(self, tmp_path, fixtures_dir):
+        # The external system "nat" reverses the national order; the national
+        # tables win the name.
+        external = ["a,f,u1,1", "a,f,u2,2", "a,f,u3,3",
+                    "nat,f,u3,1", "nat,f,u2,2", "nat,f,u1,3"]
+        row = self.report_row(tmp_path, fixtures_dir, external, ["a,f,nat,f"])
+        assert row == "f,f,3,1.000,3,3,1.000000"

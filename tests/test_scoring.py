@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from bibliorank.errors import InputError
 from bibliorank.indicators import IndicatorSet
 from bibliorank.scoring import IndexScore, classify_quadrants, score, score_field
 
@@ -51,10 +50,6 @@ class TestScore:
 
 
 class TestScoreField:
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            score_field({})
-
     def test_single_and_identical(self):
         ind = make_indicators("a")
         scores = score_field({"a": ind, "b": make_indicators("b")})
