@@ -176,6 +176,9 @@ def load_external_rankings(path: str | Path) -> dict[tuple[str, str], RankingTab
 
 
 def restrict_to_system(table: RankingTable, system_institutions: set[str]) -> RankingTable:
-    """Filter a table to a set of institutions, preserving rank values and order."""
+    """Filter a table to a set of institutions, preserving rank values and order.
+    A table that keeps every entry is returned as it is, not copied."""
     kept = tuple(e for e in table.entries if e.institution_id in system_institutions)
+    if len(kept) == len(table.entries):
+        return table
     return RankingTable(table.system_name, table.field_name, kept)

@@ -1,3 +1,4 @@
+import gc
 import json
 import shutil
 
@@ -6,7 +7,8 @@ from click.testing import CliRunner
 
 from bibliorank import pipeline
 from bibliorank.cli import main
-from bibliorank.pipeline import load_config, run_rank
+from bibliorank.errors import InputError
+from bibliorank.pipeline import load_config, run_compare, run_rank
 
 
 @pytest.fixture
@@ -31,6 +33,20 @@ def edit_config(workspace, **changes):
     config = json.loads(path.read_text(encoding="utf-8"))
     config.update(changes)
     path.write_text(json.dumps(config), encoding="utf-8")
+
+
+def watch_live_field_results(monkeypatch) -> list[int]:
+    """At each call of compute_indicators, append the number of live
+    FieldResult objects to the returned list."""
+    live: list[int] = []
+    real = pipeline.compute_indicators
+
+    def counting(*args, **kwargs):
+        live.append(sum(isinstance(o, pipeline.FieldResult) for o in gc.get_objects()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "compute_indicators", counting)
+    return live
 
 
 class TestValidate:
@@ -223,6 +239,33 @@ class TestRank:
         run_rank(config)
         assert calls == {"load_publications": 1, "load_journals": 1, "load_taxonomy": 1}
 
+    def test_holds_one_field_result_at_a_time(self, workspace, monkeypatch):
+        live = watch_live_field_results(monkeypatch)
+        written = run_rank(load_config(workspace / "config.json"))
+        assert len(written) == 18  # 3 fields x 3 files x 2 windows
+        assert len(live) == 6 and max(live) <= 1, live
+
+    @pytest.mark.parametrize("failing", ["compute_indicators", "_atomic_write"])
+    def test_collector_thresholds_restored(self, workspace, monkeypatch, failing):
+        # the per-field loop raises the third threshold; an exception raised
+        # in the loop, or in the caller while the loop is suspended, restores it
+        before = gc.get_threshold()
+        config = load_config(workspace / "config.json")
+        seen = []
+        real = getattr(pipeline, failing)
+
+        def fail_second_call(*args, **kwargs):
+            seen.append(gc.get_threshold())
+            if len(seen) == 2:
+                raise InputError("stop")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, failing, fail_second_call)
+        with pytest.raises(InputError, match="stop"):
+            run_rank(config)
+        assert seen[0] == (before[0], before[1], before[2] * 100)
+        assert gc.get_threshold() == before
+
     def test_window_override_flag(self, workspace):
         result = run_cli("rank", "--config", str(workspace / "config.json"),
                          "--window", "2010:2012")
@@ -325,6 +368,18 @@ class TestCompare:
         result = run_cli("compare", "--config", str(workspace / "config.json"))
         assert result.exit_code == 1
         assert "zero field pairs" in result.output
+
+    def test_no_national_file_holds_one_field_result_at_a_time(self, workspace, monkeypatch):
+        edit_config(workspace, national_rankings=None)
+        (workspace / "crosswalk.csv").write_text(
+            "source_system,source_field,target_system,target_field\n"
+            "shanghai,overall,national,Computer Science\n",
+            encoding="utf-8",
+        )
+        live = watch_live_field_results(monkeypatch)
+        written = run_compare(load_config(workspace / "config.json"))
+        assert [p.name for p in written] == ["concordance_shanghai_national.csv"]
+        assert len(live) == 3 and max(live) <= 1, live
 
     def test_compare_rerun_is_byte_identical(self, workspace):
         run_cli("compare", "--config", str(workspace / "config.json"))

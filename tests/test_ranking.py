@@ -164,6 +164,19 @@ class TestRestrictToSystem:
         kept = [e.institution_id for e in restricted.entries]
         assert kept == sorted(kept, key=source_pos.__getitem__)
 
+    def test_fully_kept_table_is_not_copied(self, fixtures_dir):
+        table = load_external_rankings(fixtures_dir / "external_rankings.csv")[("ntu", "overall")]
+        assert restrict_to_system(table, table.institution_ids() | {"elsewhere"}) is table
+
+    def test_partly_kept_table_keeps_order_and_ranks(self, fixtures_dir):
+        table = load_external_rankings(
+            fixtures_dir / "external_rankings.csv")[("shanghai", "overall")]
+        dropped = table.entries[1].institution_id
+        restricted = restrict_to_system(table, table.institution_ids() - {dropped})
+        assert (restricted.system_name, restricted.field_name) == ("shanghai", "overall")
+        assert restricted.entries == tuple(e for e in table.entries
+                                           if e.institution_id != dropped)
+
     def test_idempotent(self, fixtures_dir):
         tables = load_external_rankings(fixtures_dir / "external_rankings.csv")
         table = tables[("shanghai", "overall")]
