@@ -145,7 +145,7 @@ def compare_pair(source: RankingTable, target: RankingTable,
     """
     target_ranks = target.competition_ranks()
     joined = [e for e in source.entries if e.institution_id in target_ranks]
-    x = [e.rank.effective for e in joined]
+    x = [e.rank for e in joined]
     y = [float(target_ranks[e.institution_id]) for e in joined]
     try:
         rho: float | None = spearman_rho(x, y, min_n=min_n)

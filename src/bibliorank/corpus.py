@@ -19,6 +19,8 @@ from .errors import ConfigError, InputError
 
 YEAR_MIN = 1900
 YEAR_MAX = 2100
+# Keeps NDOC*NCIT*H and NCIT/NDOC finite for any corpus that fits in memory.
+CITATIONS_MAX = 10**9
 
 PUBLICATION_COLUMNS = ("record_id", "institution_id", "year", "journal_id", "citations")
 PUBLICATION_FORMATS = ("csv", "jsonl")
@@ -92,9 +94,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.publications)
-
-    def citations(self) -> list[int]:
-        return [p.citations for p in self.publications]
 
 
 @contextmanager
@@ -195,6 +194,8 @@ def _check_record(cells: Sequence[str | None], line: int,
     citations = _parse_int(citations_text, "citations", line)
     if citations < 0:
         raise InputError(f"negative citations ({citations})", line)
+    if citations > CITATIONS_MAX:
+        raise InputError(f"citations {citations} above sanity bound {CITATIONS_MAX}", line)
     # record_id is unique, so it is not memoized.
     return PublicationRecord(record_id, *memoize_checked(
         memos, cells[1:], (institution_id, year, journal_id, citations)))

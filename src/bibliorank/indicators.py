@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .corpus import Corpus, JournalProfile
@@ -31,15 +30,6 @@ class IndicatorSet(NamedTuple):
     topcit: float
 
 
-@dataclass(frozen=True)
-class FieldCitationThreshold:
-    """Citation count at the top-10% boundary of a pooled field corpus."""
-
-    field_name: str
-    pool_size: int
-    threshold: int
-
-
 def _h_of_ascending(cites: Sequence[int]) -> int:
     """Largest h such that at least h papers have >= h citations each, for
     citation counts sorted ascending."""
@@ -51,18 +41,14 @@ def _h_of_ascending(cites: Sequence[int]) -> int:
     return h
 
 
-def top10_threshold(field_corpus: Corpus, field_name: str = "") -> FieldCitationThreshold:
-    """Citation count of the ceil(0.10 * N)-th most cited paper in the pool.
+def top10_threshold(field_corpus: Corpus) -> int:
+    """Citation count of the ceil(0.10 * N)-th most cited of N >= 1 papers.
 
     Papers with citations >= threshold are the field's top papers; boundary
     ties are all included.
     """
-    pool = sorted(field_corpus.citations(), reverse=True)
-    n = len(pool)
-    if n == 0:
-        return FieldCitationThreshold(field_name, 0, 0)
-    k = -(-n // 10)
-    return FieldCitationThreshold(field_name, n, pool[k - 1])
+    pool = sorted((p.citations for p in field_corpus.publications), reverse=True)
+    return pool[-(-len(pool) // 10) - 1]
 
 
 def _is_q1(journal: JournalProfile, year: int, field_categories: frozenset[str] | None,
@@ -87,13 +73,15 @@ def _is_q1(journal: JournalProfile, year: int, field_categories: frozenset[str] 
     return False, misses
 
 
-def compute_indicators(field_corpus: Corpus, threshold: FieldCitationThreshold,
+def compute_indicators(field_corpus: Corpus, threshold: int,
                        field_categories: frozenset[str] | None = None,
                        q1_policy: str = "any-relevant",
-                       missing_quartile: str = "warn") -> dict[str, IndicatorSet]:
+                       missing_quartile: str = "warn",
+                       field_name: str = "") -> dict[str, IndicatorSet]:
     """All six indicators per institution with at least one paper in the field.
 
-    ``threshold`` must come from the same field corpus. Under the
+    ``threshold`` must come from ``top10_threshold`` of the same field corpus;
+    ``field_name`` names the field in the quartile-miss warning. Under the
     "any-relevant" policy a paper is Q1 if its journal is first-quartile in
     some category belonging to the field, for the paper's year; "best-all"
     considers every category of the journal. ``RunConfig.validate`` checks
@@ -126,16 +114,13 @@ def compute_indicators(field_corpus: Corpus, threshold: FieldCitationThreshold,
         cites.sort()
         ndoc = len(cites)
         ncit = sum(cites)
-        if threshold.pool_size > 0:
-            top_count = ndoc - bisect_left(cites, threshold.threshold)
-            topcit = top_count / ndoc
-        else:
-            topcit = 0.0
+        top_count = ndoc - bisect_left(cites, threshold)
         out[inst] = IndicatorSet(inst, ndoc, ncit, _h_of_ascending(cites),
-                                 q1_by_inst[inst] / ndoc, ncit / ndoc, topcit)
+                                 q1_by_inst[inst] / ndoc, ncit / ndoc, top_count / ndoc)
     if total_misses:
+        # perfbench's tracer reads the miss count as the second argument.
         log.warning(
             "field %s: %d quartile lookup(s) missing, counted as not-Q1",
-            threshold.field_name or "<unnamed>", total_misses,
+            field_name or "<unnamed>", total_misses,
         )
     return out

@@ -208,10 +208,12 @@ def _load_crosswalks(config: RunConfig, external: Mapping[tuple[str, str], Ranki
 
     InputError if two system pairs would write the same file, or if a pair
     names a system that is neither ``config.national_system`` nor one of the
-    ``external`` tables' systems.
+    ``external`` tables' systems, or if the file defines no pair at all.
     """
     crosswalks = sorted(load_crosswalk(config.crosswalk),
                         key=lambda c: (c.source_system, c.target_system))
+    if not crosswalks:
+        raise InputError("crosswalk file defines no system pairs")
     stems = [f"{slugify(cw.source_system)}_{slugify(cw.target_system)}" for cw in crosswalks]
     _check_stems(((stem, f"{cw.source_system!r}->{cw.target_system!r}")
                   for stem, cw in zip(stems, crosswalks)), "system pairs")
@@ -282,7 +284,7 @@ def run_validate(config: RunConfig) -> ValidationReport:
     external = ({} if config.external_rankings is None
                 else load_external_rankings(config.external_rankings))
     if config.national_rankings is not None:
-        load_external_rankings(config.national_rankings)
+        _supplied_national_tables(config, load_external_rankings(config.national_rankings))
     if config.crosswalk is not None:
         _load_crosswalks(config, external)
     retained: dict[str, int] = {}
@@ -338,12 +340,12 @@ def _field_result(config: RunConfig, taxonomy: FieldTaxonomy, fc: Corpus,
                   name: str) -> FieldResult:
     # Its own function so that the generator's frame, suspended at a yield,
     # keeps none of these intermediate mappings alive.
-    threshold = top10_threshold(fc, field_name=name)
     indicators = compute_indicators(
-        fc, threshold,
+        fc, top10_threshold(fc),
         field_categories=taxonomy.categories_by_field[name],
         q1_policy=config.q1_policy,
         missing_quartile=config.missing_quartile,
+        field_name=name,
     )
     scores = score_field(indicators)
     return FieldResult(
@@ -443,20 +445,27 @@ def _report_csv(report: ConcordanceReport, header: str) -> str:
     return buf.getvalue()
 
 
+def _supplied_national_tables(config: RunConfig,
+                              tables: Mapping[tuple[str, str], RankingTable]
+                              ) -> dict[str, RankingTable]:
+    """The national system's tables by field, from the loaded national file:
+    those of ``config.national_system``, or of the file's only system."""
+    systems = {system for system, _ in tables}
+    if config.national_system in systems:
+        chosen = config.national_system
+    elif len(systems) == 1:
+        chosen = next(iter(systems))
+    else:
+        raise ConfigError(
+            f"national rankings file holds systems {sorted(systems)}; "
+            f"none match national_system={config.national_system!r}"
+        )
+    return {f: t for (s, f), t in tables.items() if s == chosen}
+
+
 def _national_tables(config: RunConfig) -> dict[str, RankingTable]:
     if config.national_rankings is not None:
-        tables = load_external_rankings(config.national_rankings)
-        systems = {system for system, _ in tables}
-        if config.national_system in systems:
-            chosen = config.national_system
-        elif len(systems) == 1:
-            chosen = next(iter(systems))
-        else:
-            raise ConfigError(
-                f"national rankings file holds systems {sorted(systems)}; "
-                f"none match national_system={config.national_system!r}"
-            )
-        return {f: t for (s, f), t in tables.items() if s == chosen}
+        return _supplied_national_tables(config, load_external_rankings(config.national_rankings))
     # No supplied national tables: rank internally over the first window.
     # Keep each field's table only; the rest of its results go at once.
     tables = {t.field_name: t for t in map(attrgetter("table"), compute_field_results(
@@ -479,8 +488,6 @@ def run_compare(config: RunConfig) -> list[Path]:
         raise ConfigError("compare requires external_rankings and crosswalk paths")
     external = load_external_rankings(config.external_rankings)
     crosswalks = _load_crosswalks(config, external)
-    if not crosswalks:
-        raise InputError("crosswalk file defines no system pairs")
     natl_tables = _national_tables(config)
     system_set = set().union(*(t.institution_ids() for t in natl_tables.values()))
     tables: dict[str, dict[str, RankingTable]] = {}

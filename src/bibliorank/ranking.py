@@ -2,9 +2,9 @@
 published league tables whose positions may be exact ("89") or interval
 ("201-300").
 
-Interval ranks resolve to their midpoint for all quantitative use;
-institutions sharing an interval become exact ties. Internally built tables
-use competition ranking ("1,2,2,4").
+A loaded rank is kept as its effective value, the position or the
+interval's midpoint; institutions sharing an interval become exact ties.
+Internally built tables use competition ranking ("1,2,2,4").
 """
 
 from __future__ import annotations
@@ -26,57 +26,27 @@ _RANK_RE = re.compile(r"^(\d+)(?:-(\d+))?$")
 EXTERNAL_COLUMNS = ("system_name", "field_name", "institution_id", "rank")
 
 
-class ExactRank(NamedTuple):
-    """A position >= 1: ``parse_rank`` checks text, ``build_ranking`` counts from 1."""
-
-    position: int
-
-    @property
-    def effective(self) -> float:
-        return float(self.position)
-
-    def __str__(self) -> str:
-        return str(self.position)
-
-
-class IntervalRank(NamedTuple):
-    """A published band "LO-HI" with 1 <= lo <= hi; ``parse_rank`` checks text."""
-
-    lo: int
-    hi: int
-
-    @property
-    def effective(self) -> float:
-        return (self.lo + self.hi) / 2
-
-    def __str__(self) -> str:
-        return f"{self.lo}-{self.hi}"
-
-
-RankValue = ExactRank | IntervalRank
-
-
-def parse_rank(text: str) -> RankValue:
-    """Parse "N" into an exact rank or "LO-HI" into an interval rank."""
+def parse_rank(text: str) -> float:
+    """The effective rank of "N" (N itself) or of a band "LO-HI" (its midpoint)."""
     m = _RANK_RE.match(text.strip())
     if m is None:
         raise InputError(f"malformed rank {text!r} (expected 'N' or 'LO-HI')")
     lo = int(m.group(1))
-    if m.group(2) is None:
-        if lo < 1:
-            raise InputError(f"rank position must be >= 1, got {lo}")
-        return ExactRank(lo)
-    hi = int(m.group(2))
+    hi = lo if m.group(2) is None else int(m.group(2))
     if lo < 1:
-        raise InputError(f"rank interval start must be >= 1, got {lo}")
+        what = "position" if m.group(2) is None else "interval start"
+        raise InputError(f"rank {what} must be >= 1, got {lo}")
     if lo > hi:
         raise InputError(f"rank interval {lo}-{hi} has lo > hi")
-    return IntervalRank(lo, hi)
+    try:
+        return (lo + hi) / 2
+    except OverflowError:
+        raise InputError(f"rank {text.strip()!r} is too large for a float") from None
 
 
 class RankEntry(NamedTuple):
     institution_id: str
-    rank: RankValue
+    rank: float  # effective: a built table's int rank, a loaded position or band midpoint
     score: float | None = None
 
 
@@ -102,7 +72,7 @@ class RankingTable:
 
     @cached_property
     def _competition_ranks(self) -> Mapping[str, int]:
-        ranks = competition_ranks([e.rank.effective for e in self.entries])
+        ranks = competition_ranks([e.rank for e in self.entries])
         return MappingProxyType({e.institution_id: r for e, r in zip(self.entries, ranks)})
 
 
@@ -129,7 +99,7 @@ def build_ranking(scores: Mapping[str, IndexScore], system_name: str,
     ordered.sort(key=attrgetter("ifq2a"), reverse=True)
     keys = [s.ifq2a for s in ordered]
     entries = tuple(map(RankEntry, [s.institution_id for s in ordered],
-                        map(ExactRank, competition_ranks(keys)), keys))
+                        competition_ranks(keys), keys))
     return RankingTable(system_name, field_name, entries)
 
 
@@ -142,36 +112,34 @@ def _check_ranking_row(cells: Sequence[str | None], line: int,
         rank = parse_rank(cells[3] or "")
     except (InputError, ValueError) as exc:  # ValueError: too many digits for int
         raise InputError(str(exc), line) from None
-    return memoize_checked(memos, cells, (system, field, inst, (rank.effective, rank)))
+    return memoize_checked(memos, cells, (system, field, inst, rank))
 
 
 def load_external_rankings(path: str | Path) -> dict[tuple[str, str], RankingTable]:
     """Load every (system, field) table from an external-ranking CSV."""
-    # One memo per column (see memoize_checked); the rank's holds the
-    # effective value and the immutable rank value that rows share.
+    # One memo per column (see memoize_checked), so rows share one float.
     memos: tuple[dict, ...] = ({}, {}, {}, {})
     system_memo, field_memo, inst_memo, rank_memo = memos
-    rows: dict[tuple[str, str], list[tuple[float, RankEntry]]] = {}
+    rows: dict[tuple[str, str], list[RankEntry]] = {}
     for line, cells in read_csv(path, EXTERNAL_COLUMNS, "external ranking"):
         raw_system, raw_field, raw_inst, raw_rank = cells
         try:
-            system, field, inst, (effective, rank) = (
-                system_memo[raw_system], field_memo[raw_field], inst_memo[raw_inst],
-                rank_memo[raw_rank])
+            system, field, inst, rank = (system_memo[raw_system], field_memo[raw_field],
+                                         inst_memo[raw_inst], rank_memo[raw_rank])
         except KeyError:  # a cell not checked yet
-            system, field, inst, (effective, rank) = _check_ranking_row(cells, line, memos)
-        rows.setdefault((system, field), []).append((effective, RankEntry(inst, rank)))
+            system, field, inst, rank = _check_ranking_row(cells, line, memos)
+        rows.setdefault((system, field), []).append(RankEntry(inst, rank))
     tables: dict[tuple[str, str], RankingTable] = {}
-    for (system, field), keyed in rows.items():
+    for (system, field), entries in rows.items():
         # Stable sort by effective rank keeps file order among exact ties.
-        entries = tuple(e for _, e in sorted(keyed, key=itemgetter(0)))
+        entries.sort(key=itemgetter(1))
         ids = [e.institution_id for e in entries]
         if len(set(ids)) != len(ids):
             dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
             raise InputError(
                 f"duplicate institution(s) in table {system}/{field}: {', '.join(dupes)}"
             )
-        tables[system, field] = RankingTable(system, field, entries)
+        tables[system, field] = RankingTable(system, field, tuple(entries))
     return tables
 
 

@@ -101,10 +101,8 @@ def assign_fields(corpus: Corpus, taxonomy: FieldTaxonomy) -> FieldAssignment:
 def field_corpus(corpus: Corpus, assignment: FieldAssignment, field: str) -> Corpus:
     """Project the corpus onto one field; the journal mapping is shared.
 
-    ``assignment`` must come from ``assign_fields`` over the same corpus.
+    ``assignment`` must come from ``assign_fields`` over the same corpus, and
+    ``field`` from the taxonomy it was built with.
     """
-    try:
-        kept = assignment.records_by_field[field]
-    except KeyError:
-        raise InputError(f"unknown field {field!r}") from None
-    return Corpus(publications=kept, journals=corpus.journals, window=corpus.window)
+    return Corpus(publications=assignment.records_by_field[field],
+                  journals=corpus.journals, window=corpus.window)

@@ -121,6 +121,16 @@ class TestValidate:
         (lambda ws: (ws / "external_rankings.csv").write_text(
             "system_name,field_name,institution_id,rank\ns,f,i," + "1" * 5000 + "\n"),
          (), 1, "line 2: "),
+        (lambda ws: (ws / "external_rankings.csv").write_text(
+            "system_name,field_name,institution_id,rank\ns,f,i,1" + "0" * 400 + "\n"),
+         (), 1, "line 2: rank '1" + "0" * 400 + "' is too large for a float"),
+        (lambda ws: (ws / "external_rankings.csv").write_text(
+            "system_name,field_name,institution_id,rank\ns,f,i,1-1" + "0" * 400 + "\n"),
+         (), 1, "line 2: rank '1-1" + "0" * 400 + "' is too large for a float"),
+        (lambda ws: (ws / "publications.csv").write_text(
+            "record_id,institution_id,year,journal_id,citations\n"
+            "r1,u,2010,J-CS-A,1" + "0" * 400 + "\n"),
+         (), 1, "line 2: citations 1" + "0" * 400 + " above sanity bound 1000000000"),
         (lambda ws: edit_config(ws, missing_quartile="nonsense"), (), 2,
          "missing_quartile must be one of"),
         (lambda ws: edit_config(ws, missing_national="nonsense"), (), 2,
@@ -134,7 +144,8 @@ class TestValidate:
             "path_number", "out_dir_number", "windows_number", "national_system_list",
             "policy_null", "window_year_bool", "min_n_bool", "csv_field_too_large",
             "csv_nul_byte", "jsonl_nested_too_deep", "jsonl_integer_too_long",
-            "rank_too_long", "missing_quartile", "missing_national",
+            "rank_too_long", "rank_too_large", "band_too_large", "citations_too_large",
+            "missing_quartile", "missing_national",
             "equal_length_windows", "repeated_window_flag"])
     def test_boundary_fault_exit_code(self, workspace, setup, args, code, message):
         setup(workspace)
@@ -168,6 +179,23 @@ class TestValidate:
         assert result.exit_code == 1, result.output
         assert result.output.startswith(
             "error: system pair 'zzz'->'national' names unknown system 'zzz'"), result.output
+
+    @pytest.mark.parametrize("command", ["validate", "compare"])
+    @pytest.mark.parametrize("name, text, code, message", [
+        ("national_rankings.csv", "system_name,field_name,institution_id,rank\n"
+         "natA,overall,Barcelona,1\nnatB,overall,Barcelona,1\n", 2,
+         "configuration error: national rankings file holds systems ['natA', 'natB']; "
+         "none match national_system='national'"),
+        ("crosswalk.csv", "source_system,source_field,target_system,target_field\n", 1,
+         "error: crosswalk file defines no system pairs"),
+    ], ids=["no_national_system", "header_only_crosswalk"])
+    def test_validate_runs_compare_checks(self, workspace, command, name, text, code,
+                                          message):
+        (workspace / name).write_text(text, encoding="utf-8")
+        result = run_cli(command, "--config", str(workspace / "config.json"))
+        assert result.exit_code == code, result.output
+        assert result.output.startswith(message), result.output
+        assert not (workspace / "out").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("min_n", "abc"),

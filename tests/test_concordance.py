@@ -22,13 +22,7 @@ from bibliorank.concordance import (
 from bibliorank.corpus import TimeWindow
 from bibliorank.errors import ConstantInputError, InputError, InsufficientDataError
 from bibliorank.pipeline import RunConfig, load_config, run_compare
-from bibliorank.ranking import (
-    ExactRank,
-    RankEntry,
-    RankingTable,
-    load_external_rankings,
-    restrict_to_system,
-)
+from bibliorank.ranking import RankEntry, RankingTable, load_external_rankings, restrict_to_system
 
 
 def closed_form(x, y):
@@ -40,7 +34,7 @@ def closed_form(x, y):
 
 def exact_table(pairs, system="s", field="f"):
     entries = tuple(
-        RankEntry(inst, ExactRank(rank))
+        RankEntry(inst, rank)
         for inst, rank in sorted(pairs, key=lambda p: p[1])
     )
     return RankingTable(system, field, entries)
@@ -128,9 +122,9 @@ class TestAgreementLevel:
         intl = exact_table([("a", 10), ("b", 20)])  # s = 2
         # national competition ranks 1, 2, 2: the tie at rank 2 stays <= s
         natl = RankingTable("n", "f", (
-            RankEntry("x", ExactRank(1)),
-            RankEntry("a", ExactRank(2)),
-            RankEntry("b", ExactRank(2)),
+            RankEntry("x", 1),
+            RankEntry("a", 2),
+            RankEntry("b", 2),
         ))
         fraction = agreement_level(intl, natl)
         assert (fraction.numerator, fraction.denominator) == (2, 2)
@@ -162,9 +156,9 @@ class TestAgreementLevel:
         intl = exact_table([("a", 1), ("b", 2), ("c", 3)])
         natl = exact_table([("b", 1), ("d", 2), ("a", 3), ("c", 4)])
         rename = {"a": "W", "b": "X", "c": "Y", "d": "Z"}
-        intl2 = exact_table([(rename[e.institution_id], e.rank.position)
+        intl2 = exact_table([(rename[e.institution_id], e.rank)
                              for e in intl.entries])
-        natl2 = exact_table([(rename[e.institution_id], e.rank.position)
+        natl2 = exact_table([(rename[e.institution_id], e.rank)
                              for e in natl.entries])
         assert agreement_level(intl, natl) == agreement_level(intl2, natl2)
 
@@ -192,7 +186,7 @@ class TestComparePair:
         tables = load_external_rankings(fixtures_dir / "external_rankings.csv")
         national = load_external_rankings(fixtures_dir / "national_rankings.csv")
         system = set().union(*(t.institution_ids() for t in national.values()))
-        effective = {s: {e.institution_id: e.rank.effective for e in t.entries
+        effective = {s: {e.institution_id: e.rank for e in t.entries
                          if e.institution_id in system}
                      for (s, _), t in tables.items()}
         for a, b in itertools.combinations(["shanghai", "leiden", "qs", "ntu"], 2):

@@ -354,6 +354,8 @@ def reference_publications(path, format):
         citations = _reference_int(citations_text, "citations", line)
         if citations < 0:
             raise InputError(f"negative citations ({citations})", line)
+        if citations > 10**9:
+            raise InputError(f"citations {citations} above sanity bound 1000000000", line)
         if record_id in seen:
             raise InputError(f"duplicate record_id {record_id!r} "
                              f"(first seen at line {seen[record_id]})", line)
@@ -403,7 +405,7 @@ def reference_rankings(path):
         if dupes:
             raise InputError(f"duplicate institution(s) in table {system}/{field}: "
                              f"{', '.join(dupes)}")
-        tables[system, field] = sorted(entries, key=lambda e: e.rank.effective)
+        tables[system, field] = sorted(entries, key=lambda e: e.rank)
     return tables
 
 
@@ -455,9 +457,9 @@ IDS = ["I1", " I1", "I1 ", "I2", "I3"]
 @given(
     rows=rows_then_fault(
         valid=[[UNIQUE] * 4 + [" r0", "r0 "], IDS, ["2010", " 2010", "2010 ", "2011"], IDS,
-               ["0", "5", " 5", "5 ", "12"]],
+               ["0", "5", " 5", "5 ", "12", "1000000000"]],
         faults=[BLANK, BLANK, ["5", "1899", "2101", "x", "20 10", *BLANK], BLANK,
-                ["-1", "x", *BLANK]]),
+                ["-1", "1000000001", "x", *BLANK]]),
     format=st.sampled_from(["csv", "jsonl"]),
 )
 def test_load_publications_matches_per_row_reference(rows, format):

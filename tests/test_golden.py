@@ -23,14 +23,36 @@ def data_rows_sha256(path: Path) -> str:
     return hashlib.sha256(b"".join(l for l in lines if not l.startswith(b"#"))).hexdigest()
 
 
+FIELDS = ("Artificial Intelligence", "Computer Science", "Physics")
+
+# One external table per fixture field over the fixture institutions and one
+# outside them, with shared bands; compare ranks the national side itself.
+LEAGUE_CSV = "system_name,field_name,institution_id,rank\n" + "".join(
+    f"league,{field},{inst},{rank}\n" for field in FIELDS for inst, rank in (
+        ("UnivB", "1"), ("UnivD", "2-3"), ("Outside", "2-3"), ("UnivA", "4"),
+        ("UnivC", "5-9"), ("UnivE", "5-9")))
+LEAGUE_CROSSWALK_CSV = "source_system,source_field,target_system,target_field\n" + "".join(
+    f"{a},{field},{b},{field}\n" for a, b in (("league", "national"), ("national", "league"))
+    for field in FIELDS)
+
+
 def fixture_row_digests(out: Path) -> dict[str, str]:
-    """rank + compare on fixtures/config.json, and rank with no national file
-    under best-all; keyed by output path relative to ``out``."""
+    """rank + compare on fixtures/config.json, rank with no national file
+    under best-all, and compare of the league tables above with no national
+    file; keyed by output path relative to ``out``."""
     config = load_config(FIXTURES / "config.json")
     full = replace(config, out_dir=out / "fixtures")
     no_national = replace(config, out_dir=out / "best_all_no_national",
                           national_rankings=None, q1_policy="best-all")
-    paths = run_rank(full) + run_compare(full) + run_rank(no_national)
+    inputs = out / "league_inputs"
+    inputs.mkdir()
+    (inputs / "league.csv").write_text(LEAGUE_CSV, encoding="utf-8")
+    (inputs / "crosswalk.csv").write_text(LEAGUE_CROSSWALK_CSV, encoding="utf-8")
+    internal = replace(config, out_dir=out / "league_internal", national_rankings=None,
+                       external_rankings=inputs / "league.csv",
+                       crosswalk=inputs / "crosswalk.csv")
+    paths = (run_rank(full) + run_compare(full) + run_rank(no_national)
+             + run_compare(internal))
     return {p.relative_to(out).as_posix(): data_rows_sha256(p) for p in paths}
 
 

@@ -5,11 +5,7 @@ from hypothesis import given, strategies as st
 
 from bibliorank.corpus import Corpus, JournalProfile, PublicationRecord, TimeWindow
 from bibliorank.errors import QuartileLookupError
-from bibliorank.indicators import (
-    FieldCitationThreshold,
-    compute_indicators,
-    top10_threshold,
-)
+from bibliorank.indicators import compute_indicators, top10_threshold
 
 from conftest import make_corpus, make_journal
 
@@ -30,9 +26,10 @@ def h_of(citations):
 
 class TestHIndex:
     def test_empty(self):
-        # an institution with no papers gets no indicator row, so no H
+        # an institution with no papers gets no indicator row, so no H; an
+        # empty pool has no top-10% threshold, so any threshold will do
         corpus = make_corpus({"u": []})
-        assert compute_indicators(corpus, top10_threshold(corpus)) == {}
+        assert compute_indicators(corpus, 0) == {}
 
     def test_all_zero(self):
         assert h_of([0, 0, 0]) == 0
@@ -52,31 +49,23 @@ class TestHIndex:
 class TestTop10Threshold:
     def test_ten_papers(self):
         corpus = make_corpus({"u": [9, 8, 7, 6, 5, 4, 3, 2, 1, 0]})
-        t = top10_threshold(corpus)
-        assert (t.pool_size, t.threshold) == (10, 9)
+        assert top10_threshold(corpus) == 9
 
     def test_singleton(self):
-        t = top10_threshold(make_corpus({"u": [5]}))
-        assert (t.pool_size, t.threshold) == (1, 5)
+        assert top10_threshold(make_corpus({"u": [5]})) == 5
 
     def test_boundary_tie(self):
         pool = [20, 17, 17] + [10] * 12
-        t = top10_threshold(make_corpus({"u": pool}))
-        assert t.pool_size == 15
-        assert t.threshold == 17
-
-    def test_empty_pool(self):
-        t = top10_threshold(make_corpus({}))
-        assert (t.pool_size, t.threshold) == (0, 0)
+        assert top10_threshold(make_corpus({"u": pool})) == 17
 
     @given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=80))
     def test_matches_sort_and_index_oracle(self, pool):
         t = top10_threshold(make_corpus({"u": pool}))
         ranked = sorted(pool, reverse=True)
         k = math.ceil(0.10 * len(pool))
-        assert t.threshold == ranked[k - 1]
+        assert t == ranked[k - 1]
         # inclusive >= rule can only grow the top set past k
-        assert sum(1 for c in pool if c >= t.threshold) >= k
+        assert sum(1 for c in pool if c >= t) >= k
 
 
 class TestComputeIndicators:
@@ -86,7 +75,7 @@ class TestComputeIndicators:
             "y": [8, 7, 6, 5, 4, 3, 2, 1],
         })
         t = top10_threshold(corpus)
-        assert t.threshold == 9
+        assert t == 9
         ind = compute_indicators(corpus, t)["x"]
         assert ind.ndoc == 2
         assert ind.ncit == 9
@@ -154,9 +143,9 @@ class TestComputeIndicators:
                    for i, inst in enumerate("uuuvv")]
         records.append(PublicationRecord("r9", "v", 2011, "J", 0))
         corpus = Corpus(tuple(records), {"J": journal}, TimeWindow(2008, 2012))
-        t = top10_threshold(corpus, field_name="F")
+        t = top10_threshold(corpus)
         with caplog.at_level("WARNING", logger="bibliorank.indicators"):
-            result = compute_indicators(corpus, t, missing_quartile="warn")
+            result = compute_indicators(corpus, t, missing_quartile="warn", field_name="F")
         assert [r.getMessage() for r in caplog.records] == [
             "field F: 10 quartile lookup(s) missing, counted as not-Q1"
         ]
@@ -187,11 +176,6 @@ class TestComputeIndicators:
         corpus = make_corpus({"a": [1]})
         assert set(compute_indicators(corpus, top10_threshold(corpus))) == {"a"}
 
-    def test_topcit_zero_for_empty_pool_threshold(self):
-        corpus = make_corpus({"a": [3]})
-        empty = FieldCitationThreshold("f", 0, 0)
-        assert compute_indicators(corpus, empty)["a"].topcit == 0.0
-
     def test_replication_keeps_ratios_scales_counts(self):
         # distinct citations, pool size a multiple of 10: threshold is tie-free
         base = {"a": [50, 40, 30, 20], "b": [45, 35, 25, 15, 10, 5]}
@@ -201,7 +185,7 @@ class TestComputeIndicators:
         corpusk = make_corpus(replicated)
         t1 = top10_threshold(corpus1)
         tk = top10_threshold(corpusk)
-        assert t1.threshold == tk.threshold
+        assert t1 == tk
         ind1 = compute_indicators(corpus1, t1)
         indk = compute_indicators(corpusk, tk)
         for inst in base:
@@ -227,7 +211,7 @@ def brute_force_indicators(corpus, threshold, field_categories, q1_policy):
         papers = [rec for rec in corpus.publications if rec.institution_id == inst]
         cites = [rec.citations for rec in papers]
         ndoc, ncit = len(papers), sum(cites)
-        top = sum(1 for c in cites if c >= threshold.threshold)
+        top = sum(1 for c in cites if c >= threshold)
         out[inst] = (ndoc, ncit, brute_force_h(cites),
                      sum(1 for rec in papers if is_q1(rec)) / ndoc, ncit / ndoc, top / ndoc)
     return out

@@ -5,8 +5,6 @@ from hypothesis import given, strategies as st
 
 from bibliorank.errors import InputError
 from bibliorank.ranking import (
-    ExactRank,
-    IntervalRank,
     RankEntry,
     RankingTable,
     build_ranking,
@@ -23,15 +21,13 @@ def scores_from(values):
 
 class TestRankValue:
     def test_parse_exact(self):
-        assert parse_rank("89") == ExactRank(89)
+        assert parse_rank("89") == 89
 
     def test_parse_interval(self):
-        rank = parse_rank("201-300")
-        assert rank == IntervalRank(201, 300)
-        assert rank.effective == 250.5
+        assert parse_rank("201-300") == 250.5
 
     def test_degenerate_interval_equals_exact(self):
-        assert IntervalRank(7, 7).effective == ExactRank(7).effective == 7.0
+        assert parse_rank("7-7") == parse_rank("7") == 7.0
 
     @pytest.mark.parametrize("text", ["0", "00", "0-5"])
     def test_exact_rank_below_one_rejected(self, text):
@@ -47,20 +43,18 @@ class TestRankValue:
         with pytest.raises(InputError):
             parse_rank(text)
 
-    def test_str_round_trip(self):
-        for text in ["89", "201-300"]:
-            assert str(parse_rank(text)) == text
-
 
 class TestBuildRanking:
     def test_distinct_scores(self):
         table = build_ranking(scores_from([5.0, 3.0, 1.0]), "sys", "f")
-        assert [(e.institution_id, e.rank.position) for e in table.entries] == [
+        assert [(e.institution_id, e.rank) for e in table.entries] == [
             ("u0", 1), ("u1", 2), ("u2", 3)]
 
     def test_competition_ties(self):
         table = build_ranking(scores_from([5.0, 5.0, 1.0]), "sys", "f")
-        assert [e.rank.position for e in table.entries] == [1, 1, 3]
+        assert [e.rank for e in table.entries] == [1, 1, 3]
+        # ints, so that a ranking file prints "1", not "1.0"
+        assert all(type(e.rank) is int for e in table.entries)
 
     def test_matches_argsort_oracle(self):
         rng = random.Random(1)
@@ -70,13 +64,13 @@ class TestBuildRanking:
         ranked_desc = sorted(values, reverse=True)
         for entry in table.entries:
             v = scores[entry.institution_id].ifq2a
-            assert entry.rank.position == ranked_desc.index(v) + 1
+            assert entry.rank == ranked_desc.index(v) + 1
 
     @given(st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=25))
     def test_rank_values_order_independent(self, values):
         scores = scores_from(values)
         permuted = dict(reversed(list(scores.items())))
-        ranks = lambda t: {e.institution_id: e.rank.position for e in t.entries}
+        ranks = lambda t: {e.institution_id: e.rank for e in t.entries}
         assert ranks(build_ranking(scores, "s", "f")) == ranks(
             build_ranking(permuted, "s", "f"))
 
@@ -88,7 +82,7 @@ class TestBuildRanking:
             u: IndexScore(u, s.qnif, s.qlif, 3.0 * s.ifq2a + 1.0)
             for u, s in scores.items()
         }
-        ranks = lambda t: {e.institution_id: e.rank.position for e in t.entries}
+        ranks = lambda t: {e.institution_id: e.rank for e in t.entries}
         assert ranks(build_ranking(scores, "s", "f")) == ranks(
             build_ranking(transformed, "s", "f"))
 
@@ -107,10 +101,9 @@ class TestExternalTables:
         shanghai = tables[("shanghai", "overall")]
         ntu = tables[("ntu", "overall")]
         by_id = {e.institution_id: e.rank for e in shanghai.entries}
-        assert by_id["Barcelona"] == IntervalRank(201, 300)
-        assert by_id["Barcelona"].effective == 250.5
+        assert by_id["Barcelona"] == 250.5
         assert ntu.entries[0].institution_id == "Barcelona"
-        assert ntu.entries[0].rank == ExactRank(89)
+        assert ntu.entries[0].rank == 89
         assert len(ntu) == 13
 
     def test_duplicate_institution_rejected(self, tmp_path):
@@ -149,7 +142,7 @@ class TestRestrictToSystem:
         restricted = restrict_to_system(ntu, spanish)
         assert len(restricted) == 13
         assert restricted.entries[0].institution_id == "Barcelona"
-        assert restricted.entries[0].rank == ExactRank(89)
+        assert restricted.entries[0].rank == 89
 
     def test_empty_filter(self, fixtures_dir):
         tables = load_external_rankings(fixtures_dir / "external_rankings.csv")
@@ -188,15 +181,15 @@ class TestRestrictToSystem:
 class TestCompetitionRanks:
     def test_interval_ties_share_rank(self):
         entries = (
-            RankEntry("a", IntervalRank(201, 300)),
-            RankEntry("b", IntervalRank(201, 300)),
-            RankEntry("c", IntervalRank(301, 400)),
+            RankEntry("a", 250.5),
+            RankEntry("b", 250.5),
+            RankEntry("c", 350.5),
         )
         table = RankingTable("s", "f", entries)
         assert table.competition_ranks() == {"a": 1, "b": 1, "c": 3}
 
     def test_ranks_are_read_only(self):
-        table = RankingTable("s", "f", (RankEntry("a", ExactRank(1)), RankEntry("b", ExactRank(2))))
+        table = RankingTable("s", "f", (RankEntry("a", 1), RankEntry("b", 2)))
         ranks = table.competition_ranks()
         with pytest.raises(TypeError):
             ranks["a"] = 2
@@ -206,7 +199,7 @@ class TestCompetitionRanks:
            .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=25)))
     def test_internal_table_ranks_consistent(self, values):
         table = build_ranking(scores_from(values), "s", "f")
-        stored = {e.institution_id: e.rank.position for e in table.entries}
+        stored = {e.institution_id: e.rank for e in table.entries}
         assert table.competition_ranks() == stored
         for entry in table.entries:
-            assert entry.rank.position == 1 + sum(v > entry.score for v in values)
+            assert entry.rank == 1 + sum(v > entry.score for v in values)

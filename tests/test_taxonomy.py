@@ -158,13 +158,6 @@ class TestFieldCorpus:
         assignment = assign_fields(corpus, taxonomy)
         assert len(field_corpus(corpus, assignment, "G")) == 0
 
-    def test_unknown_field_rejected(self, taxonomy):
-        journal = make_journal("J", categories=("a",))
-        corpus = corpus_with_journals([journal], [])
-        assignment = assign_fields(corpus, taxonomy)
-        with pytest.raises(InputError, match="unknown field"):
-            field_corpus(corpus, assignment, "NOPE")
-
     def test_union_over_fields_covers_assigned_records(self, taxonomy):
         rng = random.Random(11)
         journals = [make_journal(f"J{i}", categories=(rng.choice("abcz"),))
