@@ -47,12 +47,15 @@ class PublicationRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class JournalProfile:
-    """A journal's normalized subject categories and its quartile in {1,2,3,4}
-    per (category, year); a missing pair has no entry."""
+    """A journal's normalized subject categories and, per category, its
+    quartile in {1,2,3,4} by year; a missing year has no entry.
+
+    ``categories`` is ``frozenset(quartiles)``, which ``load_journals`` ensures.
+    """
 
     journal_id: str
     categories: frozenset[str]
-    quartile_by_year: Mapping[tuple[str, int], int]
+    quartiles: Mapping[str, Mapping[int, int]]
 
 
 @dataclass(frozen=True, order=True)
@@ -248,12 +251,16 @@ def _check_journal_row(cells: Sequence[str | None], line: int,
 
 
 def load_journals(path: str | Path) -> dict[str, JournalProfile]:
-    """Load journal profiles from a (journal_id, category, year, quartile) CSV."""
+    """Load journal profiles from a (journal_id, category, year, quartile) CSV.
+
+    A repeated (journal, category, year) must repeat its quartile; a conflict
+    is an error at the later row that names the line of the first.
+    """
     memos: tuple[dict, ...] = ({}, {}, {}, {})
     jid_memo, cat_memo, year_memo, quartile_memo = memos
-    categories: dict[str, set[str]] = {}
-    quartiles: dict[str, dict[tuple[str, int], int]] = {}
-    first_seen: dict[tuple[str, str, int], int] = {}
+    # journal -> category -> year -> quartile. Each row costs one dict entry
+    # and no line record: a conflict reads the file again to name the first.
+    quartiles: dict[str, dict[str, dict[int, int]]] = {}
     for line, cells in read_csv(path, JOURNAL_COLUMNS, "journals"):
         raw_jid, raw_cat, raw_year, raw_quartile = cells
         try:
@@ -261,23 +268,32 @@ def load_journals(path: str | Path) -> dict[str, JournalProfile]:
                                         year_memo[raw_year], quartile_memo[raw_quartile])
         except KeyError:  # a cell not checked yet
             jid, cat, year, quartile = _check_journal_row(cells, line, memos)
-        key = (jid, cat, year)
-        if key in first_seen:
-            existing = quartiles[jid][(cat, year)]
-            if existing != quartile:
-                raise InputError(
-                    f"conflicting quartiles for journal {jid!r}, category {cat!r}, "
-                    f"year {year}: Q{existing} (line {first_seen[key]}) vs Q{quartile}",
-                    line,
-                )
-            continue
-        first_seen[key] = line
-        categories.setdefault(jid, set()).add(cat)
-        quartiles.setdefault(jid, {})[(cat, year)] = quartile
-    return {
-        jid: JournalProfile(jid, frozenset(cats), quartiles[jid])
-        for jid, cats in categories.items()
-    }
+        by_cat = quartiles.get(jid)
+        if by_cat is None:
+            by_cat = quartiles[jid] = {}
+        by_year = by_cat.get(cat)
+        if by_year is None:
+            by_year = by_cat[cat] = {}
+        if by_year.setdefault(year, quartile) != quartile:
+            raise InputError(
+                f"conflicting quartiles for journal {jid!r}, category {cat!r}, "
+                f"year {year}: Q{by_year[year]} "
+                f"(line {_first_journal_line(path, (jid, cat, year), memos)}) vs Q{quartile}",
+                line,
+            )
+    return {jid: JournalProfile(jid, frozenset(by_cat), by_cat)
+            for jid, by_cat in quartiles.items()}
+
+
+def _first_journal_line(path: str | Path, key: tuple[str, str, int],
+                        memos: Sequence[dict]) -> int | None:
+    """The line of the journals file's first row whose normalized (journal_id,
+    category, year) is ``key``. Read again only to word a conflict, so that
+    the load keeps no line per key."""
+    for line, cells in read_csv(path, JOURNAL_COLUMNS, "journals"):
+        if _check_journal_row(cells, line, memos)[:3] == key:
+            return line
+    return None
 
 
 def build_corpus(publications: Sequence[PublicationRecord],

@@ -60,7 +60,7 @@ def _is_q1(journal: JournalProfile, year: int, field_categories: frozenset[str] 
         cats = journal.categories
     misses = 0
     for cat in sorted(cats):
-        quartile = journal.quartile_by_year.get((cat, year))
+        quartile = journal.quartiles[cat].get(year)
         if quartile == 1:
             return True, misses
         if quartile is None:

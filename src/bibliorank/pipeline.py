@@ -12,6 +12,7 @@ import io
 import json
 import os
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -27,6 +28,8 @@ from .concordance import (
 )
 from .corpus import (
     PUBLICATION_FORMATS,
+    YEAR_MAX,
+    YEAR_MIN,
     Corpus,
     JournalProfile,
     PublicationRecord,
@@ -84,6 +87,10 @@ class RunConfig:
         # of one length would overwrite each other's files.
         by_label: dict[str, TimeWindow] = {}
         for window in self.windows:
+            if not (YEAR_MIN <= window.start_year and window.end_year <= YEAR_MAX):
+                raise ConfigError(
+                    f"window {window} outside year range [{YEAR_MIN}, {YEAR_MAX}]"
+                )
             first = by_label.setdefault(window.label, window)
             if first is not window:
                 raise ConfigError(
@@ -126,7 +133,9 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError covers undecodable bytes, invalid JSON and an integer of
+    # more than 4,300 digits; RecursionError a value nested too deeply.
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object, got {type(raw).__name__}")
@@ -227,10 +236,19 @@ def _load_crosswalks(config: RunConfig, external: Mapping[tuple[str, str], Ranki
 
 
 def _atomic_write(path: Path, content: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write ``path`` whole or not at all, through a ``.tmp`` file beside it.
+
+    An OSError is an InputError naming the path, and leaves no ``.tmp`` file.
+    """
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(content, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(content, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as exc:
+        with suppress(OSError):  # the directory may be what failed
+            tmp.unlink(missing_ok=True)
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def _header(config: RunConfig, window: TimeWindow | None = None) -> str:

@@ -16,7 +16,7 @@ def make_journal(journal_id="J", categories=("alpha",), quartile=2,
     return JournalProfile(
         journal_id=journal_id,
         categories=cats,
-        quartile_by_year={(c, y): quartile for c in cats for y in years},
+        quartiles={c: {y: quartile for y in years} for c in cats},
     )
 
 

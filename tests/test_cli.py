@@ -139,6 +139,14 @@ class TestValidate:
          "windows 2008-2012 and 2003-2007 share the output label 'w5'"),
         (lambda ws: None, ("--window", "2008:2012", "--window", "2008:2012"), 2,
          "share the output label 'w5'"),
+        (lambda ws: (ws / "config.json").write_text('{"min_n": ' + "1" * 5001 + "}"), (), 2,
+         "cannot read config"),
+        (lambda ws: (ws / "config.json").write_text(
+            '{"min_n": ' + "[" * 100_000 + "]" * 100_000 + "}"), (), 2, "cannot read config"),
+        (lambda ws: edit_config(ws, windows=[[2008, 10**300]]), (), 2,
+         "outside year range [1900, 2100]"),
+        (lambda ws: None, ("--window", "1899:2012"), 2,
+         "window 1899-2012 outside year range [1900, 2100]"),
     ], ids=["reversed_window", "reversed_window_flag", "json_list", "unknown_format",
             "directory_input", "non_utf8_config", "non_utf8_csv", "jsonl_not_object",
             "path_number", "out_dir_number", "windows_number", "national_system_list",
@@ -146,7 +154,8 @@ class TestValidate:
             "csv_nul_byte", "jsonl_nested_too_deep", "jsonl_integer_too_long",
             "rank_too_long", "rank_too_large", "band_too_large", "citations_too_large",
             "missing_quartile", "missing_national",
-            "equal_length_windows", "repeated_window_flag"])
+            "equal_length_windows", "repeated_window_flag", "config_integer_too_long",
+            "config_nested_too_deep", "window_year_too_large", "window_year_too_small_flag"])
     def test_boundary_fault_exit_code(self, workspace, setup, args, code, message):
         setup(workspace)
         result = run_cli("validate", "--config", str(workspace / "config.json"), *args)
@@ -293,6 +302,26 @@ class TestRank:
             run_rank(config)
         assert seen[0] == (before[0], before[1], before[2] * 100)
         assert gc.get_threshold() == before
+
+    def test_out_under_a_regular_file_exits_one(self, workspace):
+        (workspace / "file").write_text("", encoding="utf-8")
+        out = workspace / "file" / "x"
+        result = run_cli("rank", "--config", str(workspace / "config.json"), "--out", str(out))
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"error: cannot write {out}/"), result.output
+        assert "Not a directory" in result.output
+
+    def test_failed_write_leaves_no_tmp_file(self, workspace):
+        # a directory where an output file goes: the .tmp file is written
+        # and then cannot replace it
+        out = workspace / "out"
+        (out / "physics_w5_ranking.csv").mkdir(parents=True)
+        result = run_cli("rank", "--config", str(workspace / "config.json"))
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith(
+            f"error: cannot write {out / 'physics_w5_ranking.csv'}: "), result.output
+        assert not list(out.glob("*.tmp"))
 
     def test_window_override_flag(self, workspace):
         result = run_cli("rank", "--config", str(workspace / "config.json"),

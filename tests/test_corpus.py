@@ -3,6 +3,7 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -167,7 +168,7 @@ class TestLoadJournals:
         journals = load_journals(path)
         assert set(journals) == {"J"}
         assert journals["J"].categories == {"a", "b"}
-        assert journals["J"].quartile_by_year == {("a", 2010): 1, ("b", 2010): 3}
+        assert journals["J"].quartiles == {"a": {2010: 1}, "b": {2010: 3}}
 
     def test_quartile_out_of_range(self, tmp_path):
         path = write(tmp_path, "j.csv", JOURNAL_HEADER + "J,A,2010,5\n")
@@ -193,12 +194,43 @@ class TestLoadJournals:
         with pytest.raises(InputError, match="conflicting"):
             load_journals(path)
 
+    def test_conflict_names_first_row_of_its_key(self, tmp_path):
+        # The two rows spell the key differently and sit far apart; rows of
+        # the same journal and category in other years come between them.
+        filler = "".join(f"J{i},cat,{1950 + i % 50},3\n" for i in range(600))
+        path = write(tmp_path, "j.csv", JOURNAL_HEADER + "J1,cat,2009,4\n" + (
+            " J1 ,CAT,2010,1\n") + filler + "J1,cat,2010,2\n")
+        with pytest.raises(InputError) as info:
+            load_journals(path)
+        assert str(info.value) == (
+            "line 604: conflicting quartiles for journal 'J1', category 'cat', "
+            "year 2010: Q1 (line 3) vs Q2")
+        assert info.value.line == 604
+
+    def test_peak_memory_per_row(self, tmp_path):
+        # 360 journals x 4-8 categories x 14 years, the shape of a real
+        # quartile table: every (journal, category) has a quartile each year.
+        rows = [f"J{j:05d},cat-{(j + c) % 40:03d},{year},{1 + (j + year) % 4}\n"
+                for j in range(360) for c in range(4 + j % 5) for year in range(2001, 2015)]
+        assert len(rows) >= 20_000
+        path = write(tmp_path, "j.csv", JOURNAL_HEADER + "".join(rows))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            journals = load_journals(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(by_year) for j in journals.values()
+                   for by_year in j.quartiles.values()) == len(rows)
+        assert (peak - before) / len(rows) < 120
+
     def test_consistent_repeat_is_fine(self, tmp_path):
         path = write(tmp_path, "j.csv", JOURNAL_HEADER + (
             "J,A,2010,1\n"
             "J,A,2010,1\n"
         ))
-        assert load_journals(path)["J"].quartile_by_year == {("a", 2010): 1}
+        assert load_journals(path)["J"].quartiles == {"a": {2010: 1}}
 
     def test_missing_quartile_is_defined_error(self):
         corpus = make_corpus({"u": [1]}, journal=make_journal(years=[2010]), year=1999)
@@ -376,15 +408,14 @@ def reference_journals(path):
         quartile = _reference_int(quartile_text, "quartile", line)
         if quartile not in (1, 2, 3, 4):
             raise InputError(f"quartile {quartile} outside {{1,2,3,4}}", line)
-        by_key = quartiles.setdefault(jid, {})
-        if (cat, year) in by_key and by_key[cat, year] != quartile:
+        by_year = quartiles.setdefault(jid, {}).setdefault(cat, {})
+        if year in by_year and by_year[year] != quartile:
             raise InputError(
                 f"conflicting quartiles for journal {jid!r}, category {cat!r}, year {year}: "
-                f"Q{by_key[cat, year]} (line {first_seen[jid, cat, year]}) vs Q{quartile}", line)
-        by_key.setdefault((cat, year), quartile)
+                f"Q{by_year[year]} (line {first_seen[jid, cat, year]}) vs Q{quartile}", line)
+        by_year.setdefault(year, quartile)
         first_seen.setdefault((jid, cat, year), line)
-    return {jid: JournalProfile(jid, frozenset(c for c, _ in q), q)
-            for jid, q in quartiles.items()}
+    return {jid: JournalProfile(jid, frozenset(q), q) for jid, q in quartiles.items()}
 
 
 def reference_rankings(path):

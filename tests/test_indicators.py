@@ -107,9 +107,9 @@ class TestComputeIndicators:
         journal = journal.__class__(
             journal_id="J",
             categories=journal.categories,
-            quartile_by_year={
-                ("inside", 2010): 2,
-                ("outside", 2010): 1,
+            quartiles={
+                "inside": {2010: 2},
+                "outside": {2010: 1},
             },
         )
         corpus = Corpus(
@@ -204,7 +204,7 @@ def brute_force_indicators(corpus, threshold, field_categories, q1_policy):
         if q1_policy == "any-relevant" and field_categories is not None:
             cats = cats & field_categories
         # a missing quartile counts as not-Q1 under "warn"
-        return any(journal.quartile_by_year.get((c, rec.year)) == 1 for c in cats)
+        return any(journal.quartiles[c].get(rec.year) == 1 for c in cats)
 
     out = {}
     for inst in {rec.institution_id for rec in corpus.publications}:
@@ -229,10 +229,11 @@ def quartile_corpora(draw):
         cats = draw(CATEGORY_SETS)
         quartiles = {}
         for cat in sorted(cats):
+            by_year = quartiles[cat] = {}
             for year in YEARS:
                 q = draw(st.sampled_from((None, 1, 1, 2, 3, 4)))
                 if q is not None:
-                    quartiles[(cat, year)] = q
+                    by_year[year] = q
         journals[f"J{i}"] = JournalProfile(f"J{i}", cats, quartiles)
     picks = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, len(journals) - 1),
                                     st.sampled_from(YEARS), st.integers(0, 30)),
