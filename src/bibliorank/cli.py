@@ -13,7 +13,8 @@ from pathlib import Path
 import click
 
 from .errors import BiblioRankError, ConfigError
-from .pipeline import RunConfig, load_config, parse_window, run_compare, run_rank, run_validate
+from .pipeline import (Q1_POLICIES, RunConfig, load_config, parse_window, run_compare,
+                       run_rank, run_validate)
 
 EXIT_INPUT_ERROR = 1
 EXIT_CONFIG_ERROR = 2
@@ -35,7 +36,7 @@ _OPTIONS = (
                  help="Override output directory."),
     click.option("--min-n", type=int, default=None,
                  help="Minimum joined institutions to report rho."),
-    click.option("--q1-policy", type=click.Choice(["any-relevant", "best-all"]),
+    click.option("--q1-policy", type=click.Choice(Q1_POLICIES),
                  default=None, help="Category policy for the Q1 share."),
     click.option("--strict-quartiles", is_flag=True,
                  help="Treat missing quartile lookups as errors."),

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import io
 import json
 import os
 import re
@@ -21,7 +20,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from . import __version__
 from .concordance import (
     MISSING_NATIONAL_POLICIES,
-    ConcordanceReport,
     FieldCrosswalk,
     load_crosswalk,
     run_crosswalk,
@@ -141,22 +139,19 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config {path} must be a JSON object, got {type(raw).__name__}")
     base = path.parent
 
-    def _str(key: str, default: str | None = None) -> str | None:
-        """The string at ``key``; null is allowed only where there is no default."""
-        value = raw.get(key, default)
-        if value is None and default is None:
-            return None
+    def _str(key: str) -> str:
+        value = raw[key]
         if not isinstance(value, str):
             raise ConfigError(f"{key} must be a string, got {value!r}")
         return value
 
     def _path(key: str, required: bool = False) -> Path | None:
-        value = _str(key)
-        if value is None:
+        """The path at ``key``; null or absent is allowed only where not required."""
+        if raw.get(key) is None:
             if required:
                 raise ConfigError(f"config is missing required key {key!r}")
             return None
-        return (base / value).resolve()
+        return (base / _str(key)).resolve()
 
     def _int(value, what: str) -> int:
         if isinstance(value, float) and value.is_integer():
@@ -174,23 +169,22 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"each window must be [start, end], got {pair!r}")
         windows.append(TimeWindow(_int(pair[0], "window year"), _int(pair[1], "window year")))
 
-    config = RunConfig(
+    # A key the file leaves out keeps RunConfig's default; null is a fault.
+    settings = {key: _str(key) for key in ("publications_format", "q1_policy", "missing_quartile",
+                                           "missing_national", "national_system") if key in raw}
+    if "min_n" in raw:
+        settings["min_n"] = _int(raw["min_n"], "min_n")
+    return RunConfig(
         publications=_path("publications", required=True),
         journals=_path("journals", required=True),
         taxonomy=_path("taxonomy", required=True),
         windows=tuple(windows),
-        out_dir=(base / _str("out_dir", "out")).resolve(),
+        out_dir=(base / (_str("out_dir") if "out_dir" in raw else "out")).resolve(),
         external_rankings=_path("external_rankings"),
         national_rankings=_path("national_rankings"),
         crosswalk=_path("crosswalk"),
-        publications_format=_str("publications_format", "csv"),
-        q1_policy=_str("q1_policy", "any-relevant"),
-        missing_quartile=_str("missing_quartile", "warn"),
-        missing_national=_str("missing_national", "warn"),
-        min_n=_int(raw.get("min_n", 3), "min_n"),
-        national_system=_str("national_system", "national"),
+        **settings,
     )
-    return config
 
 
 def slugify(name: str) -> str:
@@ -249,6 +243,21 @@ def _atomic_write(path: Path, content: str) -> None:
         with suppress(OSError):  # the directory may be what failed
             tmp.unlink(missing_ok=True)
         raise InputError(f"cannot write {path}: {exc}") from None
+
+
+def _write_csv(path: Path, header: str, columns: str, row_format: str,
+               rows: Iterable[tuple], trailer: Iterable[str] = ()) -> None:
+    """Write one output file: the ``header`` text, the ``columns`` line,
+    ``row_format % row`` for each of ``rows``, then the ``#`` ``trailer``
+    lines. ``header`` ends in a line end, ``row_format`` too; ``columns`` and
+    the ``trailer`` lines do not.
+
+    Names and ids reach the text only as ``row_format`` arguments. They are
+    written unquoted (ROADMAP item 1), so one holding a comma, a quote or a
+    line break breaks its row.
+    """
+    _atomic_write(path, "".join([header, columns, "\n", *[row_format % row for row in rows],
+                                 *[f"{line}\n" for line in trailer]]))
 
 
 def _header(config: RunConfig, window: TimeWindow | None = None) -> str:
@@ -375,43 +384,24 @@ def _field_result(config: RunConfig, taxonomy: FieldTaxonomy, fc: Corpus,
     )
 
 
-def _ranking_csv(result: FieldResult, header: str) -> str:
-    prefix = f"{result.table.system_name},{result.field_name},"
-    return "".join([
-        header,
-        "system_name,field_name,institution_id,rank,ifq2a\n",
-        *[f"{prefix}{e.institution_id},{e.rank},{e.score:.6f}\n"
-          for e in result.table.entries],
-    ])
-
-
-def _quadrant_csv(result: FieldResult, header: str) -> str:
-    quadrants = result.quadrants
+def _field_outputs(result: FieldResult) -> tuple[tuple[str, str, str, Iterator[tuple]], ...]:
+    """Each output file of one field, in writing order: (file suffix, column
+    line, row format, generator of row tuples)."""
+    name, table = result.field_name, result.table
+    scores, quadrants, indicators = result.scores, result.quadrants, result.indicators
     # classify_quadrants gives every label of a field the same two means.
     first = next(iter(quadrants.values()))
-    means = f"{first.mean_qnif:.6f},{first.mean_qlif:.6f}\n"
-    return "".join([
-        header,
-        "field_name,institution_id,qnif,qlif,ifq2a,quadrant,mean_qnif,mean_qlif\n",
-        *[f"{result.field_name},{inst},{s.qnif:.6f},{s.qlif:.6f},{s.ifq2a:.6f},"
-          f"{quadrants[inst].label},{means}"
-          for inst, s in sorted(result.scores.items())],
-    ])
-
-
-def _indicator_csv(result: FieldResult, header: str) -> str:
-    return "".join([
-        header,
-        "field_name,institution_id,ndoc,ncit,h,pct_q1,acit,topcit\n",
-        *[f"{result.field_name},{inst},{ind.ndoc},{ind.ncit},{ind.h},"
-          f"{ind.pct_q1:.6f},{ind.acit:.6f},{ind.topcit:.6f}\n"
-          for inst, ind in sorted(result.indicators.items())],
-    ])
-
-
-# Per field, in this order: (output kind and file suffix, formatter).
-_FIELD_WRITERS = (("ranking", _ranking_csv), ("quadrants", _quadrant_csv),
-                  ("indicators", _indicator_csv))
+    means = "%.6f,%.6f" % (first.mean_qnif, first.mean_qlif)
+    return (
+        ("ranking", "system_name,field_name,institution_id,rank,ifq2a",
+         "%s,%s,%s,%d,%.6f\n", ((table.system_name, name, *e) for e in table.entries)),
+        ("quadrants", "field_name,institution_id,qnif,qlif,ifq2a,quadrant,mean_qnif,mean_qlif",
+         "%s,%s,%.6f,%.6f,%.6f,%s,%s\n",
+         ((name, *scores[inst], quadrants[inst].label, means) for inst in sorted(scores))),
+        ("indicators", "field_name,institution_id,ndoc,ncit,h,pct_q1,acit,topcit",
+         "%s,%s,%d,%d,%d,%.6f,%.6f,%.6f\n",
+         ((name, *indicators[inst]) for inst in sorted(indicators))),
+    )
 
 
 def run_rank(config: RunConfig) -> list[Path]:
@@ -427,40 +417,13 @@ def run_rank(config: RunConfig) -> list[Path]:
     for window in config.windows:
         header = _header(config, window)
         for result in compute_field_results(config, window, publications, journals, taxonomy):
-            for kind, to_csv in _FIELD_WRITERS:
+            for kind, columns, row_format, rows in _field_outputs(result):
                 path = config.out_dir / f"{slugify(result.field_name)}_{window.label}_{kind}.csv"
-                _atomic_write(path, to_csv(result, header))
+                _write_csv(path, header, columns, row_format, rows)
                 written.append(path)
             # Drop this field's results before the next field is computed.
             del result
     return written
-
-
-def _format_rho(rho: float | None) -> str:
-    return "*" if rho is None else f"{rho:.3f}"
-
-
-def _report_csv(report: ConcordanceReport, header: str) -> str:
-    buf = io.StringIO()
-    buf.write(header)
-    buf.write(f"# systems={report.source_system}->{report.target_system}\n")
-    buf.write("source_field,target_field,n,rho,agreement_num,agreement_den,agreement_decimal\n")
-    for pair in report.pairs:
-        buf.write(
-            f"{pair.source_field},{pair.target_field},{pair.n},{_format_rho(pair.rho)},"
-            f"{pair.agreement.numerator},{pair.agreement.denominator},"
-            f"{pair.agreement.decimal:.6f}\n"
-        )
-    agg = report.aggregate
-    mean = agg.mean_of_fractions
-    buf.write(f"# pooled_agreement={agg.pooled} decimal={agg.pooled.decimal:.6f}\n")
-    buf.write(
-        f"# mean_of_fractions={mean.numerator}/{mean.denominator} "
-        f"decimal={float(mean):.6f}\n"
-    )
-    for src, tgt in report.unresolved:
-        buf.write(f"# unresolved={src}->{tgt}\n")
-    return buf.getvalue()
 
 
 def _supplied_national_tables(config: RunConfig,
@@ -519,7 +482,20 @@ def run_compare(config: RunConfig) -> list[Path]:
             cw, tables[cw.source_system], tables[cw.target_system],
             min_n=config.min_n, missing_national=config.missing_national,
         )
+        agg = report.aggregate
+        mean = agg.mean_of_fractions
         path = config.out_dir / f"concordance_{stem}.csv"
-        _atomic_write(path, _report_csv(report, header))
+        _write_csv(
+            path, f"{header}# systems={report.source_system}->{report.target_system}\n",
+            "source_field,target_field,n,rho,agreement_num,agreement_den,agreement_decimal",
+            "%s,%s,%d,%s,%d,%d,%.6f\n",
+            ((p.source_field, p.target_field, p.n, "*" if p.rho is None else "%.3f" % p.rho,
+              p.agreement.numerator, p.agreement.denominator, p.agreement.decimal)
+             for p in report.pairs),
+            trailer=(f"# pooled_agreement={agg.pooled} decimal={agg.pooled.decimal:.6f}",
+                     f"# mean_of_fractions={mean.numerator}/{mean.denominator} "
+                     f"decimal={float(mean):.6f}",
+                     *(f"# unresolved={src}->{tgt}" for src, tgt in report.unresolved)),
+        )
         written.append(path)
     return written

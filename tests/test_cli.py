@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import shutil
@@ -8,7 +9,7 @@ from click.testing import CliRunner
 from bibliorank import pipeline
 from bibliorank.cli import main
 from bibliorank.errors import InputError
-from bibliorank.pipeline import load_config, run_compare, run_rank
+from bibliorank.pipeline import RunConfig, load_config, run_compare, run_rank
 
 
 @pytest.fixture
@@ -209,8 +210,9 @@ class TestValidate:
     @pytest.mark.parametrize("key, value", [
         ("min_n", "abc"),
         ("min_n", 3.7),
+        ("min_n", None),
         ("windows", [[2008, "x"]]),
-    ], ids=["min_n", "min_n_fraction", "window_year"])
+    ], ids=["min_n", "min_n_fraction", "min_n_null", "window_year"])
     def test_non_integer_config_value_exits_two(self, workspace, key, value):
         config = json.loads((workspace / "config.json").read_text())
         config[key] = value
@@ -218,6 +220,51 @@ class TestValidate:
         result = run_cli("validate", "--config", str(workspace / "config.json"))
         assert result.exit_code == 2, result.output
         assert "must be an integer" in result.output
+
+    def test_required_keys_only_load_to_defaults(self, tmp_path):
+        paths = {key: f"{key}.csv" for key in ("publications", "journals", "taxonomy")}
+        (tmp_path / "config.json").write_text(json.dumps(paths), encoding="utf-8")
+        assert load_config(tmp_path / "config.json") == RunConfig(
+            **{key: (tmp_path / name).resolve() for key, name in paths.items()},
+            windows=(), out_dir=(tmp_path / "out").resolve())
+
+
+def read_back(path) -> list[list[str]]:
+    """The rows of an output file as csv.reader parses them, ``#`` lines skipped."""
+    with path.open(encoding="utf-8", newline="") as fh:
+        return list(csv.reader(line for line in fh if not line.startswith("#")))
+
+
+class TestRoundTrip:
+    def test_every_output_parses_back_to_its_column_count(self, workspace):
+        config = load_config(workspace / "config.json")
+        for path in run_rank(config) + run_compare(config):
+            columns, *rows = read_back(path)
+            assert rows, path
+            assert all(len(row) == len(columns) for row in rows), path
+
+    @pytest.mark.parametrize("field, institution", [
+        ("50%", "%s"),
+        pytest.param("Field 013, Applied", "UnivA", marks=pytest.mark.xfail(
+            strict=True, reason="names are written unquoted until ROADMAP item 1")),
+    ], ids=["percent_signs", "comma"])
+    def test_names_written_verbatim(self, workspace, field, institution):
+        taxonomy = workspace / "taxonomy.csv"
+        quoted = '"' + field.replace('"', '""') + '"'
+        taxonomy.write_text(taxonomy.read_text(encoding="utf-8").replace(
+            "\nPhysics,", f"\n{quoted},"), encoding="utf-8")
+        publications = workspace / "publications.csv"
+        publications.write_text(publications.read_text(encoding="utf-8").replace(
+            ",UnivA,", f",{institution},"), encoding="utf-8")
+        written = [p for p in run_rank(load_config(workspace / "config.json"))
+                   if p.name.startswith(f"{pipeline.slugify(field)}_")]
+        assert len(written) == 6
+        for path in written:
+            columns, *rows = read_back(path)
+            assert all(len(row) == len(columns) for row in rows), path
+            field_at = columns.index("field_name")
+            assert {row[field_at] for row in rows} == {field}, path
+            assert institution in {row[field_at + 1] for row in rows}, path
 
 
 class TestRank:

@@ -1,9 +1,11 @@
-"""Output bytes of the fixture runs, pinned by a sha256 of each file's data rows.
+"""Output bytes of the fixture runs, pinned by two sha256 digests per file:
+one of its data rows and one of its ``#`` comment lines.
 
-The ``#`` header lines are left out because ``config_sha256`` hashes absolute
-paths, so they change with where the fixtures sit. When an output is meant to
-change, regenerate the JSON with ``PYTHONPATH=src python tests/test_golden.py``
-and say which outputs changed and why.
+The comment digest leaves out the ``# config_sha256=`` line, because that hash
+covers absolute paths and so changes with where the fixtures sit. When an
+output is meant to change, regenerate both JSON files with
+``PYTHONPATH=src python tests/test_golden.py`` and say which outputs changed
+and why.
 """
 
 import hashlib
@@ -12,15 +14,25 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from bibliorank.pipeline import load_config, run_compare, run_rank
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden_rows.json"
+GOLDEN_COMMENTS = Path(__file__).resolve().parent / "golden_comments.json"
 
 
 def data_rows_sha256(path: Path) -> str:
     lines = path.read_bytes().splitlines(keepends=True)
     return hashlib.sha256(b"".join(l for l in lines if not l.startswith(b"#"))).hexdigest()
+
+
+def comment_lines_sha256(path: Path) -> str:
+    lines = path.read_bytes().splitlines(keepends=True)
+    return hashlib.sha256(b"".join(
+        l for l in lines if l.startswith(b"#") and not l.startswith(b"# config_sha256=")
+    )).hexdigest()
 
 
 FIELDS = ("Artificial Intelligence", "Computer Science", "Physics")
@@ -36,10 +48,10 @@ LEAGUE_CROSSWALK_CSV = "source_system,source_field,target_system,target_field\n"
     for field in FIELDS)
 
 
-def fixture_row_digests(out: Path) -> dict[str, str]:
-    """rank + compare on fixtures/config.json, rank with no national file
-    under best-all, and compare of the league tables above with no national
-    file; keyed by output path relative to ``out``."""
+def fixture_outputs(out: Path) -> list[Path]:
+    """The files written by rank + compare on fixtures/config.json, rank with
+    no national file under best-all, and compare of the league tables above
+    with no national file."""
     config = load_config(FIXTURES / "config.json")
     full = replace(config, out_dir=out / "fixtures")
     no_national = replace(config, out_dir=out / "best_all_no_national",
@@ -51,17 +63,37 @@ def fixture_row_digests(out: Path) -> dict[str, str]:
     internal = replace(config, out_dir=out / "league_internal", national_rankings=None,
                        external_rankings=inputs / "league.csv",
                        crosswalk=inputs / "crosswalk.csv")
-    paths = (run_rank(full) + run_compare(full) + run_rank(no_national)
-             + run_compare(internal))
-    return {p.relative_to(out).as_posix(): data_rows_sha256(p) for p in paths}
+    return (run_rank(full) + run_compare(full) + run_rank(no_national)
+            + run_compare(internal))
 
 
-def test_fixture_outputs_match_golden_rows(tmp_path):
-    assert fixture_row_digests(tmp_path) == json.loads(GOLDEN.read_text(encoding="utf-8"))
+def digests(out: Path, paths: list[Path], digest) -> dict[str, str]:
+    """``digest`` of each file, keyed by its path relative to ``out``."""
+    return {p.relative_to(out).as_posix(): digest(p) for p in paths}
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory) -> tuple[Path, list[Path]]:
+    out = tmp_path_factory.mktemp("golden")
+    return out, fixture_outputs(out)
+
+
+def test_fixture_outputs_match_golden_rows(outputs):
+    assert digests(*outputs, data_rows_sha256) == json.loads(
+        GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_fixture_outputs_match_golden_comments(outputs):
+    assert digests(*outputs, comment_lines_sha256) == json.loads(
+        GOLDEN_COMMENTS.read_text(encoding="utf-8"))
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        digests = fixture_row_digests(Path(tmp))
-    GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"{len(digests)} digests written to {GOLDEN}")
+        paths = fixture_outputs(Path(tmp))
+        for golden, digest in ((GOLDEN, data_rows_sha256),
+                               (GOLDEN_COMMENTS, comment_lines_sha256)):
+            found = digests(Path(tmp), paths, digest)
+            golden.write_text(json.dumps(found, indent=2, sort_keys=True) + "\n",
+                              encoding="utf-8")
+            print(f"{len(found)} digests written to {golden}")
