@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import normalize_id, read_csv
 from .errors import ConstantInputError, InputError, InsufficientDataError
@@ -69,30 +69,10 @@ def spearman_rho(x: Sequence[float], y: Sequence[float],
     return _pearson(midranks(x), midranks(y))
 
 
-@dataclass(frozen=True)
-class AgreementFraction:
-    """Exact, unreduced agreement fraction."""
-
-    numerator: int
-    denominator: int
-
-    @property
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    @property
-    def decimal(self) -> float:
-        if self.denominator == 0:
-            return 0.0
-        return self.numerator / self.denominator
-
-    def __str__(self) -> str:
-        return f"{self.numerator}/{self.denominator}"
-
-
 def agreement_level(source: RankingTable, target: RankingTable,
-                    missing_national: str = "warn") -> AgreementFraction:
-    """Share of the source table's institutions in the target's top-s.
+                    missing_national: str = "warn") -> tuple[int, int]:
+    """Unreduced (numerator, s): how many of the source table's s
+    institutions are in the target's top-s.
 
     s is the source table size; positions use the target table's
     competition ranks, so a tie group straddling s counts members with rank
@@ -114,24 +94,21 @@ def agreement_level(source: RankingTable, target: RankingTable,
             continue
         if rank <= s:
             numerator += 1
-    return AgreementFraction(numerator, s)
+    return numerator, s
 
 
-@dataclass(frozen=True)
-class ConcordancePair:
+def agreement_decimal(num: int, den: int) -> float:
+    """The agreement fraction as a float; 0/0 (an empty source table) is 0.0."""
+    return num / den if den else 0.0
+
+
+class ConcordancePair(NamedTuple):
     source_field: str
     target_field: str
     n: int
     rho: float | None
-    agreement: AgreementFraction
-
-
-@dataclass(frozen=True)
-class AggregateAgreement:
-    """Both aggregations over a set of pairs, labeled explicitly."""
-
-    pooled: AgreementFraction
-    mean_of_fractions: Fraction
+    agreement_num: int
+    agreement_den: int
 
 
 def compare_pair(source: RankingTable, target: RankingTable,
@@ -151,27 +128,21 @@ def compare_pair(source: RankingTable, target: RankingTable,
         rho: float | None = spearman_rho(x, y, min_n=min_n)
     except (InsufficientDataError, ConstantInputError):
         rho = None
-    agreement = agreement_level(source, target, missing_national=missing_national)
-    return ConcordancePair(
-        source_field=source.field_name,
-        target_field=target.field_name,
-        n=len(joined),
-        rho=rho,
-        agreement=agreement,
-    )
+    return ConcordancePair(source.field_name, target.field_name, len(joined), rho,
+                           *agreement_level(source, target, missing_national=missing_national))
 
 
-def aggregate_agreement(pairs: Sequence[ConcordancePair]) -> AggregateAgreement:
-    """Pooled (sum of numerators over sum of denominators) and unweighted
-    mean-of-fractions aggregates over the pairs with a non-zero denominator;
-    0/0 and 0 when no pair has one."""
-    measurable = [p for p in pairs if p.agreement.denominator > 0]
+def aggregate_agreement(pairs: Sequence[ConcordancePair]) -> tuple[int, int, Fraction]:
+    """(sum of numerators, sum of denominators, unweighted mean of fractions)
+    over the pairs with a non-zero denominator; (0, 0, 0) when no pair has one."""
+    measurable = [p for p in pairs if p.agreement_den > 0]
     if not measurable:
-        return AggregateAgreement(AgreementFraction(0, 0), Fraction(0))
-    num = sum(p.agreement.numerator for p in measurable)
-    den = sum(p.agreement.denominator for p in measurable)
-    mean = sum((p.agreement.as_fraction for p in measurable), Fraction(0)) / len(measurable)
-    return AggregateAgreement(pooled=AgreementFraction(num, den), mean_of_fractions=mean)
+        return 0, 0, Fraction(0)
+    num = sum(p.agreement_num for p in measurable)
+    den = sum(p.agreement_den for p in measurable)
+    mean = sum((Fraction(p.agreement_num, p.agreement_den) for p in measurable),
+               Fraction(0)) / len(measurable)
+    return num, den, mean
 
 
 @dataclass(frozen=True)
@@ -183,13 +154,9 @@ class FieldCrosswalk:
     pairs: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class ConcordanceReport:
-    source_system: str
-    target_system: str
+class ConcordanceReport(NamedTuple):
     pairs: tuple[ConcordancePair, ...]
     unresolved: tuple[tuple[str, str], ...]
-    aggregate: AggregateAgreement
 
 
 def load_crosswalk(path: str | Path) -> list[FieldCrosswalk]:
@@ -235,10 +202,4 @@ def run_crosswalk(crosswalk: FieldCrosswalk,
             f"crosswalk {crosswalk.source_system} -> {crosswalk.target_system} "
             "resolves to zero field pairs"
         )
-    return ConcordanceReport(
-        source_system=crosswalk.source_system,
-        target_system=crosswalk.target_system,
-        pairs=tuple(pairs),
-        unresolved=tuple(unresolved),
-        aggregate=aggregate_agreement(pairs),
-    )
+    return ConcordanceReport(tuple(pairs), tuple(unresolved))

@@ -21,6 +21,8 @@ from . import __version__
 from .concordance import (
     MISSING_NATIONAL_POLICIES,
     FieldCrosswalk,
+    aggregate_agreement,
+    agreement_decimal,
     load_crosswalk,
     run_crosswalk,
 )
@@ -45,7 +47,7 @@ from .indicators import (
     top10_threshold,
 )
 from .ranking import RankingTable, build_ranking, load_external_rankings, restrict_to_system
-from .scoring import IndexScore, QuadrantLabel, classify_quadrants, score_field
+from .scoring import IndexScore, classify_quadrants, score_field
 from .taxonomy import FieldTaxonomy, assign_fields, field_corpus, load_taxonomy
 
 
@@ -96,7 +98,8 @@ class RunConfig:
                 )
         for p in (self.publications, self.journals, self.taxonomy,
                   self.external_rankings, self.national_rankings, self.crosswalk):
-            if p is not None and not p.is_file():
+            # Unlike Path.is_file, os.path.isfile is False for a name too long.
+            if p is not None and not os.path.isfile(p):
                 raise ConfigError(f"input is not an existing file: {p}")
 
     def digest(self) -> str:
@@ -145,13 +148,19 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{key} must be a string, got {value!r}")
         return value
 
+    def _resolve(key: str) -> Path:
+        try:
+            return (base / _str(key)).resolve()
+        except ValueError as exc:  # a NUL byte
+            raise ConfigError(f"{key} is not a usable path: {exc}") from None
+
     def _path(key: str, required: bool = False) -> Path | None:
         """The path at ``key``; null or absent is allowed only where not required."""
         if raw.get(key) is None:
             if required:
                 raise ConfigError(f"config is missing required key {key!r}")
             return None
-        return (base / _str(key)).resolve()
+        return _resolve(key)
 
     def _int(value, what: str) -> int:
         if isinstance(value, float) and value.is_integer():
@@ -179,7 +188,7 @@ def load_config(path: str | Path) -> RunConfig:
         journals=_path("journals", required=True),
         taxonomy=_path("taxonomy", required=True),
         windows=tuple(windows),
-        out_dir=(base / (_str("out_dir") if "out_dir" in raw else "out")).resolve(),
+        out_dir=_resolve("out_dir") if "out_dir" in raw else (base / "out").resolve(),
         external_rankings=_path("external_rankings"),
         national_rankings=_path("national_rankings"),
         crosswalk=_path("crosswalk"),
@@ -279,7 +288,7 @@ class FieldResult:
     field_name: str
     indicators: Mapping[str, IndicatorSet]
     scores: Mapping[str, IndexScore]
-    quadrants: Mapping[str, QuadrantLabel]
+    quadrants: tuple[float, float, Mapping[str, str]]  # as classify_quadrants returns
     table: RankingTable
 
 
@@ -388,16 +397,15 @@ def _field_outputs(result: FieldResult) -> tuple[tuple[str, str, str, Iterator[t
     """Each output file of one field, in writing order: (file suffix, column
     line, row format, generator of row tuples)."""
     name, table = result.field_name, result.table
-    scores, quadrants, indicators = result.scores, result.quadrants, result.indicators
-    # classify_quadrants gives every label of a field the same two means.
-    first = next(iter(quadrants.values()))
-    means = "%.6f,%.6f" % (first.mean_qnif, first.mean_qlif)
+    scores, indicators = result.scores, result.indicators
+    mean_qnif, mean_qlif, labels = result.quadrants
+    means = "%.6f,%.6f" % (mean_qnif, mean_qlif)
     return (
         ("ranking", "system_name,field_name,institution_id,rank,ifq2a",
          "%s,%s,%s,%d,%.6f\n", ((table.system_name, name, *e) for e in table.entries)),
         ("quadrants", "field_name,institution_id,qnif,qlif,ifq2a,quadrant,mean_qnif,mean_qlif",
          "%s,%s,%.6f,%.6f,%.6f,%s,%s\n",
-         ((name, *scores[inst], quadrants[inst].label, means) for inst in sorted(scores))),
+         ((name, *scores[inst], labels[inst], means) for inst in sorted(scores))),
         ("indicators", "field_name,institution_id,ndoc,ncit,h,pct_q1,acit,topcit",
          "%s,%s,%d,%d,%d,%.6f,%.6f,%.6f\n",
          ((name, *indicators[inst]) for inst in sorted(indicators))),
@@ -482,17 +490,16 @@ def run_compare(config: RunConfig) -> list[Path]:
             cw, tables[cw.source_system], tables[cw.target_system],
             min_n=config.min_n, missing_national=config.missing_national,
         )
-        agg = report.aggregate
-        mean = agg.mean_of_fractions
+        num, den, mean = aggregate_agreement(report.pairs)
         path = config.out_dir / f"concordance_{stem}.csv"
         _write_csv(
-            path, f"{header}# systems={report.source_system}->{report.target_system}\n",
+            path, f"{header}# systems={cw.source_system}->{cw.target_system}\n",
             "source_field,target_field,n,rho,agreement_num,agreement_den,agreement_decimal",
             "%s,%s,%d,%s,%d,%d,%.6f\n",
-            ((p.source_field, p.target_field, p.n, "*" if p.rho is None else "%.3f" % p.rho,
-              p.agreement.numerator, p.agreement.denominator, p.agreement.decimal)
-             for p in report.pairs),
-            trailer=(f"# pooled_agreement={agg.pooled} decimal={agg.pooled.decimal:.6f}",
+            ((src, tgt, n, "*" if rho is None else "%.3f" % rho, a_num, a_den,
+              agreement_decimal(a_num, a_den))
+             for src, tgt, n, rho, a_num, a_den in report.pairs),
+            trailer=(f"# pooled_agreement={num}/{den} decimal={agreement_decimal(num, den):.6f}",
                      f"# mean_of_fractions={mean.numerator}/{mean.denominator} "
                      f"decimal={float(mean):.6f}",
                      *(f"# unresolved={src}->{tgt}" for src, tgt in report.unresolved)),

@@ -19,12 +19,13 @@ class IndexScore(NamedTuple):
     ifq2a: float
 
 
-class QuadrantLabel(NamedTuple):
-    """Position relative to the field means of both dimensions."""
-
-    label: str
-    mean_qnif: float
-    mean_qlif: float
+# Quadrant label by (qnif >= mean_qnif, qlif >= mean_qlif).
+QUADRANT_LABELS = {
+    (True, True): "both_outstanding",
+    (True, False): "quantitative_only",
+    (False, True): "qualitative_only",
+    (False, False): "neither",
+}
 
 
 def score(ind: IndicatorSet) -> IndexScore:
@@ -39,8 +40,10 @@ def score_field(indicators: Mapping[str, IndicatorSet]) -> dict[str, IndexScore]
     return {inst: score(ind) for inst, ind in indicators.items()}
 
 
-def classify_quadrants(scores: Mapping[str, IndexScore]) -> dict[str, QuadrantLabel]:
-    """Label each institution against the unweighted field means.
+def classify_quadrants(scores: Mapping[str, IndexScore]
+                       ) -> tuple[float, float, dict[str, str]]:
+    """The unweighted field means of QNIF and QLIF, and each institution's
+    quadrant label against them.
 
     At-mean positions count as outstanding on that axis (closed upper
     quadrant). ``scores`` is not empty: ``compute_field_results`` skips
@@ -49,15 +52,7 @@ def classify_quadrants(scores: Mapping[str, IndexScore]) -> dict[str, QuadrantLa
     n = len(scores)
     mean_qnif = sum(s.qnif for s in scores.values()) / n
     mean_qlif = sum(s.qlif for s in scores.values()) / n
-    # Every label holds the same two means, so each quadrant has one label,
-    # keyed by (qnif >= mean_qnif, qlif >= mean_qlif).
-    labels = {
-        (True, True): QuadrantLabel("both_outstanding", mean_qnif, mean_qlif),
-        (True, False): QuadrantLabel("quantitative_only", mean_qnif, mean_qlif),
-        (False, True): QuadrantLabel("qualitative_only", mean_qnif, mean_qlif),
-        (False, False): QuadrantLabel("neither", mean_qnif, mean_qlif),
-    }
-    return {
-        inst: labels[s.qnif >= mean_qnif, s.qlif >= mean_qlif]
+    return mean_qnif, mean_qlif, {
+        inst: QUADRANT_LABELS[s.qnif >= mean_qnif, s.qlif >= mean_qlif]
         for inst, s in scores.items()
     }

@@ -148,6 +148,12 @@ class TestValidate:
          "outside year range [1900, 2100]"),
         (lambda ws: None, ("--window", "1899:2012"), 2,
          "window 1899-2012 outside year range [1900, 2100]"),
+        (lambda ws: edit_config(ws, journals="journals\u0000.csv"), (), 2,
+         "journals is not a usable path: embedded null byte"),
+        (lambda ws: edit_config(ws, out_dir="o\u0000ut"), (), 2,
+         "out_dir is not a usable path: embedded null byte"),
+        (lambda ws: edit_config(ws, journals="j" * 5000), (), 2,
+         "input is not an existing file: "),
     ], ids=["reversed_window", "reversed_window_flag", "json_list", "unknown_format",
             "directory_input", "non_utf8_config", "non_utf8_csv", "jsonl_not_object",
             "path_number", "out_dir_number", "windows_number", "national_system_list",
@@ -156,7 +162,8 @@ class TestValidate:
             "rank_too_long", "rank_too_large", "band_too_large", "citations_too_large",
             "missing_quartile", "missing_national",
             "equal_length_windows", "repeated_window_flag", "config_integer_too_long",
-            "config_nested_too_deep", "window_year_too_large", "window_year_too_small_flag"])
+            "config_nested_too_deep", "window_year_too_large", "window_year_too_small_flag",
+            "path_nul_byte", "out_dir_nul_byte", "path_too_long"])
     def test_boundary_fault_exit_code(self, workspace, setup, args, code, message):
         setup(workspace)
         result = run_cli("validate", "--config", str(workspace / "config.json"), *args)

@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 
 from bibliorank import ranking
 from bibliorank.concordance import (
-    AgreementFraction,
     FieldCrosswalk,
     aggregate_agreement,
+    agreement_decimal,
     agreement_level,
     compare_pair,
     load_crosswalk,
@@ -109,14 +109,12 @@ class TestAgreementLevel:
             (f"x{k}", 3 + k) for k in range(4)
         ] + [(f"i{k}", 7 + k - 2) for k in range(2, 6)]
         natl = exact_table(national_pairs)
-        fraction = agreement_level(intl, natl)
-        assert (fraction.numerator, fraction.denominator) == (2, 6)
+        assert agreement_level(intl, natl) == (2, 6)
 
     def test_perfect_agreement(self):
         intl = exact_table([(f"i{k}", k + 1) for k in range(5)])
         natl = exact_table([(f"i{k}", k + 1) for k in range(5)])
-        fraction = agreement_level(intl, natl)
-        assert (fraction.numerator, fraction.denominator) == (5, 5)
+        assert agreement_level(intl, natl) == (5, 5)
 
     def test_tie_group_straddling_cutoff_counts_by_rank_value(self):
         intl = exact_table([("a", 10), ("b", 20)])  # s = 2
@@ -126,13 +124,12 @@ class TestAgreementLevel:
             RankEntry("a", 2),
             RankEntry("b", 2),
         ))
-        fraction = agreement_level(intl, natl)
-        assert (fraction.numerator, fraction.denominator) == (2, 2)
+        assert agreement_level(intl, natl) == (2, 2)
 
     def test_missing_national_warn_vs_strict(self):
         intl = exact_table([("a", 1), ("ghost", 2)])
         natl = exact_table([("a", 1)])
-        assert agreement_level(intl, natl, "warn").numerator == 1
+        assert agreement_level(intl, natl, "warn")[0] == 1
         with pytest.raises(InputError, match="ghost"):
             agreement_level(intl, natl, "strict")
 
@@ -147,10 +144,9 @@ class TestAgreementLevel:
             s = rng.randint(1, n)
             intl_insts = rng.sample(insts, s)
             intl = exact_table([(u, k + 1) for k, u in enumerate(intl_insts)])
-            fraction = agreement_level(intl, natl)
             natl_rank = {u: k + 1 for k, u in enumerate(natl_order)}
             expected = sum(1 for u in intl_insts if natl_rank[u] <= s)
-            assert (fraction.numerator, fraction.denominator) == (expected, s)
+            assert agreement_level(intl, natl) == (expected, s)
 
     def test_invariant_under_relabeling(self):
         intl = exact_table([("a", 1), ("b", 2), ("c", 3)])
@@ -169,13 +165,13 @@ class TestComparePair:
         natl = exact_table([("a", 1), ("b", 2)])
         pair = compare_pair(intl, natl)
         assert pair.rho is None
-        assert (pair.agreement.numerator, pair.agreement.denominator) == (2, 2)
+        assert (pair.agreement_num, pair.agreement_den) == (2, 2)
 
     def test_identical_tables(self):
         pairs = [(f"u{k}", k + 1) for k in range(5)]
         pair = compare_pair(exact_table(pairs), exact_table(pairs))
         assert pair.rho == pytest.approx(1.0)
-        assert (pair.agreement.numerator, pair.agreement.denominator) == (5, 5)
+        assert (pair.agreement_num, pair.agreement_den) == (5, 5)
 
     def test_fixture_cross_system_rho_matches_oracle(self, fixtures_dir, tmp_path):
         # The six international pairs in the fixture crosswalk, checked on
@@ -207,37 +203,33 @@ class TestComparePair:
 
 class TestAggregateAgreement:
     def pair(self, num, den):
-        return SimpleNamespace(agreement=AgreementFraction(num, den))
+        return SimpleNamespace(agreement_num=num, agreement_den=den)
 
     def test_pooled_and_mean(self):
         pairs = [self.pair(2, 6), self.pair(4, 4)]
-        agg = aggregate_agreement(pairs)
-        assert (agg.pooled.numerator, agg.pooled.denominator) == (6, 10)
-        assert agg.mean_of_fractions == Fraction(2, 3)
+        assert aggregate_agreement(pairs) == (6, 10, Fraction(2, 3))
 
     def test_single_pair(self):
-        agg = aggregate_agreement([self.pair(3, 5)])
-        assert (agg.pooled.numerator, agg.pooled.denominator) == (3, 5)
-        assert agg.mean_of_fractions == Fraction(3, 5)
+        assert aggregate_agreement([self.pair(3, 5)]) == (3, 5, Fraction(3, 5))
 
     def test_all_perfect(self):
-        agg = aggregate_agreement([self.pair(1, 1)] * 4)
-        assert agg.pooled.decimal == 1.0
-        assert agg.mean_of_fractions == 1
+        num, den, mean = aggregate_agreement([self.pair(1, 1)] * 4)
+        assert agreement_decimal(num, den) == 1.0
+        assert mean == 1
 
     def test_empty_tables_left_out(self):
-        agg = aggregate_agreement([self.pair(2, 6), self.pair(0, 0), self.pair(4, 4)])
-        assert (agg.pooled.numerator, agg.pooled.denominator) == (6, 10)
-        assert agg.mean_of_fractions == Fraction(2, 3)
-        empty = aggregate_agreement([self.pair(0, 0)] * 3)
-        assert (empty.pooled.numerator, empty.pooled.denominator) == (0, 0)
-        assert empty.mean_of_fractions == 0
+        assert aggregate_agreement(
+            [self.pair(2, 6), self.pair(0, 0), self.pair(4, 4)]) == (6, 10, Fraction(2, 3))
+        num, den, mean = aggregate_agreement([self.pair(0, 0)] * 3)
+        assert (num, den) == (0, 0)
+        assert agreement_decimal(num, den) == 0.0
+        assert mean == 0
 
     def test_pooled_bounded_by_extremes(self):
         pairs = [self.pair(1, 4), self.pair(3, 4), self.pair(2, 5)]
-        agg = aggregate_agreement(pairs)
-        fracs = [p.agreement.as_fraction for p in pairs]
-        assert min(fracs) <= agg.pooled.as_fraction <= max(fracs)
+        num, den, _ = aggregate_agreement(pairs)
+        fracs = [Fraction(p.agreement_num, p.agreement_den) for p in pairs]
+        assert min(fracs) <= Fraction(num, den) <= max(fracs)
 
 
 class TestRunCrosswalk:
@@ -284,7 +276,7 @@ class TestRunCrosswalk:
         report = run_crosswalk(crosswalk, intl, natl)
         pair = report.pairs[0]
         assert pair.rho is None
-        assert pair.agreement.denominator == 0
+        assert pair.agreement_den == 0
 
     def test_each_national_table_ranked_once(self, monkeypatch):
         intl, natl = self.tables()

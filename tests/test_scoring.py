@@ -79,25 +79,25 @@ class TestClassifyQuadrants:
             "quant": IndexScore("quant", 2.0, 0.0, 0.0),
             "qual": IndexScore("qual", 0.0, 2.0, 0.0),
         }
-        labels = classify_quadrants(scores)
-        assert labels["quant"].label == "quantitative_only"
-        assert labels["qual"].label == "qualitative_only"
-        assert labels["quant"].mean_qnif == pytest.approx(1.0)
-        assert labels["quant"].mean_qlif == pytest.approx(1.0)
+        mean_qnif, mean_qlif, labels = classify_quadrants(scores)
+        assert labels["quant"] == "quantitative_only"
+        assert labels["qual"] == "qualitative_only"
+        assert mean_qnif == pytest.approx(1.0)
+        assert mean_qlif == pytest.approx(1.0)
 
     def test_all_identical_sit_on_means(self):
         scores = {f"u{i}": IndexScore(f"u{i}", 3.0, 2.0, 6.0) for i in range(4)}
-        labels = classify_quadrants(scores)
-        assert all(q.label == "both_outstanding" for q in labels.values())
+        _, _, labels = classify_quadrants(scores)
+        assert all(q == "both_outstanding" for q in labels.values())
 
     def test_dominator_is_both_outstanding(self):
         scores = {
             "top": IndexScore("top", 10.0, 10.0, 100.0),
             "low": IndexScore("low", 1.0, 1.0, 1.0),
         }
-        labels = classify_quadrants(scores)
-        assert labels["top"].label == "both_outstanding"
-        assert labels["low"].label == "neither"
+        _, _, labels = classify_quadrants(scores)
+        assert labels["top"] == "both_outstanding"
+        assert labels["low"] == "neither"
 
     def test_labels_partition_institutions(self):
         rng = random.Random(5)
@@ -107,7 +107,7 @@ class TestClassifyQuadrants:
                 f"u{i}": IndexScore(f"u{i}", rng.random() * 10, rng.random() * 3, 0.0)
                 for i in range(n)
             }
-            labels = classify_quadrants(scores)
+            _, _, labels = classify_quadrants(scores)
             assert len(labels) == n
 
 
