@@ -83,13 +83,13 @@ def agreement_level(source: RankingTable, target: RankingTable,
     s = len(source)
     target_ranks = target.competition_ranks()
     numerator = 0
-    for entry in source.entries:
-        rank = target_ranks.get(entry.institution_id)
+    for inst in source.ids:
+        rank = target_ranks.get(inst)
         if rank is None:
             if missing_national == "strict":
                 raise InputError(
-                    f"institution {entry.institution_id!r} missing from target table "
-                    f"{target.system_name}/{target.field_name}"
+                    f"institution {inst!r} missing from target table "
+                    f"{target.system_name!r}/{target.field_name!r}"
                 )
             continue
         if rank <= s:
@@ -121,9 +121,10 @@ def compare_pair(source: RankingTable, target: RankingTable,
     institutions present on both sides.
     """
     target_ranks = target.competition_ranks()
-    joined = [e for e in source.entries if e.institution_id in target_ranks]
-    x = [e.rank for e in joined]
-    y = [float(target_ranks[e.institution_id]) for e in joined]
+    joined = [(rank, target_ranks[inst])
+              for inst, rank in zip(source.ids, source.ranks) if inst in target_ranks]
+    x = [rank for rank, _ in joined]
+    y = [float(target_rank) for _, target_rank in joined]
     try:
         rho: float | None = spearman_rho(x, y, min_n=min_n)
     except (InsufficientDataError, ConstantInputError):
@@ -171,8 +172,8 @@ def load_crosswalk(path: str | Path) -> list[FieldCrosswalk]:
         pair = (source_field, target_field)
         first_line = grouped.setdefault(key, {})
         if pair in first_line:
-            raise InputError(f"duplicate (source, target) pair in crosswalk {key[0]} -> "
-                             f"{key[1]} (first seen at line {first_line[pair]})", line)
+            raise InputError(f"duplicate (source, target) pair in crosswalk {key[0]!r} -> "
+                             f"{key[1]!r} (first seen at line {first_line[pair]})", line)
         first_line[pair] = line
     return [
         FieldCrosswalk(src, tgt, tuple(pairs))
@@ -199,7 +200,7 @@ def run_crosswalk(crosswalk: FieldCrosswalk,
         )
     if not pairs:
         raise InputError(
-            f"crosswalk {crosswalk.source_system} -> {crosswalk.target_system} "
+            f"crosswalk {crosswalk.source_system!r} -> {crosswalk.target_system!r} "
             "resolves to zero field pairs"
         )
     return ConcordanceReport(tuple(pairs), tuple(unresolved))

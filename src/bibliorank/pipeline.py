@@ -13,6 +13,7 @@ import os
 import re
 from contextlib import suppress
 from dataclasses import dataclass
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -395,14 +396,15 @@ def _field_result(config: RunConfig, taxonomy: FieldTaxonomy, fc: Corpus,
 
 def _field_outputs(result: FieldResult) -> tuple[tuple[str, str, str, Iterator[tuple]], ...]:
     """Each output file of one field, in writing order: (file suffix, column
-    line, row format, generator of row tuples)."""
+    line, row format, iterator of row tuples)."""
     name, table = result.field_name, result.table
     scores, indicators = result.scores, result.indicators
     mean_qnif, mean_qlif, labels = result.quadrants
     means = "%.6f,%.6f" % (mean_qnif, mean_qlif)
     return (
         ("ranking", "system_name,field_name,institution_id,rank,ifq2a",
-         "%s,%s,%s,%d,%.6f\n", ((table.system_name, name, *e) for e in table.entries)),
+         "%s,%s,%s,%d,%.6f\n",
+         zip(repeat(table.system_name), repeat(name), table.ids, table.ranks, table.scores)),
         ("quadrants", "field_name,institution_id,qnif,qlif,ifq2a,quadrant,mean_qnif,mean_qlif",
          "%s,%s,%.6f,%.6f,%.6f,%s,%s\n",
          ((name, *scores[inst], labels[inst], means) for inst in sorted(scores))),
@@ -478,7 +480,7 @@ def run_compare(config: RunConfig) -> list[Path]:
     external = load_external_rankings(config.external_rankings)
     crosswalks = _load_crosswalks(config, external)
     natl_tables = _national_tables(config)
-    system_set = set().union(*(t.institution_ids() for t in natl_tables.values()))
+    system_set = set().union(*(t.ids for t in natl_tables.values()))
     tables: dict[str, dict[str, RankingTable]] = {}
     for (system, field), table in external.items():
         tables.setdefault(system, {})[field] = restrict_to_system(table, system_set)

@@ -10,13 +10,14 @@ Internally built tables use competition ranking ("1,2,2,4").
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from itertools import compress
+from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import memoize_checked, normalize_id, read_csv
 from .errors import InputError
@@ -44,26 +45,19 @@ def parse_rank(text: str) -> float:
         raise InputError(f"rank {text.strip()!r} is too large for a float") from None
 
 
-class RankEntry(NamedTuple):
-    institution_id: str
-    rank: float  # effective: a built table's int rank, a loaded position or band midpoint
-    score: float | None = None
-
-
 @dataclass(frozen=True)
 class RankingTable:
-    """Entries in ascending effective rank, one per institution: built sorted
-    by ``build_ranking``, checked by ``load_external_rankings``."""
+    """Parallel columns in ascending effective rank, one row per institution:
+    built sorted by ``build_ranking``, checked by ``load_external_rankings``."""
 
     system_name: str
     field_name: str
-    entries: tuple[RankEntry, ...]
+    ids: tuple[str, ...]
+    ranks: tuple[float, ...]  # effective ranks; ints in a built table
+    scores: tuple[float, ...] = ()  # a built table's IFQ²A values; a loaded table has none
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def institution_ids(self) -> set[str]:
-        return {e.institution_id for e in self.entries}
+        return len(self.ids)
 
     def competition_ranks(self) -> Mapping[str, int]:
         """Local 1..m competition ranks from effective ranks; ties share a rank.
@@ -72,8 +66,7 @@ class RankingTable:
 
     @cached_property
     def _competition_ranks(self) -> Mapping[str, int]:
-        ranks = competition_ranks([e.rank for e in self.entries])
-        return MappingProxyType({e.institution_id: r for e, r in zip(self.entries, ranks)})
+        return MappingProxyType(dict(zip(self.ids, competition_ranks(self.ranks))))
 
 
 def competition_ranks(keys: Sequence) -> list[int]:
@@ -97,10 +90,9 @@ def build_ranking(scores: Mapping[str, IndexScore], system_name: str,
     # Two stable sorts: by id, then by score descending, so ties stay in id order.
     ordered = sorted(scores.values(), key=attrgetter("institution_id"))
     ordered.sort(key=attrgetter("ifq2a"), reverse=True)
-    keys = [s.ifq2a for s in ordered]
-    entries = tuple(map(RankEntry, [s.institution_id for s in ordered],
-                        competition_ranks(keys), keys))
-    return RankingTable(system_name, field_name, entries)
+    keys = tuple(s.ifq2a for s in ordered)
+    return RankingTable(system_name, field_name, tuple(s.institution_id for s in ordered),
+                        tuple(competition_ranks(keys)), keys)
 
 
 def _check_ranking_row(cells: Sequence[str | None], line: int,
@@ -120,7 +112,7 @@ def load_external_rankings(path: str | Path) -> dict[tuple[str, str], RankingTab
     # One memo per column (see memoize_checked), so rows share one float.
     memos: tuple[dict, ...] = ({}, {}, {}, {})
     system_memo, field_memo, inst_memo, rank_memo = memos
-    rows: dict[tuple[str, str], list[RankEntry]] = {}
+    rows: dict[tuple[str, str], tuple[list[str], list[float]]] = defaultdict(lambda: ([], []))
     for line, cells in read_csv(path, EXTERNAL_COLUMNS, "external ranking"):
         raw_system, raw_field, raw_inst, raw_rank = cells
         try:
@@ -128,25 +120,28 @@ def load_external_rankings(path: str | Path) -> dict[tuple[str, str], RankingTab
                                          inst_memo[raw_inst], rank_memo[raw_rank])
         except KeyError:  # a cell not checked yet
             system, field, inst, rank = _check_ranking_row(cells, line, memos)
-        rows.setdefault((system, field), []).append(RankEntry(inst, rank))
+        ids, ranks = rows[system, field]
+        ids.append(inst)
+        ranks.append(rank)
     tables: dict[tuple[str, str], RankingTable] = {}
-    for (system, field), entries in rows.items():
-        # Stable sort by effective rank keeps file order among exact ties.
-        entries.sort(key=itemgetter(1))
-        ids = [e.institution_id for e in entries]
+    for (system, field), (ids, ranks) in rows.items():
         if len(set(ids)) != len(ids):
             dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
-            raise InputError(
-                f"duplicate institution(s) in table {system}/{field}: {', '.join(dupes)}"
-            )
-        tables[system, field] = RankingTable(system, field, tuple(entries))
+            raise InputError(f"duplicate institution(s) in table {system!r}/{field!r}: "
+                             f"{', '.join(map(repr, dupes))}")
+        # Stable sort by effective rank keeps file order among exact ties.
+        order = sorted(range(len(ranks)), key=ranks.__getitem__)
+        tables[system, field] = RankingTable(system, field, tuple(map(ids.__getitem__, order)),
+                                             tuple(map(ranks.__getitem__, order)))
     return tables
 
 
 def restrict_to_system(table: RankingTable, system_institutions: set[str]) -> RankingTable:
     """Filter a table to a set of institutions, preserving rank values and order.
-    A table that keeps every entry is returned as it is, not copied."""
-    kept = tuple(e for e in table.entries if e.institution_id in system_institutions)
-    if len(kept) == len(table.entries):
+    A table that keeps every row is returned as it is, not copied."""
+    keep = [i in system_institutions for i in table.ids]
+    if all(keep):
         return table
-    return RankingTable(table.system_name, table.field_name, kept)
+    return RankingTable(table.system_name, table.field_name,
+                        *(tuple(compress(column, keep))
+                          for column in (table.ids, table.ranks, table.scores)))

@@ -17,7 +17,7 @@ from bibliorank.concordance import agreement_level, spearman_rho
 from bibliorank.corpus import Corpus, PublicationRecord, TimeWindow
 from bibliorank.indicators import IndicatorSet, compute_indicators, top10_threshold
 from bibliorank.pipeline import load_config, run_compare, run_rank
-from bibliorank.ranking import RankEntry, RankingTable, build_ranking, load_external_rankings
+from bibliorank.ranking import RankingTable, build_ranking, load_external_rankings
 from bibliorank.scoring import IndexScore, classify_quadrants, score, score_field
 
 from conftest import make_corpus, make_journal
@@ -111,9 +111,8 @@ def test_04_spearman_correctness():
 
 
 def _exact_table(pairs, system="s", field="f"):
-    entries = tuple(RankEntry(i, r)
-                    for i, r in sorted(pairs, key=lambda p: p[1]))
-    return RankingTable(system, field, entries)
+    ids, ranks = zip(*sorted(pairs, key=lambda p: p[1]))
+    return RankingTable(system, field, ids, ranks)
 
 
 def test_05_agreement_fixture():
@@ -132,9 +131,9 @@ def test_05_agreement_fixture():
 
 def test_06_external_table_fixture_round_trip(fixtures_dir):
     tables = load_external_rankings(fixtures_dir / "external_rankings.csv")
-    shanghai = {e.institution_id: e.rank
-                for e in tables[("shanghai", "overall")].entries}
-    ntu = {e.institution_id: e.rank for e in tables[("ntu", "overall")].entries}
+    effective = lambda t: dict(zip(t.ids, t.ranks))
+    shanghai = effective(tables[("shanghai", "overall")])
+    ntu = effective(tables[("ntu", "overall")])
     assert shanghai["Barcelona"] == 250.5
     assert ntu["Barcelona"] == 89
 
@@ -142,10 +141,10 @@ def test_06_external_table_fixture_round_trip(fixtures_dir):
             ["shanghai", "leiden", "qs", "ntu"], 2):
         a = tables[(sys_a, "overall")]
         b = tables[(sys_b, "overall")]
-        shared = a.institution_ids() & b.institution_ids()
+        shared = set(a.ids) & set(b.ids)
         ids = sorted(shared)
-        eff_a = {e.institution_id: e.rank for e in a.entries}
-        eff_b = {e.institution_id: e.rank for e in b.entries}
+        eff_a = effective(a)
+        eff_b = effective(b)
         x = [eff_a[i] for i in ids]
         y = [eff_b[i] for i in ids]
         oracle = scipy.stats.spearmanr(x, y).statistic
@@ -171,7 +170,7 @@ def test_07_rank_order_invariances():
     values = [rng2.choice([0.0, 1.0, 2.5, 7.0, 7.0]) for _ in range(30)]
     scores = {f"u{i}": IndexScore(f"u{i}", 1, 1, v) for i, v in enumerate(values)}
     permuted = dict(sorted(scores.items(), reverse=True))
-    ranks = lambda t: {e.institution_id: e.rank for e in t.entries}
+    ranks = lambda t: dict(zip(t.ids, t.ranks))
     assert ranks(build_ranking(scores, "s", "f")) == ranks(
         build_ranking(permuted, "s", "f"))
 

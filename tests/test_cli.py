@@ -197,6 +197,15 @@ class TestValidate:
         assert result.output.startswith(
             "error: system pair 'zzz'->'national' names unknown system 'zzz'"), result.output
 
+    def test_name_with_line_break_keeps_message_on_one_line(self, workspace):
+        with (workspace / "crosswalk.csv").open("a", encoding="utf-8") as fh:
+            fh.write('"a\nb",overall,national,overall\n' * 2)
+        result = run_cli("validate", "--config", str(workspace / "config.json"))
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("error: "), result.output
+        assert len(result.output.splitlines()) == 1, result.output
+        assert "crosswalk 'a\\nb' -> 'national'" in result.output
+
     @pytest.mark.parametrize("command", ["validate", "compare"])
     @pytest.mark.parametrize("name, text, code, message", [
         ("national_rankings.csv", "system_name,field_name,institution_id,rank\n"

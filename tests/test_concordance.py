@@ -22,7 +22,7 @@ from bibliorank.concordance import (
 from bibliorank.corpus import TimeWindow
 from bibliorank.errors import ConstantInputError, InputError, InsufficientDataError
 from bibliorank.pipeline import RunConfig, load_config, run_compare
-from bibliorank.ranking import RankEntry, RankingTable, load_external_rankings, restrict_to_system
+from bibliorank.ranking import RankingTable, load_external_rankings, restrict_to_system
 
 
 def closed_form(x, y):
@@ -33,11 +33,8 @@ def closed_form(x, y):
 
 
 def exact_table(pairs, system="s", field="f"):
-    entries = tuple(
-        RankEntry(inst, rank)
-        for inst, rank in sorted(pairs, key=lambda p: p[1])
-    )
-    return RankingTable(system, field, entries)
+    ids, ranks = zip(*sorted(pairs, key=lambda p: p[1]))
+    return RankingTable(system, field, ids, ranks)
 
 
 class TestMidranks:
@@ -119,11 +116,7 @@ class TestAgreementLevel:
     def test_tie_group_straddling_cutoff_counts_by_rank_value(self):
         intl = exact_table([("a", 10), ("b", 20)])  # s = 2
         # national competition ranks 1, 2, 2: the tie at rank 2 stays <= s
-        natl = RankingTable("n", "f", (
-            RankEntry("x", 1),
-            RankEntry("a", 2),
-            RankEntry("b", 2),
-        ))
+        natl = RankingTable("n", "f", ("x", "a", "b"), (1, 2, 2))
         assert agreement_level(intl, natl) == (2, 2)
 
     def test_missing_national_warn_vs_strict(self):
@@ -152,10 +145,10 @@ class TestAgreementLevel:
         intl = exact_table([("a", 1), ("b", 2), ("c", 3)])
         natl = exact_table([("b", 1), ("d", 2), ("a", 3), ("c", 4)])
         rename = {"a": "W", "b": "X", "c": "Y", "d": "Z"}
-        intl2 = exact_table([(rename[e.institution_id], e.rank)
-                             for e in intl.entries])
-        natl2 = exact_table([(rename[e.institution_id], e.rank)
-                             for e in natl.entries])
+        intl2 = exact_table([(rename[inst], rank)
+                             for inst, rank in zip(intl.ids, intl.ranks)])
+        natl2 = exact_table([(rename[inst], rank)
+                             for inst, rank in zip(natl.ids, natl.ranks)])
         assert agreement_level(intl, natl) == agreement_level(intl2, natl2)
 
 
@@ -181,9 +174,9 @@ class TestComparePair:
         reports = {p.name: p for p in run_compare(config)}
         tables = load_external_rankings(fixtures_dir / "external_rankings.csv")
         national = load_external_rankings(fixtures_dir / "national_rankings.csv")
-        system = set().union(*(t.institution_ids() for t in national.values()))
-        effective = {s: {e.institution_id: e.rank for e in t.entries
-                         if e.institution_id in system}
+        system = set().union(*(t.ids for t in national.values()))
+        effective = {s: {inst: rank for inst, rank in zip(t.ids, t.ranks)
+                         if inst in system}
                      for (s, _), t in tables.items()}
         for a, b in itertools.combinations(["shanghai", "leiden", "qs", "ntu"], 2):
             text = reports[f"concordance_{a}_{b}.csv"].read_text(encoding="utf-8")
@@ -302,7 +295,8 @@ class TestRunCrosswalk:
             "source_system,source_field,target_system,target_field\n"
             "a,f,b,g\na,f,c,g\na,f,b,g\n",
             encoding="utf-8")
-        with pytest.raises(InputError, match=r"^line 4: duplicate .* a -> b \(first seen at line 2\)$"):
+        with pytest.raises(InputError,
+                           match=r"^line 4: duplicate .* 'a' -> 'b' \(first seen at line 2\)$"):
             load_crosswalk(path)
 
 

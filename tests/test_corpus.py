@@ -23,7 +23,7 @@ from bibliorank.corpus import (
 )
 from bibliorank.errors import BiblioRankError, ConfigError, InputError, QuartileLookupError
 from bibliorank.indicators import compute_indicators, top10_threshold
-from bibliorank.ranking import EXTERNAL_COLUMNS, RankEntry, load_external_rankings, parse_rank
+from bibliorank.ranking import EXTERNAL_COLUMNS, load_external_rankings, parse_rank
 from bibliorank.taxonomy import load_taxonomy
 
 from conftest import make_corpus, make_journal
@@ -428,15 +428,15 @@ def reference_rankings(path):
             rank = parse_rank(cells[3] or "")  # names the rank text as given
         except InputError as exc:
             raise InputError(str(exc), line) from None
-        rows.setdefault((system, field), []).append(RankEntry(inst, rank))
+        rows.setdefault((system, field), []).append((inst, rank))
     tables = {}
     for (system, field), entries in rows.items():
-        ids = [e.institution_id for e in entries]
+        ids = [inst for inst, _ in entries]
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         if dupes:
-            raise InputError(f"duplicate institution(s) in table {system}/{field}: "
-                             f"{', '.join(dupes)}")
-        tables[system, field] = sorted(entries, key=lambda e: e.rank)
+            raise InputError(f"duplicate institution(s) in table {system!r}/{field!r}: "
+                             f"{', '.join(map(repr, dupes))}")
+        tables[system, field] = sorted(entries, key=lambda e: e[1])
     return tables
 
 
@@ -524,7 +524,7 @@ def test_load_external_rankings_matches_per_row_reference(rows):
         write_rows(path, EXTERNAL_COLUMNS, rows)
         loaded = outcome(load_external_rankings, path)
         if isinstance(loaded, dict):
-            loaded = {key: list(t.entries) for key, t in loaded.items()}
+            loaded = {key: list(zip(t.ids, t.ranks)) for key, t in loaded.items()}
         assert loaded == outcome(reference_rankings, path)
 
 

@@ -1,11 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bibliorank.errors import InputError
 from bibliorank.ranking import (
-    RankEntry,
     RankingTable,
     build_ranking,
     load_external_rankings,
@@ -47,14 +47,14 @@ class TestRankValue:
 class TestBuildRanking:
     def test_distinct_scores(self):
         table = build_ranking(scores_from([5.0, 3.0, 1.0]), "sys", "f")
-        assert [(e.institution_id, e.rank) for e in table.entries] == [
+        assert list(zip(table.ids, table.ranks)) == [
             ("u0", 1), ("u1", 2), ("u2", 3)]
 
     def test_competition_ties(self):
         table = build_ranking(scores_from([5.0, 5.0, 1.0]), "sys", "f")
-        assert [e.rank for e in table.entries] == [1, 1, 3]
+        assert list(table.ranks) == [1, 1, 3]
         # ints, so that a ranking file prints "1", not "1.0"
-        assert all(type(e.rank) is int for e in table.entries)
+        assert all(type(rank) is int for rank in table.ranks)
 
     def test_matches_argsort_oracle(self):
         rng = random.Random(1)
@@ -62,15 +62,15 @@ class TestBuildRanking:
         scores = scores_from(values)
         table = build_ranking(scores, "sys", "f")
         ranked_desc = sorted(values, reverse=True)
-        for entry in table.entries:
-            v = scores[entry.institution_id].ifq2a
-            assert entry.rank == ranked_desc.index(v) + 1
+        for inst, rank in zip(table.ids, table.ranks):
+            v = scores[inst].ifq2a
+            assert rank == ranked_desc.index(v) + 1
 
     @given(st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=25))
     def test_rank_values_order_independent(self, values):
         scores = scores_from(values)
         permuted = dict(reversed(list(scores.items())))
-        ranks = lambda t: {e.institution_id: e.rank for e in t.entries}
+        ranks = lambda t: dict(zip(t.ids, t.ranks))
         assert ranks(build_ranking(scores, "s", "f")) == ranks(
             build_ranking(permuted, "s", "f"))
 
@@ -82,7 +82,7 @@ class TestBuildRanking:
             u: IndexScore(u, s.qnif, s.qlif, 3.0 * s.ifq2a + 1.0)
             for u, s in scores.items()
         }
-        ranks = lambda t: {e.institution_id: e.rank for e in t.entries}
+        ranks = lambda t: dict(zip(t.ids, t.ranks))
         assert ranks(build_ranking(scores, "s", "f")) == ranks(
             build_ranking(transformed, "s", "f"))
 
@@ -92,7 +92,7 @@ class TestBuildRanking:
             "alpha": IndexScore("alpha", 1, 1, 4.0),
         }
         table = build_ranking(scores, "s", "f")
-        assert [e.institution_id for e in table.entries] == ["alpha", "zeta"]
+        assert list(table.ids) == ["alpha", "zeta"]
 
 
 class TestExternalTables:
@@ -100,10 +100,10 @@ class TestExternalTables:
         tables = load_external_rankings(fixtures_dir / "external_rankings.csv")
         shanghai = tables[("shanghai", "overall")]
         ntu = tables[("ntu", "overall")]
-        by_id = {e.institution_id: e.rank for e in shanghai.entries}
+        by_id = dict(zip(shanghai.ids, shanghai.ranks))
         assert by_id["Barcelona"] == 250.5
-        assert ntu.entries[0].institution_id == "Barcelona"
-        assert ntu.entries[0].rank == 89
+        assert ntu.ids[0] == "Barcelona"
+        assert ntu.ranks[0] == 89
         assert len(ntu) == 13
 
     def test_duplicate_institution_rejected(self, tmp_path):
@@ -121,8 +121,29 @@ class TestExternalTables:
         path.write_text(header + "s,f,X,1\ns,g,X,1\n", encoding="utf-8")
         assert set(load_external_rankings(path)) == {("s", "f"), ("s", "g")}
         path.write_text(header + "s,f,X,1\ns,g,X,1\ns,g,Y,2\ns,g,X,3\n", encoding="utf-8")
-        with pytest.raises(InputError, match=r"duplicate institution\(s\) in table s/g: X$"):
+        with pytest.raises(InputError,
+                           match=r"duplicate institution\(s\) in table 's'/'g': 'X'$"):
             load_external_rankings(path)
+
+    def test_peak_memory_per_row(self, tmp_path):
+        # 60 tables x 500 rows, exact positions to 100 and "LO-HI" bands
+        # beyond, the shape of a published top-500 league table.
+        bands = [f"{lo}-{lo + 49}" for lo in range(101, 500, 50)]
+        rows = [f"sys{t % 4},field{t:02d},inst{i:04d},"
+                f"{i + 1 if i < 100 else bands[(i - 100) // 50]}\n"
+                for t in range(60) for i in range(500)]
+        path = tmp_path / "r.csv"
+        path.write_text("system_name,field_name,institution_id,rank\n" + "".join(rows),
+                        encoding="utf-8")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tables = load_external_rankings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, tables.values())) == len(rows)
+        assert (peak - before) / len(rows) < 70
 
     def test_malformed_rank_has_line(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -138,11 +159,11 @@ class TestRestrictToSystem:
     def test_filters_and_preserves_ranks(self, fixtures_dir):
         tables = load_external_rankings(fixtures_dir / "external_rankings.csv")
         ntu = tables[("ntu", "overall")]
-        spanish = ntu.institution_ids()
+        spanish = set(ntu.ids)
         restricted = restrict_to_system(ntu, spanish)
         assert len(restricted) == 13
-        assert restricted.entries[0].institution_id == "Barcelona"
-        assert restricted.entries[0].rank == 89
+        assert restricted.ids[0] == "Barcelona"
+        assert restricted.ranks[0] == 89
 
     def test_empty_filter(self, fixtures_dir):
         tables = load_external_rankings(fixtures_dir / "external_rankings.csv")
@@ -151,24 +172,24 @@ class TestRestrictToSystem:
     def test_preserves_pairwise_order(self, fixtures_dir):
         tables = load_external_rankings(fixtures_dir / "external_rankings.csv")
         table = tables[("leiden", "overall")]
-        subset = set(list(table.institution_ids())[::2])
+        subset = set(list(set(table.ids))[::2])
         restricted = restrict_to_system(table, subset)
-        source_pos = {e.institution_id: i for i, e in enumerate(table.entries)}
-        kept = [e.institution_id for e in restricted.entries]
+        source_pos = {inst: i for i, inst in enumerate(table.ids)}
+        kept = list(restricted.ids)
         assert kept == sorted(kept, key=source_pos.__getitem__)
 
     def test_fully_kept_table_is_not_copied(self, fixtures_dir):
         table = load_external_rankings(fixtures_dir / "external_rankings.csv")[("ntu", "overall")]
-        assert restrict_to_system(table, table.institution_ids() | {"elsewhere"}) is table
+        assert restrict_to_system(table, set(table.ids) | {"elsewhere"}) is table
 
     def test_partly_kept_table_keeps_order_and_ranks(self, fixtures_dir):
         table = load_external_rankings(
             fixtures_dir / "external_rankings.csv")[("shanghai", "overall")]
-        dropped = table.entries[1].institution_id
-        restricted = restrict_to_system(table, table.institution_ids() - {dropped})
+        dropped = table.ids[1]
+        restricted = restrict_to_system(table, set(table.ids) - {dropped})
         assert (restricted.system_name, restricted.field_name) == ("shanghai", "overall")
-        assert restricted.entries == tuple(e for e in table.entries
-                                           if e.institution_id != dropped)
+        assert list(zip(restricted.ids, restricted.ranks)) == [
+            (inst, rank) for inst, rank in zip(table.ids, table.ranks) if inst != dropped]
 
     def test_idempotent(self, fixtures_dir):
         tables = load_external_rankings(fixtures_dir / "external_rankings.csv")
@@ -180,16 +201,11 @@ class TestRestrictToSystem:
 
 class TestCompetitionRanks:
     def test_interval_ties_share_rank(self):
-        entries = (
-            RankEntry("a", 250.5),
-            RankEntry("b", 250.5),
-            RankEntry("c", 350.5),
-        )
-        table = RankingTable("s", "f", entries)
+        table = RankingTable("s", "f", ("a", "b", "c"), (250.5, 250.5, 350.5))
         assert table.competition_ranks() == {"a": 1, "b": 1, "c": 3}
 
     def test_ranks_are_read_only(self):
-        table = RankingTable("s", "f", (RankEntry("a", 1), RankEntry("b", 2)))
+        table = RankingTable("s", "f", ("a", "b"), (1, 2))
         ranks = table.competition_ranks()
         with pytest.raises(TypeError):
             ranks["a"] = 2
@@ -199,7 +215,7 @@ class TestCompetitionRanks:
            .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=25)))
     def test_internal_table_ranks_consistent(self, values):
         table = build_ranking(scores_from(values), "s", "f")
-        stored = {e.institution_id: e.rank for e in table.entries}
+        stored = dict(zip(table.ids, table.ranks))
         assert table.competition_ranks() == stored
-        for entry in table.entries:
-            assert entry.rank == 1 + sum(v > entry.score for v in values)
+        for rank, score in zip(table.ranks, table.scores):
+            assert rank == 1 + sum(v > score for v in values)
