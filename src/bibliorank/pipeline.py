@@ -11,12 +11,13 @@ import hashlib
 import json
 import os
 import re
-from contextlib import suppress
+import threading
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .concordance import (
@@ -357,6 +358,17 @@ def compute_field_results(config: RunConfig, window: TimeWindow,
     """
     corpus = build_corpus(publications, journals, window)
     assignment = assign_fields(corpus, taxonomy)
+    with _rare_full_collections():
+        for name in taxonomy.field_names():
+            fc = field_corpus(corpus, assignment, name)
+            if len(fc) > 0:
+                yield _field_result(config, taxonomy, fc, name)
+
+
+@contextmanager
+def _rare_full_collections() -> Iterator[None]:
+    """Run the block with the cycle collector's third threshold raised a
+    hundredfold, for a per-field loop."""
     # Each field's results outlive the young collections until the caller is
     # done with them, and so keep triggering full collections, each of which
     # traverses every loaded record. The loop builds no reference cycles for
@@ -365,10 +377,7 @@ def compute_field_results(config: RunConfig, window: TimeWindow,
     thresholds = gc.get_threshold()
     gc.set_threshold(thresholds[0], thresholds[1], thresholds[2] * 100)
     try:
-        for name in taxonomy.field_names():
-            fc = field_corpus(corpus, assignment, name)
-            if len(fc) > 0:
-                yield _field_result(config, taxonomy, fc, name)
+        yield
     finally:
         gc.set_threshold(*thresholds)
 
@@ -394,24 +403,158 @@ def _field_result(config: RunConfig, taxonomy: FieldTaxonomy, fc: Corpus,
     )
 
 
-def _field_outputs(result: FieldResult) -> tuple[tuple[str, str, str, Iterator[tuple]], ...]:
-    """Each output file of one field, in writing order: (file suffix, column
+def _field_outputs(result: FieldResult) -> tuple[tuple[str, str, Iterator[tuple]], ...]:
+    """Each output file of one field, in ``_output_paths`` order: (column
     line, row format, iterator of row tuples)."""
     name, table = result.field_name, result.table
     scores, indicators = result.scores, result.indicators
     mean_qnif, mean_qlif, labels = result.quadrants
     means = "%.6f,%.6f" % (mean_qnif, mean_qlif)
     return (
-        ("ranking", "system_name,field_name,institution_id,rank,ifq2a",
+        ("system_name,field_name,institution_id,rank,ifq2a",
          "%s,%s,%s,%d,%.6f\n",
          zip(repeat(table.system_name), repeat(name), table.ids, table.ranks, table.scores)),
-        ("quadrants", "field_name,institution_id,qnif,qlif,ifq2a,quadrant,mean_qnif,mean_qlif",
+        ("field_name,institution_id,qnif,qlif,ifq2a,quadrant,mean_qnif,mean_qlif",
          "%s,%s,%.6f,%.6f,%.6f,%s,%s\n",
          ((name, *scores[inst], labels[inst], means) for inst in sorted(scores))),
-        ("indicators", "field_name,institution_id,ndoc,ncit,h,pct_q1,acit,topcit",
+        ("field_name,institution_id,ndoc,ncit,h,pct_q1,acit,topcit",
          "%s,%s,%d,%d,%d,%.6f,%.6f,%.6f\n",
          ((name, *indicators[inst]) for inst in sorted(indicators))),
     )
+
+
+def _output_paths(config: RunConfig, window: TimeWindow, name: str) -> tuple[Path, ...]:
+    """The ranking, quadrants and indicators files of field ``name`` in ``window``."""
+    stem = f"{slugify(name)}_{window.label}"
+    return tuple(config.out_dir / f"{stem}_{kind}.csv"
+                 for kind in ("ranking", "quadrants", "indicators"))
+
+
+def _write_field(config: RunConfig, taxonomy: FieldTaxonomy, window: TimeWindow,
+                 header: str, fc: Corpus, name: str) -> None:
+    """Compute one non-empty field's results and write its files; the results
+    are dropped on return."""
+    result = _field_result(config, taxonomy, fc, name)
+    for path, (columns, row_format, rows) in zip(_output_paths(config, window, name),
+                                                 _field_outputs(result)):
+        _write_csv(path, header, columns, row_format, rows)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _split(weights: Sequence[int], k: int) -> list[list[int]]:
+    """The indices of ``weights`` in ``k`` shares of near-equal total weight.
+
+    Heaviest first, each index joins the lightest share (the first of equals).
+    Each share lists its indices in ascending order.
+    """
+    shares: list[list[int]] = [[] for _ in range(k)]
+    loads = [0] * k
+    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
+        lightest = loads.index(min(loads))
+        shares[lightest].append(i)
+        loads[lightest] += weights[i]
+    return [sorted(share) for share in shares]
+
+
+_Fault = tuple[int, Exception]  # (index, what run(index) raised)
+
+
+def _run_share(share: Sequence[int], run: Callable[[int], None]) -> _Fault | None:
+    """Call ``run(i)`` for each index of ``share`` in order; the first to
+    raise ends the share, and its fault is returned."""
+    for i in share:
+        try:
+            run(i)
+        except Exception as exc:  # kept until every share has ended
+            return i, exc
+    return None
+
+
+def _reap(pid: int, read_fd: int, first: int) -> _Fault | None:
+    """Read a child's fault pipe to its end and wait for the child, whose
+    share starts at index ``first``."""
+    try:
+        with open(read_fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if data:
+        import pickle  # only a fault loads it
+
+        return pickle.loads(data)
+    if status:
+        return first, RuntimeError(f"a forked child ended with wait status {status}")
+    return None
+
+
+def _fork_shares(weights: Sequence[int], run: Callable[[int], None]) -> None:
+    """Call ``run(i)`` once for each index of ``weights``, split over the
+    usable CPUs: ``_split`` makes one share per CPU (no more than there are
+    indices), the first share runs in this process and each other one in a
+    child made by ``os.fork``. A child shares this process's memory
+    copy-on-write and is always reaped before this function returns or raises.
+
+    A share stops at its first fault. If any share failed, the fault of the
+    lowest index is raised, so the error is the one a single process running
+    the indices in order would raise.
+    """
+    # Forking a process that runs threads can leave a lock held for ever in
+    # the child, so such a process runs every index itself.
+    k = 1 if threading.active_count() > 1 else max(1, min(_usable_cpus(), len(weights)))
+    shares = _split(weights, k)
+    children: list[tuple[int, int, int]] = []  # pid, its fault pipe's read end, first index
+    faults: list[_Fault | None] = []
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _child(share, run, read_fd, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd, share[0]))
+        faults.append(_run_share(shares[0], run))
+    finally:
+        faults += [_reap(*child) for child in children]
+    first = min(filter(None, faults), key=itemgetter(0), default=None)
+    del faults
+    if first is not None:
+        try:
+            raise first[1]
+        finally:
+            # The traceback holds this frame: no local may hold the fault,
+            # or the two would keep each other alive until a full collection.
+            del first
+
+
+def _child(share: Sequence[int], run: Callable[[int], None], read_fd: int,
+           write_fd: int) -> None:
+    """Run ``share`` in a forked child, write its fault, if any, to
+    ``write_fd`` pickled, and end the process. Never returns, so the child
+    never unwinds into its caller's stack. Exit status 0 means the share ran
+    to its end or to a fault that was written."""
+    status = 1
+    try:
+        os.close(read_fd)
+        fault = _run_share(share, run)
+        if fault is not None:
+            import pickle
+
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(fault))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def run_rank(config: RunConfig) -> list[Path]:
@@ -425,15 +568,31 @@ def run_rank(config: RunConfig) -> list[Path]:
     _check_field_stems(taxonomy)
     written: list[Path] = []
     for window in config.windows:
-        header = _header(config, window)
-        for result in compute_field_results(config, window, publications, journals, taxonomy):
-            for kind, columns, row_format, rows in _field_outputs(result):
-                path = config.out_dir / f"{slugify(result.field_name)}_{window.label}_{kind}.csv"
-                _write_csv(path, header, columns, row_format, rows)
-                written.append(path)
-            # Drop this field's results before the next field is computed.
-            del result
+        written += _rank_window(config, window, publications, journals, taxonomy)
     return written
+
+
+def _rank_window(config: RunConfig, window: TimeWindow,
+                 publications: Sequence[PublicationRecord],
+                 journals: Mapping[str, JournalProfile],
+                 taxonomy: FieldTaxonomy) -> list[Path]:
+    """Write the files of every non-empty field in ``window``; return their paths.
+
+    The records are bucketed by field once, in this process; then
+    ``_fork_shares`` spreads the fields over the usable CPUs. Each process
+    keeps one field's results alive at a time. The buckets go on return,
+    before the next window's are built.
+    """
+    header = _header(config, window)
+    corpus = build_corpus(publications, journals, window)
+    assignment = assign_fields(corpus, taxonomy)
+    names = [name for name in taxonomy.field_names() if assignment.records_by_field[name]]
+    with _rare_full_collections():
+        _fork_shares([len(assignment.records_by_field[name]) for name in names],
+                     lambda i: _write_field(config, taxonomy, window, header,
+                                            field_corpus(corpus, assignment, names[i]),
+                                            names[i]))
+    return [path for name in names for path in _output_paths(config, window, name)]
 
 
 def _supplied_national_tables(config: RunConfig,

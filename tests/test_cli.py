@@ -1,11 +1,18 @@
 import csv
 import gc
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import bibliorank
 from bibliorank import pipeline
 from bibliorank.cli import main
 from bibliorank.errors import InputError
@@ -36,18 +43,30 @@ def edit_config(workspace, **changes):
     path.write_text(json.dumps(config), encoding="utf-8")
 
 
-def watch_live_field_results(monkeypatch) -> list[int]:
-    """At each call of compute_indicators, append the number of live
-    FieldResult objects to the returned list."""
-    live: list[int] = []
+def watch_live_field_results(monkeypatch, log: Path):
+    """At each call of compute_indicators, in whichever process makes it,
+    append ``pid,live`` to ``log``: the number of FieldResult objects alive
+    in that process. Forked children inherit the wrapper. Returns a function
+    that reads back the (pid, live) pairs."""
     real = pipeline.compute_indicators
 
     def counting(*args, **kwargs):
-        live.append(sum(isinstance(o, pipeline.FieldResult) for o in gc.get_objects()))
+        live = sum(isinstance(o, pipeline.FieldResult) for o in gc.get_objects())
+        with log.open("a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()},{live}\n")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "compute_indicators", counting)
-    return live
+    # An earlier test's CliRunner may leave a failed run's results in a
+    # reference cycle; count only what this run keeps alive.
+    gc.collect()
+    return lambda: [tuple(map(int, line.split(","))) for line in
+                    log.read_text(encoding="ascii").splitlines()]
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestValidate:
@@ -340,10 +359,102 @@ class TestRank:
         assert calls == {"load_publications": 1, "load_journals": 1, "load_taxonomy": 1}
 
     def test_holds_one_field_result_at_a_time(self, workspace, monkeypatch):
-        live = watch_live_field_results(monkeypatch)
+        entries = watch_live_field_results(monkeypatch, workspace / "live.log")
         written = run_rank(load_config(workspace / "config.json"))
         assert len(written) == 18  # 3 fields x 3 files x 2 windows
-        assert len(live) == 6 and max(live) <= 1, live
+        live = [count for _, count in entries()]
+        assert len(live) == 6 and max(live) <= 1, entries()
+        if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+            assert len({pid for pid, _ in entries()}) >= 2, entries()
+
+    @staticmethod
+    def pin_cpus(monkeypatch, cpus: int) -> list[int]:
+        """Make run_rank see ``cpus`` usable CPUs; returns the pids it forks."""
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        forked: list[int] = []
+        real = os.fork
+
+        def fork():
+            pid = real()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(pipeline.os, "fork", fork)
+        return forked
+
+    def test_one_and_two_shares_write_the_same_files(self, workspace, monkeypatch):
+        config = load_config(workspace / "config.json")
+        runs = []
+        for cpus in (1, 2):
+            forked = self.pin_cpus(monkeypatch, cpus)
+            shutil.rmtree(config.out_dir, ignore_errors=True)
+            written = run_rank(config)
+            assert_no_child_process()
+            runs.append((written, {p.name: p.read_bytes() for p in config.out_dir.iterdir()}))
+            # the three fields split into shares of one and two, in each window
+            assert len(forked) == 2 * (cpus - 1)
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) == 18
+
+    @pytest.mark.parametrize("failing", [
+        # the fixture fields in name order are artificial_intelligence,
+        # computer_science, physics; of two shares, computer_science is the
+        # first, which this process runs, and the other two are the second
+        ("artificial_intelligence", "computer_science"),
+        ("computer_science", "physics"),
+    ], ids=["child_first", "parent_first"])
+    def test_fault_of_the_earliest_field_wins(self, workspace, monkeypatch, failing):
+        outputs = []
+        for cpus in (1, 2):
+            self.pin_cpus(monkeypatch, cpus)
+            out = workspace / f"out{cpus}"
+            for stem in failing:  # a directory where the file goes: its write fails
+                (out / f"{stem}_w5_ranking.csv").mkdir(parents=True)
+            result = run_cli("rank", "--config", str(workspace / "config.json"),
+                             "--out", str(out))
+            assert_no_child_process()
+            assert result.exit_code == 1, result.output
+            assert not list(out.glob("*.tmp"))
+            outputs.append(result.output.replace(str(out), "OUT"))
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith(f"error: cannot write OUT/{failing[0]}_w5_ranking.csv: ")
+
+    def test_killed_child_is_an_error(self, workspace, monkeypatch):
+        self.pin_cpus(monkeypatch, 2)
+        parent, real = os.getpid(), pipeline._write_field
+
+        def die_in_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            real(*args)
+
+        monkeypatch.setattr(pipeline, "_write_field", die_in_child)
+        with pytest.raises(RuntimeError, match="^a forked child ended with wait status 9$"):
+            run_rank(load_config(workspace / "config.json"))
+        assert_no_child_process()
+
+    def test_no_fork_while_another_thread_runs(self, workspace, monkeypatch):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pipeline.os, "fork", lambda: pytest.fail("forked"))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(10,))
+        thread.start()
+        try:
+            assert len(run_rank(load_config(workspace / "config.json"))) == 18
+        finally:
+            stop.set()
+            thread.join(10)
+        assert not thread.is_alive()
+
+    def test_cli_import_loads_no_process_pool_or_pickle(self):
+        # rank imports pickle only to pass a fault from a child to its parent
+        src = str(Path(bibliorank.__file__).resolve().parent.parent)
+        code = ("import sys; import bibliorank.cli; print(sorted(m for m in ("
+                "'multiprocessing', 'concurrent.futures', 'pickle') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out == "[]\n"
 
     @pytest.mark.parametrize("failing", ["compute_indicators", "_atomic_write"])
     def test_collector_thresholds_restored(self, workspace, monkeypatch, failing):
@@ -496,10 +607,12 @@ class TestCompare:
             "shanghai,overall,national,Computer Science\n",
             encoding="utf-8",
         )
-        live = watch_live_field_results(monkeypatch)
+        entries = watch_live_field_results(monkeypatch, workspace / "live.log")
         written = run_compare(load_config(workspace / "config.json"))
         assert [p.name for p in written] == ["concordance_shanghai_national.csv"]
-        assert len(live) == 3 and max(live) <= 1, live
+        live = [count for _, count in entries()]
+        assert len(live) == 3 and max(live) <= 1, entries()
+        assert {pid for pid, _ in entries()} == {os.getpid()}  # compare does not fork
 
     def test_compare_rerun_is_byte_identical(self, workspace):
         run_cli("compare", "--config", str(workspace / "config.json"))
