@@ -1,8 +1,9 @@
 """Publication and journal data: loading, validation, and time-windowing.
 
-All downstream computation reads from an immutable :class:`Corpus`. Input
-files are UTF-8; identifiers are compared byte-exactly after trimming
-surrounding whitespace.
+The loaders return plain values: a list of records, and each journal's
+quartiles as nested dicts. A :class:`Corpus` is one window's or one field's
+records beside the journal map. Input files are UTF-8; identifiers are compared byte-exactly
+after trimming surrounding whitespace.
 """
 
 from __future__ import annotations
@@ -45,17 +46,9 @@ class PublicationRecord(NamedTuple):
     citations: int
 
 
-@dataclass(frozen=True)
-class JournalProfile:
-    """A journal's normalized subject categories and, per category, its
-    quartile in {1,2,3,4} by year; a missing year has no entry.
-
-    ``categories`` is ``frozenset(quartiles)``, which ``load_journals`` ensures.
-    """
-
-    journal_id: str
-    categories: frozenset[str]
-    quartiles: Mapping[str, Mapping[int, int]]
+# A journal's quartile in {1,2,3,4} by normalized subject category, then by
+# year; a missing year has no entry. Its keys are the journal's categories.
+Quartiles = Mapping[str, Mapping[int, int]]
 
 
 @dataclass(frozen=True, order=True)
@@ -91,9 +84,7 @@ class Corpus:
     """Windowed publications plus the journal set they resolve against."""
 
     publications: tuple[PublicationRecord, ...]
-    journals: Mapping[str, JournalProfile]
-    window: TimeWindow
-    dropped_outside_window: int = 0
+    journals: Mapping[str, Quartiles]
 
     def __len__(self) -> int:
         return len(self.publications)
@@ -250,8 +241,9 @@ def _check_journal_row(cells: Sequence[str | None], line: int,
     return memoize_checked(memos, cells, (jid, cat, year, quartile))
 
 
-def load_journals(path: str | Path) -> dict[str, JournalProfile]:
-    """Load journal profiles from a (journal_id, category, year, quartile) CSV.
+def load_journals(path: str | Path) -> dict[str, dict[str, dict[int, int]]]:
+    """Load each journal's quartiles, by category then year, from a
+    (journal_id, category, year, quartile) CSV.
 
     A repeated (journal, category, year) must repeat its quartile; a conflict
     is an error at the later row that names the line of the first.
@@ -281,8 +273,7 @@ def load_journals(path: str | Path) -> dict[str, JournalProfile]:
                 f"(line {_first_journal_line(path, (jid, cat, year), memos)}) vs Q{quartile}",
                 line,
             )
-    return {jid: JournalProfile(jid, frozenset(by_cat), by_cat)
-            for jid, by_cat in quartiles.items()}
+    return quartiles
 
 
 def _first_journal_line(path: str | Path, key: tuple[str, str, int],
@@ -297,27 +288,6 @@ def _first_journal_line(path: str | Path, key: tuple[str, str, int],
 
 
 def build_corpus(publications: Sequence[PublicationRecord],
-                 journals: Mapping[str, JournalProfile],
-                 window: TimeWindow) -> Corpus:
-    """Window the publications and bind them to the journal set.
-
-    Records outside the window are dropped (counted); an unknown journal_id
-    is a hard error. Idempotent for a fixed window.
-    """
-    kept: list[PublicationRecord] = []
-    dropped = 0
-    for rec in publications:
-        if rec.journal_id not in journals:
-            raise InputError(
-                f"record {rec.record_id!r} references unknown journal {rec.journal_id!r}"
-            )
-        if rec.year in window:
-            kept.append(rec)
-        else:
-            dropped += 1
-    return Corpus(
-        publications=tuple(kept),
-        journals=journals,
-        window=window,
-        dropped_outside_window=dropped,
-    )
+                 journals: Mapping[str, Quartiles], window: TimeWindow) -> Corpus:
+    """The publications inside ``window``, in order, beside the journal map."""
+    return Corpus(tuple(rec for rec in publications if rec.year in window), journals)

@@ -11,7 +11,7 @@ import logging
 from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
-from .corpus import Corpus, JournalProfile
+from .corpus import Corpus, Quartiles
 from .errors import QuartileLookupError
 
 log = logging.getLogger(__name__)
@@ -51,22 +51,24 @@ def top10_threshold(field_corpus: Corpus) -> int:
     return pool[-(-len(pool) // 10) - 1]
 
 
-def _is_q1(journal: JournalProfile, year: int, field_categories: frozenset[str] | None,
-           q1_policy: str, missing_quartile: str) -> tuple[bool, int]:
-    """Whether the paper counts as first-quartile; second value tallies lookup misses."""
+def _is_q1(journal_id: str, quartiles: Quartiles, year: int,
+           field_categories: frozenset[str] | None, q1_policy: str,
+           missing_quartile: str) -> tuple[bool, int]:
+    """Whether a paper of that journal and year counts as first-quartile;
+    second value tallies lookup misses."""
     if q1_policy == "any-relevant" and field_categories is not None:
-        cats = journal.categories & field_categories
+        cats = quartiles.keys() & field_categories
     else:
-        cats = journal.categories
+        cats = quartiles
     misses = 0
     for cat in sorted(cats):
-        quartile = journal.quartiles[cat].get(year)
+        quartile = quartiles[cat].get(year)
         if quartile == 1:
             return True, misses
         if quartile is None:
             if missing_quartile == "strict":
                 raise QuartileLookupError(
-                    f"journal {journal.journal_id!r} has no quartile for category "
+                    f"journal {journal_id!r} has no quartile for category "
                     f"{cat!r} in year {year}"
                 )
             misses += 1
@@ -97,7 +99,7 @@ def compute_indicators(field_corpus: Corpus, threshold: int,
         key = (journal_id, year)
         if key not in decided:
             decided[key] = _is_q1(
-                field_corpus.journals[journal_id], year,
+                journal_id, field_corpus.journals[journal_id], year,
                 field_categories, q1_policy, missing_quartile,
             )
         is_q1, misses = decided[key]

@@ -15,7 +15,7 @@ import threading
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -33,8 +33,8 @@ from .corpus import (
     YEAR_MAX,
     YEAR_MIN,
     Corpus,
-    JournalProfile,
     PublicationRecord,
+    Quartiles,
     TimeWindow,
     build_corpus,
     load_journals,
@@ -50,7 +50,7 @@ from .indicators import (
 )
 from .ranking import RankingTable, build_ranking, load_external_rankings, restrict_to_system
 from .scoring import IndexScore, classify_quadrants, score_field
-from .taxonomy import FieldTaxonomy, assign_fields, field_corpus, load_taxonomy
+from .taxonomy import Taxonomy, assign_fields, field_corpus, load_taxonomy
 
 
 @dataclass(frozen=True)
@@ -212,8 +212,8 @@ def _check_stems(named: Iterable[tuple[str, str]], what: str) -> None:
             raise InputError(f"{what} {first} and {name} share the output name {stem!r}")
 
 
-def _check_field_stems(taxonomy: FieldTaxonomy) -> None:
-    _check_stems(((slugify(name), repr(name)) for name in taxonomy.field_names()), "fields")
+def _check_field_stems(taxonomy: Taxonomy) -> None:
+    _check_stems(((slugify(name), repr(name)) for name in sorted(taxonomy)), "fields")
 
 
 def _load_crosswalks(config: RunConfig, external: Mapping[tuple[str, str], RankingTable]
@@ -305,13 +305,18 @@ class ValidationReport:
 
 
 def _load_inputs(config: RunConfig) -> tuple[list[PublicationRecord],
-                                             dict[str, JournalProfile], FieldTaxonomy]:
-    """Parse the publications, journals and taxonomy files, once per run."""
-    return (
-        load_publications(config.publications, config.publications_format),
-        load_journals(config.journals),
-        load_taxonomy(config.taxonomy),
-    )
+                                             dict[str, Quartiles], Taxonomy]:
+    """Parse the publications, journals and taxonomy files, once per run,
+    then check that every record, in any window or none, names a journal of
+    the journals file."""
+    publications = load_publications(config.publications, config.publications_format)
+    journals = load_journals(config.journals)
+    taxonomy = load_taxonomy(config.taxonomy)
+    for rec in publications:
+        if rec.journal_id not in journals:
+            raise InputError(
+                f"record {rec.record_id!r} references unknown journal {rec.journal_id!r}")
+    return publications, journals, taxonomy
 
 
 def run_validate(config: RunConfig) -> ValidationReport:
@@ -332,12 +337,12 @@ def run_validate(config: RunConfig) -> ValidationReport:
         corpus = build_corpus(publications, journals, window)
         assignment = assign_fields(corpus, taxonomy)
         retained[str(window)] = len(corpus)
-        dropped[str(window)] = corpus.dropped_outside_window
+        dropped[str(window)] = len(publications) - len(corpus)
         unassigned[str(window)] = assignment.unassigned
     return ValidationReport(
         publication_count=len(publications),
         journal_count=len(journals),
-        field_count=len(taxonomy.categories_by_field),
+        field_count=len(taxonomy),
         retained_by_window=retained,
         dropped_by_window=dropped,
         unassigned_by_window=unassigned,
@@ -346,31 +351,31 @@ def run_validate(config: RunConfig) -> ValidationReport:
 
 def compute_field_results(config: RunConfig, window: TimeWindow,
                           publications: Sequence[PublicationRecord],
-                          journals: Mapping[str, JournalProfile],
-                          taxonomy: FieldTaxonomy) -> Iterator[FieldResult]:
-    """Indicators, scores, quadrants, and ranking table of each non-empty
-    field, yielded one field at a time in ``taxonomy.field_names()`` order.
+                          journals: Mapping[str, Quartiles],
+                          taxonomy: Taxonomy) -> dict[str, RankingTable]:
+    """The ranking table of each non-empty field in ``window``, by field name
+    in name order, from the files the caller parsed once per run.
 
-    The inputs are the parsed files, loaded once per run by the caller. The
-    generator holds no field's results between yields, so a caller that
-    drops each result before asking for the next keeps one field alive.
-    Full collections are rarer until the generator finishes or is closed.
+    Each field's other results are dropped as soon as its table is kept, so
+    one field's results are alive at a time.
     """
     corpus = build_corpus(publications, journals, window)
     assignment = assign_fields(corpus, taxonomy)
+    tables: dict[str, RankingTable] = {}
     with _rare_full_collections():
-        for name in taxonomy.field_names():
+        for name in sorted(taxonomy):
             fc = field_corpus(corpus, assignment, name)
             if len(fc) > 0:
-                yield _field_result(config, taxonomy, fc, name)
+                tables[name] = _field_result(config, taxonomy, fc, name).table
+    return tables
 
 
 @contextmanager
 def _rare_full_collections() -> Iterator[None]:
     """Run the block with the cycle collector's third threshold raised a
     hundredfold, for a per-field loop."""
-    # Each field's results outlive the young collections until the caller is
-    # done with them, and so keep triggering full collections, each of which
+    # Each field's results outlive the young collections until they are
+    # written or dropped, and so keep triggering full collections, each of which
     # traverses every loaded record. The loop builds no reference cycles for
     # them to free: at 1M records they took about a third of rank's CPU time.
     # A hundredfold third threshold leaves a few in the loop, not dozens.
@@ -382,13 +387,11 @@ def _rare_full_collections() -> Iterator[None]:
         gc.set_threshold(*thresholds)
 
 
-def _field_result(config: RunConfig, taxonomy: FieldTaxonomy, fc: Corpus,
+def _field_result(config: RunConfig, taxonomy: Taxonomy, fc: Corpus,
                   name: str) -> FieldResult:
-    # Its own function so that the generator's frame, suspended at a yield,
-    # keeps none of these intermediate mappings alive.
     indicators = compute_indicators(
         fc, top10_threshold(fc),
-        field_categories=taxonomy.categories_by_field[name],
+        field_categories=taxonomy[name],
         q1_policy=config.q1_policy,
         missing_quartile=config.missing_quartile,
         field_name=name,
@@ -430,7 +433,7 @@ def _output_paths(config: RunConfig, window: TimeWindow, name: str) -> tuple[Pat
                  for kind in ("ranking", "quadrants", "indicators"))
 
 
-def _write_field(config: RunConfig, taxonomy: FieldTaxonomy, window: TimeWindow,
+def _write_field(config: RunConfig, taxonomy: Taxonomy, window: TimeWindow,
                  header: str, fc: Corpus, name: str) -> None:
     """Compute one non-empty field's results and write its files; the results
     are dropped on return."""
@@ -574,8 +577,8 @@ def run_rank(config: RunConfig) -> list[Path]:
 
 def _rank_window(config: RunConfig, window: TimeWindow,
                  publications: Sequence[PublicationRecord],
-                 journals: Mapping[str, JournalProfile],
-                 taxonomy: FieldTaxonomy) -> list[Path]:
+                 journals: Mapping[str, Quartiles],
+                 taxonomy: Taxonomy) -> list[Path]:
     """Write the files of every non-empty field in ``window``; return their paths.
 
     The records are bucketed by field once, in this process; then
@@ -586,7 +589,7 @@ def _rank_window(config: RunConfig, window: TimeWindow,
     header = _header(config, window)
     corpus = build_corpus(publications, journals, window)
     assignment = assign_fields(corpus, taxonomy)
-    names = [name for name in taxonomy.field_names() if assignment.records_by_field[name]]
+    names = [name for name in sorted(taxonomy) if assignment.records_by_field[name]]
     with _rare_full_collections():
         _fork_shares([len(assignment.records_by_field[name]) for name in names],
                      lambda i: _write_field(config, taxonomy, window, header,
@@ -617,9 +620,7 @@ def _national_tables(config: RunConfig) -> dict[str, RankingTable]:
     if config.national_rankings is not None:
         return _supplied_national_tables(config, load_external_rankings(config.national_rankings))
     # No supplied national tables: rank internally over the first window.
-    # Keep each field's table only; the rest of its results go at once.
-    tables = {t.field_name: t for t in map(attrgetter("table"), compute_field_results(
-        config, config.windows[0], *_load_inputs(config)))}
+    tables = compute_field_results(config, config.windows[0], *_load_inputs(config))
     if not tables:
         raise InputError("no non-empty fields to build national tables from")
     return tables

@@ -46,8 +46,7 @@ def classify_quadrants(scores: Mapping[str, IndexScore]
     quadrant label against them.
 
     At-mean positions count as outstanding on that axis (closed upper
-    quadrant). ``scores`` is not empty: ``compute_field_results`` skips
-    empty fields.
+    quadrant). ``scores`` is not empty: the pipeline skips empty fields.
     """
     n = len(scores)
     mean_qnif = sum(s.qnif for s in scores.values()) / n

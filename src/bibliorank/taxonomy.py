@@ -17,15 +17,9 @@ from .errors import InputError
 LEVELS = ("field", "subfield")
 TAXONOMY_COLUMNS = ("field_name", "level", "category")
 
-
-@dataclass(frozen=True)
-class FieldTaxonomy:
-    """Named fields/subfields, each a non-empty set of category codes."""
-
-    categories_by_field: Mapping[str, frozenset[str]]
-
-    def field_names(self) -> list[str]:
-        return sorted(self.categories_by_field)
+# Each field's or subfield's name and its non-empty set of normalized
+# categories, as load_taxonomy returns them.
+Taxonomy = Mapping[str, frozenset[str]]
 
 
 @dataclass(frozen=True)
@@ -37,8 +31,8 @@ class FieldAssignment:
     unassigned: tuple[str, ...]
 
 
-def load_taxonomy(path: str | Path) -> FieldTaxonomy:
-    """Load a (field_name, level, category) CSV into a FieldTaxonomy.
+def load_taxonomy(path: str | Path) -> dict[str, frozenset[str]]:
+    """Load a (field_name, level, category) CSV into a ``Taxonomy``.
 
     Categories may appear in several fields; a field's level must be
     consistent across its rows.
@@ -65,29 +59,24 @@ def load_taxonomy(path: str | Path) -> FieldTaxonomy:
         categories.setdefault(name, set()).add(cat)
     if not categories:
         raise InputError("taxonomy file defines no fields")
-    return FieldTaxonomy({n: frozenset(c) for n, c in categories.items()})
+    return {n: frozenset(c) for n, c in categories.items()}
 
 
-def assign_fields(corpus: Corpus, taxonomy: FieldTaxonomy) -> FieldAssignment:
+def assign_fields(corpus: Corpus, taxonomy: Taxonomy) -> FieldAssignment:
     """Map every record to the fields whose categories its journal intersects.
 
     Each journal is matched against the taxonomy once, and each record is
     appended to its fields' buckets in the same pass, in corpus order.
     """
-    buckets: dict[str, list[PublicationRecord]] = {
-        name: [] for name in taxonomy.categories_by_field
-    }
+    buckets: dict[str, list[PublicationRecord]] = {name: [] for name in taxonomy}
     matched_by_journal: dict[str, frozenset[str]] = {}
     unassigned: list[str] = []
     for rec in corpus.publications:
         matched = matched_by_journal.get(rec.journal_id)
         if matched is None:
-            journal_cats = corpus.journals[rec.journal_id].categories
+            journal = corpus.journals[rec.journal_id]  # its keys are its categories
             matched = matched_by_journal[rec.journal_id] = frozenset(
-                name
-                for name, cats in taxonomy.categories_by_field.items()
-                if journal_cats & cats
-            )
+                name for name, cats in taxonomy.items() if not cats.isdisjoint(journal))
         if not matched:
             unassigned.append(rec.record_id)
         for name in matched:
@@ -104,5 +93,4 @@ def field_corpus(corpus: Corpus, assignment: FieldAssignment, field: str) -> Cor
     ``assignment`` must come from ``assign_fields`` over the same corpus, and
     ``field`` from the taxonomy it was built with.
     """
-    return Corpus(publications=assignment.records_by_field[field],
-                  journals=corpus.journals, window=corpus.window)
+    return Corpus(assignment.records_by_field[field], corpus.journals)

@@ -2,40 +2,26 @@ from pathlib import Path
 
 import pytest
 
-from bibliorank.corpus import Corpus, JournalProfile, PublicationRecord, TimeWindow
+from bibliorank.corpus import Corpus, PublicationRecord
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
-WINDOW = TimeWindow(2008, 2012)
+
+def make_journal(categories=("alpha",), quartile=2, years=range(2000, 2021)):
+    """A journal's quartiles by category and year: one quartile across all
+    categories and years."""
+    return {c: {y: quartile for y in years} for c in categories}
 
 
-def make_journal(journal_id="J", categories=("alpha",), quartile=2,
-                 years=range(2000, 2021)):
-    """Journal with one quartile across all categories and years."""
-    cats = frozenset(categories)
-    return JournalProfile(
-        journal_id=journal_id,
-        categories=cats,
-        quartiles={c: {y: quartile for y in years} for c in cats},
-    )
-
-
-def make_corpus(citations_by_inst, journal=None, window=WINDOW, year=2010):
-    """Corpus from {institution: [citations, ...]}, one shared journal."""
-    journal = journal or make_journal()
+def make_corpus(citations_by_inst, journal=None, year=2010):
+    """Corpus from {institution: [citations, ...]}, one shared journal "J"."""
     records = []
     i = 0
     for inst, citation_list in citations_by_inst.items():
         for c in citation_list:
             i += 1
-            records.append(
-                PublicationRecord(f"r{i}", inst, year, journal.journal_id, c)
-            )
-    return Corpus(
-        publications=tuple(records),
-        journals={journal.journal_id: journal},
-        window=window,
-    )
+            records.append(PublicationRecord(f"r{i}", inst, year, "J", c))
+    return Corpus(tuple(records), {"J": journal or make_journal()})
 
 
 @pytest.fixture

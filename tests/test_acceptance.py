@@ -14,7 +14,7 @@ import pytest
 import scipy.stats
 
 from bibliorank.concordance import agreement_level, spearman_rho
-from bibliorank.corpus import Corpus, PublicationRecord, TimeWindow
+from bibliorank.corpus import Corpus, PublicationRecord
 from bibliorank.indicators import IndicatorSet, compute_indicators, top10_threshold
 from bibliorank.pipeline import load_config, run_compare, run_rank
 from bibliorank.ranking import RankingTable, build_ranking, load_external_rankings
@@ -54,7 +54,7 @@ def test_01_formula_fidelity():
 
 def test_02_h_index_oracle_equivalence():
     rng = np.random.default_rng(2)
-    journals, window = {"J": make_journal()}, TimeWindow(2008, 2012)
+    journals = {"J": make_journal()}
     start = time.perf_counter()
     for _ in range(10_000):
         n = int(rng.integers(0, 201))
@@ -69,7 +69,7 @@ def test_02_h_index_oracle_equivalence():
             expected = int(feasible.max()) if feasible.size else 0
         # one institution's papers; record ids do not matter to the indicators
         corpus = Corpus(tuple(PublicationRecord("r", "u", 2010, "J", c)
-                              for c in citations.tolist()), journals, window)
+                              for c in citations.tolist()), journals)
         # top10_threshold needs a non-empty pool; with no papers any threshold
         # gives no indicator row
         indicators = compute_indicators(corpus, top10_threshold(corpus) if n else 0)
@@ -181,8 +181,8 @@ def test_07_rank_order_invariances():
 
 
 def test_08_size_independence_split():
-    q1 = make_journal("JQ1", categories=("alpha",), quartile=1)
-    q3 = make_journal("JQ3", categories=("alpha",), quartile=3)
+    q1 = make_journal(quartile=1)
+    q3 = make_journal(quartile=3)
     base = {
         "a": [("JQ1", 95), ("JQ3", 80), ("JQ1", 60), ("JQ3", 40)],
         "b": [("JQ1", 90), ("JQ3", 70), ("JQ1", 50), ("JQ3", 30),
@@ -196,8 +196,7 @@ def test_08_size_independence_split():
                 for jid, c in papers * mult:
                     i += 1
                     records.append(PublicationRecord(f"r{i}", inst, 2010, jid, c))
-            return Corpus(tuple(records), {"JQ1": q1, "JQ3": q3},
-                          TimeWindow(2008, 2012))
+            return Corpus(tuple(records), {"JQ1": q1, "JQ3": q3})
 
         c1, ck = corpus_for(1), corpus_for(k)
         t1, tk = top10_threshold(c1), top10_threshold(ck)

@@ -75,6 +75,8 @@ class TestValidate:
         assert result.exit_code == 0, result.output
         assert "publications: 203" in result.output
         assert "fields: 3" in result.output
+        assert "window 2003-2012: retained 169, dropped 34\n" in result.output
+        assert "window 2008-2012: retained 119, dropped 84\n" in result.output
 
     def test_unassigned_records_listed(self, workspace):
         result = run_cli("validate", "--config", str(workspace / "config.json"))
@@ -240,6 +242,28 @@ class TestValidate:
         result = run_cli(command, "--config", str(workspace / "config.json"))
         assert result.exit_code == code, result.output
         assert result.output.startswith(message), result.output
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "rank", "compare"])
+    def test_unknown_journal_exits_one_before_any_window(self, workspace, monkeypatch,
+                                                         command):
+        # 1999 is outside both windows, so only a check of every loaded
+        # record finds it; compare without a national file loads them too
+        with (workspace / "publications.csv").open("a", encoding="utf-8") as fh:
+            fh.write("R9999,UnivA,1999,J-NOPE,1\n")
+        edit_config(workspace, national_rankings=None)
+        windows = []
+        real = pipeline.build_corpus
+
+        def counting(publications, journals, window):
+            windows.append(window)
+            return real(publications, journals, window)
+
+        monkeypatch.setattr(pipeline, "build_corpus", counting)
+        result = run_cli(command, "--config", str(workspace / "config.json"))
+        assert result.exit_code == 1, result.output
+        assert result.output == "error: record 'R9999' references unknown journal 'J-NOPE'\n"
+        assert windows == []
         assert not (workspace / "out").exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -459,7 +483,7 @@ class TestRank:
     @pytest.mark.parametrize("failing", ["compute_indicators", "_atomic_write"])
     def test_collector_thresholds_restored(self, workspace, monkeypatch, failing):
         # the per-field loop raises the third threshold; an exception raised
-        # in the loop, or in the caller while the loop is suspended, restores it
+        # while a field is computed, or while its files are written, restores it
         before = gc.get_threshold()
         config = load_config(workspace / "config.json")
         seen = []

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from bibliorank.corpus import Corpus, JournalProfile, PublicationRecord, TimeWindow
+from bibliorank.corpus import Corpus, PublicationRecord
 from bibliorank.errors import QuartileLookupError
 from bibliorank.indicators import compute_indicators, top10_threshold
 
@@ -89,33 +89,22 @@ class TestComputeIndicators:
         assert ind.acit == pytest.approx(3.375)
 
     def test_pct_q1_ratio(self):
-        q1 = make_journal("JQ1", categories=("a",), quartile=1)
-        q3 = make_journal("JQ3", categories=("a",), quartile=3)
+        q1 = make_journal(("a",), quartile=1)
+        q3 = make_journal(("a",), quartile=3)
         records = [
             PublicationRecord("r1", "u", 2010, "JQ1", 1),
             PublicationRecord("r2", "u", 2010, "JQ1", 1),
             PublicationRecord("r3", "u", 2010, "JQ3", 1),
             PublicationRecord("r4", "u", 2010, "JQ3", 1),
         ]
-        corpus = Corpus(tuple(records), {"JQ1": q1, "JQ3": q3}, TimeWindow(2008, 2012))
+        corpus = Corpus(tuple(records), {"JQ1": q1, "JQ3": q3})
         ind = compute_indicators(corpus, top10_threshold(corpus))["u"]
         assert ind.pct_q1 == pytest.approx(0.5)
 
     def test_q1_policy_any_relevant_vs_best_all(self):
         # Q1 only in a category outside the field under evaluation
-        journal = make_journal("J", categories=("inside", "outside"))
-        journal = journal.__class__(
-            journal_id="J",
-            categories=journal.categories,
-            quartiles={
-                "inside": {2010: 2},
-                "outside": {2010: 1},
-            },
-        )
-        corpus = Corpus(
-            (PublicationRecord("r1", "u", 2010, "J", 1),),
-            {"J": journal}, TimeWindow(2008, 2012),
-        )
+        journal = {"inside": {2010: 2}, "outside": {2010: 1}}
+        corpus = Corpus((PublicationRecord("r1", "u", 2010, "J", 1),), {"J": journal})
         t = top10_threshold(corpus)
         relevant = compute_indicators(corpus, t, field_categories=frozenset({"inside"}),
                                       q1_policy="any-relevant")
@@ -125,11 +114,8 @@ class TestComputeIndicators:
         assert best_all["u"].pct_q1 == 1.0
 
     def test_missing_quartile_strict_raises(self):
-        journal = make_journal("J", categories=("a",), years=[2011])
-        corpus = Corpus(
-            (PublicationRecord("r1", "u", 2010, "J", 1),),
-            {"J": journal}, TimeWindow(2008, 2012),
-        )
+        journal = make_journal(("a",), years=[2011])
+        corpus = Corpus((PublicationRecord("r1", "u", 2010, "J", 1),), {"J": journal})
         t = top10_threshold(corpus)
         with pytest.raises(QuartileLookupError):
             compute_indicators(corpus, t, missing_quartile="strict")
@@ -138,11 +124,11 @@ class TestComputeIndicators:
 
     def test_missing_quartiles_tallied_per_paper_sharing_journal_year(self, caplog):
         # every 2010 lookup misses in both categories; 2011 is Q1
-        journal = make_journal("J", categories=("a", "b"), quartile=1, years=[2011])
+        journal = make_journal(("a", "b"), quartile=1, years=[2011])
         records = [PublicationRecord(f"r{i}", inst, 2010, "J", i)
                    for i, inst in enumerate("uuuvv")]
         records.append(PublicationRecord("r9", "v", 2011, "J", 0))
-        corpus = Corpus(tuple(records), {"J": journal}, TimeWindow(2008, 2012))
+        corpus = Corpus(tuple(records), {"J": journal})
         t = top10_threshold(corpus)
         with caplog.at_level("WARNING", logger="bibliorank.indicators"):
             result = compute_indicators(corpus, t, missing_quartile="warn", field_name="F")
@@ -156,14 +142,13 @@ class TestComputeIndicators:
 
     def test_strict_names_first_missing_quartile_in_corpus_order(self):
         # u's papers come first and last; the first miss in corpus order is v's
-        journals = [make_journal("JOK", categories=("a",)),
-                    make_journal("JM1", categories=("a",), years=[2011]),
-                    make_journal("JM2", categories=("a",), years=[2011])]
+        journals = {"JOK": make_journal(("a",)),
+                    "JM1": make_journal(("a",), years=[2011]),
+                    "JM2": make_journal(("a",), years=[2011])}
         records = [PublicationRecord("r1", "u", 2010, "JOK", 1),
                    PublicationRecord("r2", "v", 2010, "JM1", 1),
                    PublicationRecord("r3", "u", 2010, "JM2", 1)]
-        corpus = Corpus(tuple(records), {j.journal_id: j for j in journals},
-                        TimeWindow(2008, 2012))
+        corpus = Corpus(tuple(records), journals)
         with pytest.raises(QuartileLookupError, match="'JM1'"):
             compute_indicators(corpus, top10_threshold(corpus), missing_quartile="strict")
 
@@ -199,12 +184,12 @@ class TestComputeIndicators:
 def brute_force_indicators(corpus, threshold, field_categories, q1_policy):
     """The six indicators per institution, straight from their definitions."""
     def is_q1(rec):
-        journal = corpus.journals[rec.journal_id]
-        cats = journal.categories
+        quartiles = corpus.journals[rec.journal_id]
+        cats = set(quartiles)
         if q1_policy == "any-relevant" and field_categories is not None:
             cats = cats & field_categories
         # a missing quartile counts as not-Q1 under "warn"
-        return any(journal.quartiles[c].get(rec.year) == 1 for c in cats)
+        return any(quartiles[c].get(rec.year) == 1 for c in cats)
 
     out = {}
     for inst in {rec.institution_id for rec in corpus.publications}:
@@ -234,13 +219,13 @@ def quartile_corpora(draw):
                 q = draw(st.sampled_from((None, 1, 1, 2, 3, 4)))
                 if q is not None:
                     by_year[year] = q
-        journals[f"J{i}"] = JournalProfile(f"J{i}", cats, quartiles)
+        journals[f"J{i}"] = quartiles
     picks = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, len(journals) - 1),
                                     st.sampled_from(YEARS), st.integers(0, 30)),
                           min_size=1, max_size=60))
     records = tuple(PublicationRecord(f"r{n}", f"u{inst}", year, f"J{j}", cites)
                     for n, (inst, j, year, cites) in enumerate(picks))
-    return Corpus(records, journals, TimeWindow(2008, 2012))
+    return Corpus(records, journals)
 
 
 @given(corpus=quartile_corpora(),

@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from bibliorank.corpus import Corpus, PublicationRecord, TimeWindow
+from bibliorank.corpus import Corpus, PublicationRecord
 from bibliorank.errors import InputError
-from bibliorank.taxonomy import FieldTaxonomy, assign_fields, field_corpus, load_taxonomy
+from bibliorank.taxonomy import assign_fields, field_corpus, load_taxonomy
 
 from conftest import make_journal
 
@@ -26,7 +26,7 @@ class TestLoadTaxonomy:
             "F2,field,OTHER\n"
         ))
         taxonomy = load_taxonomy(path)
-        assert taxonomy.categories_by_field["F1"] & taxonomy.categories_by_field["F2"]
+        assert taxonomy["F1"] & taxonomy["F2"]
 
     def test_empty_category_rejected(self, tmp_path):
         path = write(tmp_path, "F1,field,\n")
@@ -53,19 +53,11 @@ class TestLoadTaxonomy:
                 rows.append(f"{name},field,{cat}\n")
                 expected.setdefault(name, set()).add(cat)
         taxonomy = load_taxonomy(write(tmp_path, "".join(rows)))
-        assert len(taxonomy.categories_by_field) == 12
-        for name, cats in expected.items():
-            assert taxonomy.categories_by_field[name] == cats
+        assert taxonomy == expected
 
     def test_categories_normalized(self, tmp_path):
         path = write(tmp_path, "F1,field,  Physics APPLIED \n")
-        assert load_taxonomy(path).categories_by_field["F1"] == {"physics applied"}
-
-
-def corpus_with_journals(journals, records, window=TimeWindow(2008, 2012)):
-    return Corpus(publications=tuple(records),
-                  journals={j.journal_id: j for j in journals},
-                  window=window)
+        assert load_taxonomy(path) == {"F1": {"physics applied"}}
 
 
 @pytest.fixture
@@ -87,17 +79,15 @@ def fields_of(assignment, record_id):
 
 class TestAssignFields:
     def test_intersection_rule(self, taxonomy):
-        journal = make_journal("J", categories=("a",))
-        corpus = corpus_with_journals(
-            [journal], [PublicationRecord("r1", "u", 2010, "J", 0)])
+        corpus = Corpus((PublicationRecord("r1", "u", 2010, "J", 0),),
+                        {"J": make_journal(("a",))})
         assignment = assign_fields(corpus, taxonomy)
         assert fields_of(assignment, "r1") == {"F"}
         assert assignment.unassigned == ()
 
     def test_no_matching_field_reported_unassigned(self, taxonomy):
-        journal = make_journal("J", categories=("zzz",))
-        corpus = corpus_with_journals(
-            [journal], [PublicationRecord("r1", "u", 2010, "J", 0)])
+        corpus = Corpus((PublicationRecord("r1", "u", 2010, "J", 0),),
+                        {"J": make_journal(("zzz",))})
         assignment = assign_fields(corpus, taxonomy)
         assert fields_of(assignment, "r1") == set()
         assert assignment.unassigned == ("r1",)
@@ -105,22 +95,19 @@ class TestAssignFields:
     def test_matches_nested_loop_oracle(self, taxonomy):
         rng = random.Random(7)
         cats = ["a", "b", "c", "d"]
-        journals = [
-            make_journal(f"J{i}", categories=rng.sample(cats, rng.randint(1, 3)))
-            for i in range(8)
-        ]
+        journals = {f"J{i}": make_journal(rng.sample(cats, rng.randint(1, 3)))
+                    for i in range(8)}
         records = [
-            PublicationRecord(f"r{i}", f"u{i % 4}", 2010,
-                              rng.choice(journals).journal_id, i)
+            PublicationRecord(f"r{i}", f"u{i % 4}", 2010, rng.choice(list(journals)), i)
             for i in range(50)
         ]
-        corpus = corpus_with_journals(journals, records)
+        corpus = Corpus(tuple(records), journals)
         assignment = assign_fields(corpus, taxonomy)
         unassigned = []
         for rec in records:
-            jcats = corpus.journals[rec.journal_id].categories
+            jcats = set(corpus.journals[rec.journal_id])
             expected = {
-                name for name, fcats in taxonomy.categories_by_field.items()
+                name for name, fcats in taxonomy.items()
                 if any(c in fcats for c in jcats)
             }
             assert fields_of(assignment, rec.record_id) == expected
@@ -129,12 +116,11 @@ class TestAssignFields:
         assert assignment.unassigned == tuple(sorted(unassigned))
 
     def test_order_independent(self, taxonomy):
-        journals = [make_journal("J1", categories=("a",)),
-                    make_journal("J2", categories=("c",))]
+        journals = {"J1": make_journal(("a",)), "J2": make_journal(("c",))}
         records = [PublicationRecord(f"r{i}", "u", 2010, f"J{1 + i % 2}", 0)
                    for i in range(10)]
-        corpus = corpus_with_journals(journals, records)
-        shuffled = corpus_with_journals(journals, list(reversed(records)))
+        corpus = Corpus(tuple(records), journals)
+        shuffled = Corpus(tuple(reversed(records)), journals)
         first = assign_fields(corpus, taxonomy)
         second = assign_fields(shuffled, taxonomy)
         for rec in records:
@@ -144,57 +130,49 @@ class TestAssignFields:
 
 class TestFieldCorpus:
     def test_record_in_two_fields_appears_in_both(self, taxonomy):
-        journal = make_journal("J", categories=("a", "c"))
-        corpus = corpus_with_journals(
-            [journal], [PublicationRecord("r1", "u", 2010, "J", 0)])
+        corpus = Corpus((PublicationRecord("r1", "u", 2010, "J", 0),),
+                        {"J": make_journal(("a", "c"))})
         assignment = assign_fields(corpus, taxonomy)
         assert len(field_corpus(corpus, assignment, "F")) == 1
         assert len(field_corpus(corpus, assignment, "G")) == 1
 
     def test_empty_field_is_valid(self, taxonomy):
-        journal = make_journal("J", categories=("a",))
-        corpus = corpus_with_journals(
-            [journal], [PublicationRecord("r1", "u", 2010, "J", 0)])
+        corpus = Corpus((PublicationRecord("r1", "u", 2010, "J", 0),),
+                        {"J": make_journal(("a",))})
         assignment = assign_fields(corpus, taxonomy)
         assert len(field_corpus(corpus, assignment, "G")) == 0
 
     def test_union_over_fields_covers_assigned_records(self, taxonomy):
         rng = random.Random(11)
-        journals = [make_journal(f"J{i}", categories=(rng.choice("abcz"),))
-                    for i in range(6)]
-        records = [PublicationRecord(f"r{i}", "u", 2010,
-                                     rng.choice(journals).journal_id, 0)
+        journals = {f"J{i}": make_journal((rng.choice("abcz"),)) for i in range(6)}
+        records = [PublicationRecord(f"r{i}", "u", 2010, rng.choice(list(journals)), 0)
                    for i in range(40)]
-        corpus = corpus_with_journals(journals, records)
+        corpus = Corpus(tuple(records), journals)
         assignment = assign_fields(corpus, taxonomy)
         assigned = {rec.record_id for rec in records} - set(assignment.unassigned)
         union = set()
-        for name in taxonomy.categories_by_field:
+        for name in taxonomy:
             union |= {p.record_id
                       for p in field_corpus(corpus, assignment, name).publications}
         assert union == assigned
 
     def test_disjoint_taxonomies_give_disjoint_fields(self, taxonomy):
         # F uses {a,b}, G uses {c}: single-category journals cannot overlap
-        journals = [make_journal("J1", categories=("a",)),
-                    make_journal("J2", categories=("c",))]
+        journals = {"J1": make_journal(("a",)), "J2": make_journal(("c",))}
         records = [PublicationRecord(f"r{i}", "u", 2010, f"J{1 + i % 2}", 0)
                    for i in range(20)]
-        corpus = corpus_with_journals(journals, records)
+        corpus = Corpus(tuple(records), journals)
         assignment = assign_fields(corpus, taxonomy)
         f_ids = {p.record_id for p in field_corpus(corpus, assignment, "F").publications}
         g_ids = {p.record_id for p in field_corpus(corpus, assignment, "G").publications}
         assert not (f_ids & g_ids)
 
-    def test_journals_shared_and_window_kept(self, taxonomy):
-        journals = [make_journal("J1", categories=("a",)),
-                    make_journal("J2", categories=("c",))]
-        corpus = corpus_with_journals(
-            journals, [PublicationRecord("r1", "u", 2010, "J1", 0)])
+    def test_journals_shared(self, taxonomy):
+        journals = {"J1": make_journal(("a",)), "J2": make_journal(("c",))}
+        corpus = Corpus((PublicationRecord("r1", "u", 2010, "J1", 0),), journals)
         assignment = assign_fields(corpus, taxonomy)
         sub = field_corpus(corpus, assignment, "F")
         assert sub.journals is corpus.journals
-        assert sub.window == corpus.window
 
 
 CATS = st.frozensets(st.sampled_from("abcdefg"), min_size=1, max_size=3)
@@ -206,16 +184,16 @@ CATS = st.frozensets(st.sampled_from("abcdefg"), min_size=1, max_size=3)
     picks=st.lists(st.tuples(st.integers(0, 7), st.integers(2008, 2012)), max_size=60),
 )
 def test_field_corpus_matches_order_preserving_filter(field_cats, journal_cats, picks):
-    taxonomy = FieldTaxonomy({f"F{i}": cats for i, cats in enumerate(field_cats)})
-    journals = [make_journal(f"J{i}", categories=cats) for i, cats in enumerate(journal_cats)]
+    taxonomy = {f"F{i}": cats for i, cats in enumerate(field_cats)}
+    journals = {f"J{i}": make_journal(cats) for i, cats in enumerate(journal_cats)}
     records = [PublicationRecord(f"r{i}", f"u{i % 5}", year,
                                  f"J{j % len(journals)}", i)
                for i, (j, year) in enumerate(picks)]
-    corpus = corpus_with_journals(journals, records)
+    corpus = Corpus(tuple(records), journals)
     assignment = assign_fields(corpus, taxonomy)
-    for name, cats in taxonomy.categories_by_field.items():
+    for name, cats in taxonomy.items():
         expected = tuple(rec for rec in corpus.publications
-                         if corpus.journals[rec.journal_id].categories & cats)
+                         if cats & set(corpus.journals[rec.journal_id]))
         sub = field_corpus(corpus, assignment, name)
         assert sub.publications == expected
         assert sub.journals is corpus.journals
