@@ -8,16 +8,19 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import io
 import json
 import os
 import re
 import threading
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import (BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence,
+                    TypeVar)
 
 from . import __version__
 from .concordance import (
@@ -51,6 +54,9 @@ from .indicators import (
 from .ranking import RankingTable, build_ranking, load_external_rankings, restrict_to_system
 from .scoring import IndexScore, classify_quadrants, score_field
 from .taxonomy import Taxonomy, assign_fields, field_corpus, load_taxonomy
+
+_T = TypeVar("_T")
+_U = TypeVar("_U")
 
 
 @dataclass(frozen=True)
@@ -308,9 +314,17 @@ def _load_inputs(config: RunConfig) -> tuple[list[PublicationRecord],
                                              dict[str, Quartiles], Taxonomy]:
     """Parse the publications, journals and taxonomy files, once per run,
     then check that every record, in any window or none, names a journal of
-    the journals file."""
-    publications = load_publications(config.publications, config.publications_format)
-    journals = load_journals(config.journals)
+    the journals file.
+
+    The journals file is parsed in a forked child while this process parses
+    the publications (``_side_by_side``). The records stay here: a pickled
+    round trip of 48k of them cost more than their parse. A fault is the one
+    a one-process run raises: the publications', then the journals', then
+    the taxonomy's.
+    """
+    publications, journals = _side_by_side(
+        lambda: load_journals(config.journals),
+        lambda: load_publications(config.publications, config.publications_format))
     taxonomy = load_taxonomy(config.taxonomy)
     for rec in publications:
         if rec.journal_id not in journals:
@@ -450,6 +464,13 @@ def _usable_cpus() -> int:
     return 1
 
 
+def _fork_cpus() -> int:
+    """How many processes a fork point may keep busy: the usable CPUs, or 1
+    while another thread runs, since forking a process that runs threads can
+    leave a lock held for ever in the child."""
+    return 1 if threading.active_count() > 1 else _usable_cpus()
+
+
 def _split(weights: Sequence[int], k: int) -> list[list[int]]:
     """The indices of ``weights`` in ``k`` shares of near-equal total weight.
 
@@ -463,6 +484,143 @@ def _split(weights: Sequence[int], k: int) -> list[list[int]]:
         shares[lightest].append(i)
         loads[lightest] += weights[i]
     return [sorted(share) for share in shares]
+
+
+def _fork_call(fn: Callable[[], _T]) -> Callable[..., _T]:
+    """Start ``fn()`` in a child made by ``os.fork`` and return its waiter,
+    to be called once.
+
+    ``wait()`` reaps the child, then returns ``fn``'s value or raises what
+    ``fn`` raised; a child that ends without reporting either is a
+    RuntimeError naming its wait status. ``wait(discard=True)`` reaps the
+    child and drops its report. The child shares this process's memory
+    copy-on-write and reports through a pipe (``_send``). Where
+    ``_fork_cpus()`` is 1 no child is made: ``wait()`` calls ``fn`` in this
+    process and ``wait(discard=True)`` does not call it, which is the
+    one-process run.
+    """
+    if _fork_cpus() < 2:
+        return lambda discard=False: None if discard else fn()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        _child(fn, read_fd, write_fd)
+    os.close(write_fd)
+
+    def wait(discard: bool = False):
+        outcome = None
+        try:
+            # Closed before the wait: a child still writing then fails and ends.
+            with open(read_fd, "rb") as pipe:
+                if not discard:
+                    outcome = _receive(pipe)
+        except (EOFError, _pickle_core().UnpicklingError):  # the report is cut short
+            pass
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        if discard:
+            return None
+        if outcome is None:
+            raise RuntimeError(f"a forked child ended with wait status {status}")
+        ok, value = outcome
+        if ok:
+            return value
+        try:
+            raise value
+        finally:
+            # The traceback holds this frame: no local may hold the fault,
+            # or the two would keep each other alive until a full collection.
+            del outcome, value
+
+    return wait
+
+
+def _child(fn: Callable[[], object], read_fd: int, write_fd: int) -> NoReturn:
+    """Run ``fn`` in a forked child, send ``(True, value)`` or ``(False,
+    exception)`` to ``write_fd`` and end the process. Never returns, so the
+    child never unwinds into its caller's stack. Exit status 0 means the
+    report was sent whole."""
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            outcome = True, fn()
+        except Exception as exc:
+            outcome = False, exc
+        with open(write_fd, "wb") as pipe:
+            _send(outcome, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _pickle_core():
+    """The pickle module's C core, imported by a fork point only. The
+    ``pickle`` module around it adds 0.35 MB to the peak RSS of a run."""
+    try:
+        import _pickle as pickle
+    except ImportError:  # a Python without the C core
+        import pickle
+    return pickle
+
+
+def _send(value: object, pipe: BinaryIO) -> None:
+    """Write ``value`` to ``pipe`` pickled, keeping its numbers shared.
+
+    Pickle copies an int or a float at each reference, where the loaders'
+    memos made the rows share one object: sent plainly, the journals' year
+    keys and the national tables' rank floats would add megabytes to the
+    receiving process. So each distinct number object goes once into a
+    table, written first, and the value refers to its place there. The
+    value is pickled whole in the sending process, so that the table can go
+    first.
+    """
+    pickle = _pickle_core()
+    numbers: list[int | float] = []
+    places: dict[int, int] = {}  # id of a number -> its place in numbers
+
+    class Pickler(pickle.Pickler):
+        def persistent_id(self, obj):
+            if type(obj) is not int and type(obj) is not float:
+                return None
+            place = places.get(id(obj))
+            if place is None:
+                place = places[id(obj)] = len(numbers)
+                numbers.append(obj)
+            return place
+
+    body = io.BytesIO()
+    Pickler(body, -1).dump(value)  # -1: the highest protocol
+    pickle.dump(numbers, pipe, -1)
+    pipe.write(body.getbuffer())
+
+
+def _receive(pipe: BinaryIO) -> object:
+    """The value ``_send`` wrote, unpickled as it is read from ``pipe``."""
+    pickle = _pickle_core()
+    numbers = pickle.load(pipe)
+    unpickler = pickle.Unpickler(pipe)
+    unpickler.persistent_load = numbers.__getitem__
+    return unpickler.load()
+
+
+def _side_by_side(there: Callable[[], _T], here: Callable[[], _U]) -> tuple[_U, _T]:
+    """``(here(), there())``, with ``there`` run in a forked child
+    (``_fork_call``) while this process runs ``here``. If ``here`` raises, the
+    child is reaped and its report dropped, so the fault raised is the one of
+    a run that calls ``here`` first."""
+    wait = _fork_call(there)
+    try:
+        value = here()
+    except BaseException:
+        wait(discard=True)
+        raise
+    return value, wait()
 
 
 _Fault = tuple[int, Exception]  # (index, what run(index) raised)
@@ -479,85 +637,37 @@ def _run_share(share: Sequence[int], run: Callable[[int], None]) -> _Fault | Non
     return None
 
 
-def _reap(pid: int, read_fd: int, first: int) -> _Fault | None:
-    """Read a child's fault pipe to its end and wait for the child, whose
-    share starts at index ``first``."""
-    try:
-        with open(read_fd, "rb") as pipe:
-            data = pipe.read()
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if data:
-        import pickle  # only a fault loads it
-
-        return pickle.loads(data)
-    if status:
-        return first, RuntimeError(f"a forked child ended with wait status {status}")
-    return None
-
-
 def _fork_shares(weights: Sequence[int], run: Callable[[int], None]) -> None:
     """Call ``run(i)`` once for each index of ``weights``, split over the
-    usable CPUs: ``_split`` makes one share per CPU (no more than there are
-    indices), the first share runs in this process and each other one in a
-    child made by ``os.fork``. A child shares this process's memory
-    copy-on-write and is always reaped before this function returns or raises.
+    processes ``_fork_cpus`` allows: ``_split`` makes one share per process
+    (no more than there are indices), the first share runs in this process
+    and each other one in a child made by ``_fork_call``. Every child is
+    reaped before this function returns or raises.
 
     A share stops at its first fault. If any share failed, the fault of the
     lowest index is raised, so the error is the one a single process running
     the indices in order would raise.
     """
-    # Forking a process that runs threads can leave a lock held for ever in
-    # the child, so such a process runs every index itself.
-    k = 1 if threading.active_count() > 1 else max(1, min(_usable_cpus(), len(weights)))
-    shares = _split(weights, k)
-    children: list[tuple[int, int, int]] = []  # pid, its fault pipe's read end, first index
+    shares = _split(weights, max(1, min(_fork_cpus(), len(weights))))
+    waits: list[tuple[int, Callable[..., _Fault | None]]] = []  # first index, waiter
     faults: list[_Fault | None] = []
     try:
         for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _child(share, run, read_fd, write_fd)
-            os.close(write_fd)
-            children.append((pid, read_fd, share[0]))
+            waits.append((share[0], _fork_call(partial(_run_share, share, run))))
         faults.append(_run_share(shares[0], run))
     finally:
-        faults += [_reap(*child) for child in children]
+        for first, wait in waits:
+            try:
+                faults.append(wait())
+            except RuntimeError as exc:  # the child ended without reporting
+                faults.append((first, exc))
     first = min(filter(None, faults), key=itemgetter(0), default=None)
     del faults
     if first is not None:
         try:
             raise first[1]
         finally:
-            # The traceback holds this frame: no local may hold the fault,
-            # or the two would keep each other alive until a full collection.
-            del first
-
-
-def _child(share: Sequence[int], run: Callable[[int], None], read_fd: int,
-           write_fd: int) -> None:
-    """Run ``share`` in a forked child, write its fault, if any, to
-    ``write_fd`` pickled, and end the process. Never returns, so the child
-    never unwinds into its caller's stack. Exit status 0 means the share ran
-    to its end or to a fault that was written."""
-    status = 1
-    try:
-        os.close(read_fd)
-        fault = _run_share(share, run)
-        if fault is not None:
-            import pickle
-
-            with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(fault))
-        status = 0
-    finally:
-        os._exit(status)
+            del first  # as in _fork_call's waiter
 
 
 def run_rank(config: RunConfig) -> list[Path]:
@@ -617,13 +727,35 @@ def _supplied_national_tables(config: RunConfig,
 
 
 def _national_tables(config: RunConfig) -> dict[str, RankingTable]:
-    if config.national_rankings is not None:
-        return _supplied_national_tables(config, load_external_rankings(config.national_rankings))
-    # No supplied national tables: rank internally over the first window.
+    """Without a national file: the tables of ranking the first window."""
     tables = compute_field_results(config, config.windows[0], *_load_inputs(config))
     if not tables:
         raise InputError("no non-empty fields to build national tables from")
     return tables
+
+
+def _write_concordance(config: RunConfig, header: str,
+                       tables: Mapping[str, Mapping[str, RankingTable]],
+                       stem: str, cw: FieldCrosswalk) -> None:
+    """Compare one crosswalk system pair and write its report."""
+    report = run_crosswalk(
+        cw, tables[cw.source_system], tables[cw.target_system],
+        min_n=config.min_n, missing_national=config.missing_national,
+    )
+    num, den, mean = aggregate_agreement(report.pairs)
+    _write_csv(
+        config.out_dir / f"concordance_{stem}.csv",
+        f"{header}# systems={cw.source_system}->{cw.target_system}\n",
+        "source_field,target_field,n,rho,agreement_num,agreement_den,agreement_decimal",
+        "%s,%s,%d,%s,%d,%d,%.6f\n",
+        ((src, tgt, n, "*" if rho is None else "%.3f" % rho, a_num, a_den,
+          agreement_decimal(a_num, a_den))
+         for src, tgt, n, rho, a_num, a_den in report.pairs),
+        trailer=(f"# pooled_agreement={num}/{den} decimal={agreement_decimal(num, den):.6f}",
+                 f"# mean_of_fractions={mean.numerator}/{mean.denominator} "
+                 f"decimal={float(mean):.6f}",
+                 *(f"# unresolved={src}->{tgt}" for src, tgt in report.unresolved)),
+    )
 
 
 def run_compare(config: RunConfig) -> list[Path]:
@@ -633,38 +765,36 @@ def run_compare(config: RunConfig) -> list[Path]:
     always names the national tables, and any other name the external
     tables of that system. Every external table is restricted once to the
     national system's institutions before any pair is compared.
+
+    A national file is parsed in a forked child while this process parses
+    the external rankings and the crosswalk; a fault is the one a
+    one-process run raises, in that order: external rankings, crosswalk,
+    national file. The system pairs are then spread over the usable CPUs
+    by ``_fork_shares``, weighted by their field pairs.
     """
     config.validate()
     if config.external_rankings is None or config.crosswalk is None:
         raise ConfigError("compare requires external_rankings and crosswalk paths")
-    external = load_external_rankings(config.external_rankings)
-    crosswalks = _load_crosswalks(config, external)
-    natl_tables = _national_tables(config)
+
+    def load_external() -> tuple[dict[tuple[str, str], RankingTable],
+                                 list[tuple[str, FieldCrosswalk]]]:
+        external = load_external_rankings(config.external_rankings)
+        return external, _load_crosswalks(config, external)
+
+    if config.national_rankings is None:
+        external, crosswalks = load_external()
+        natl_tables = _national_tables(config)
+    else:
+        (external, crosswalks), natl_tables = _side_by_side(
+            lambda: _supplied_national_tables(
+                config, load_external_rankings(config.national_rankings)),
+            load_external)
     system_set = set().union(*(t.ids for t in natl_tables.values()))
     tables: dict[str, dict[str, RankingTable]] = {}
     for (system, field), table in external.items():
         tables.setdefault(system, {})[field] = restrict_to_system(table, system_set)
     tables[config.national_system] = natl_tables
     header = _header(config)
-    written: list[Path] = []
-    for stem, cw in crosswalks:
-        report = run_crosswalk(
-            cw, tables[cw.source_system], tables[cw.target_system],
-            min_n=config.min_n, missing_national=config.missing_national,
-        )
-        num, den, mean = aggregate_agreement(report.pairs)
-        path = config.out_dir / f"concordance_{stem}.csv"
-        _write_csv(
-            path, f"{header}# systems={cw.source_system}->{cw.target_system}\n",
-            "source_field,target_field,n,rho,agreement_num,agreement_den,agreement_decimal",
-            "%s,%s,%d,%s,%d,%d,%.6f\n",
-            ((src, tgt, n, "*" if rho is None else "%.3f" % rho, a_num, a_den,
-              agreement_decimal(a_num, a_den))
-             for src, tgt, n, rho, a_num, a_den in report.pairs),
-            trailer=(f"# pooled_agreement={num}/{den} decimal={agreement_decimal(num, den):.6f}",
-                     f"# mean_of_fractions={mean.numerator}/{mean.denominator} "
-                     f"decimal={float(mean):.6f}",
-                     *(f"# unresolved={src}->{tgt}" for src, tgt in report.unresolved)),
-        )
-        written.append(path)
-    return written
+    _fork_shares([len(cw.pairs) for _, cw in crosswalks],
+                 lambda i: _write_concordance(config, header, tables, *crosswalks[i]))
+    return [config.out_dir / f"concordance_{stem}.csv" for stem, _ in crosswalks]

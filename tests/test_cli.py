@@ -17,6 +17,7 @@ from bibliorank import pipeline
 from bibliorank.cli import main
 from bibliorank.errors import InputError
 from bibliorank.pipeline import RunConfig, load_config, run_compare, run_rank
+from conftest import FIXTURES
 
 
 @pytest.fixture
@@ -67,6 +68,71 @@ def watch_live_field_results(monkeypatch, log: Path):
 def assert_no_child_process():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def pin_cpus(monkeypatch, cpus: int) -> list[int]:
+    """Make bibliorank see ``cpus`` usable CPUs; returns the pids it forks."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    forked: list[int] = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(pipeline.os, "fork", fork)
+    return forked
+
+
+LOADERS = ("load_publications", "load_journals", "load_taxonomy", "load_external_rankings",
+           "load_crosswalk")
+
+
+def log_loads(monkeypatch, log: Path):
+    """At each call of a pipeline loader, in whichever process makes it,
+    append ``pid,loader,file name`` to ``log``. Forked children inherit the
+    wrappers. Returns a function that reads back and empties the log, as
+    (pid, loader, file name) tuples."""
+    def logged(name):
+        real = getattr(pipeline, name)
+
+        def wrapper(path, *args, **kwargs):
+            with log.open("a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()},{name},{Path(path).name}\n")
+            return real(path, *args, **kwargs)
+        return wrapper
+
+    for name in LOADERS:
+        monkeypatch.setattr(pipeline, name, logged(name))
+
+    def entries() -> list[tuple[int, str, str]]:
+        lines = log.read_text(encoding="utf-8").splitlines()
+        log.unlink()
+        return [(int(pid), name, file) for pid, name, file in (line.split(",") for line in lines)]
+    return entries
+
+
+# (command, whether the config names a national file) for each fork point
+# combination: validate, rank and compare without a national file fork for
+# the journals, compare with one for the national file; rank and compare
+# then fork their shares.
+COMMANDS = (("validate", True), ("rank", True), ("compare", False), ("compare", True))
+
+
+# lines printed on the fixtures: validate's counts, one path per file written
+PRINTED = {"validate": 13, "rank": 18, "compare": 10}
+
+
+def set_national(workspace, national: bool) -> None:
+    """Name the national file in the config, or name none and point the
+    crosswalk's national side at a field that ``compare`` then ranks."""
+    edit_config(workspace, national_rankings="national_rankings.csv" if national else None)
+    crosswalk = (FIXTURES / "crosswalk.csv").read_text(encoding="utf-8")
+    if not national:
+        crosswalk = crosswalk.replace(",national,overall\n", ",national,Computer Science\n")
+    (workspace / "crosswalk.csv").write_text(crosswalk, encoding="utf-8")
 
 
 class TestValidate:
@@ -365,22 +431,58 @@ class TestRank:
         assert not (workspace / "out").exists()
 
     def test_inputs_parsed_once_per_run(self, workspace, monkeypatch):
-        calls = {}
+        # counted over every process: at two CPUs the journals, or the
+        # national file, load in a child
+        assert len(load_config(workspace / "config.json").windows) == 2
+        entries = log_loads(monkeypatch, workspace / "loads.log")
+        inputs = {"load_publications": "publications.csv", "load_journals": "journals.csv",
+                  "load_taxonomy": "taxonomy.csv"}
+        rankings = {("load_external_rankings", "external_rankings.csv"),
+                    ("load_crosswalk", "crosswalk.csv")}
+        national = ("load_external_rankings", "national_rankings.csv")
+        expected = {
+            ("validate", True): {*inputs.items(), *rankings, national},
+            ("rank", True): set(inputs.items()),
+            ("compare", False): {*inputs.items(), *rankings},
+            ("compare", True): {*rankings, national},
+        }
+        for (command, has_national), loads in expected.items():
+            set_national(workspace, has_national)
+            for cpus in (1, 2):
+                pin_cpus(monkeypatch, cpus)
+                result = run_cli(command, "--config", str(workspace / "config.json"))
+                assert result.exit_code == 0, result.output
+                assert_no_child_process()
+                calls = entries()
+                assert sorted(call[1:] for call in calls) == sorted(loads), (command, calls)
+                in_children = {call[1:] for call in calls if call[0] != os.getpid()}
+                assert in_children == (set() if cpus == 1 else
+                                       {national} if command == "compare" and has_national
+                                       else {("load_journals", "journals.csv")}), (command, calls)
 
-        def counted(name):
-            real = getattr(pipeline, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                return real(*args, **kwargs)
-            return wrapper
-
-        for name in ("load_publications", "load_journals", "load_taxonomy"):
-            monkeypatch.setattr(pipeline, name, counted(name))
-        config = load_config(workspace / "config.json")
-        assert len(config.windows) == 2
-        run_rank(config)
-        assert calls == {"load_publications": 1, "load_journals": 1, "load_taxonomy": 1}
+    def test_one_and_two_shares_write_the_same_files(self, workspace, monkeypatch):
+        # forks at two CPUs: one for the journals or the national file, then
+        # one share per window for rank's three fields (shares of one and
+        # two) and one for compare's ten system pairs
+        forks = {("validate", True): 1, ("rank", True): 1 + 2, ("compare", False): 1 + 1,
+                 ("compare", True): 1 + 1}
+        out = workspace / "out"
+        for (command, has_national), expected_forks in forks.items():
+            set_national(workspace, has_national)
+            runs = []
+            for cpus in (1, 2):
+                forked = pin_cpus(monkeypatch, cpus)
+                shutil.rmtree(out, ignore_errors=True)
+                result = run_cli(command, "--config", str(workspace / "config.json"))
+                assert result.exit_code == 0, result.output
+                assert_no_child_process()
+                files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+                runs.append((result.output, files))
+                assert len(forked) == expected_forks * (cpus - 1), command
+            assert runs[0] == runs[1], command
+            printed = runs[0][0].splitlines()
+            assert len(printed) == PRINTED[command], printed
+            assert len(runs[0][1]) == {"validate": 0, "rank": 18, "compare": 10}[command]
 
     def test_holds_one_field_result_at_a_time(self, workspace, monkeypatch):
         entries = watch_live_field_results(monkeypatch, workspace / "live.log")
@@ -390,36 +492,6 @@ class TestRank:
         assert len(live) == 6 and max(live) <= 1, entries()
         if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
             assert len({pid for pid, _ in entries()}) >= 2, entries()
-
-    @staticmethod
-    def pin_cpus(monkeypatch, cpus: int) -> list[int]:
-        """Make run_rank see ``cpus`` usable CPUs; returns the pids it forks."""
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
-        forked: list[int] = []
-        real = os.fork
-
-        def fork():
-            pid = real()
-            if pid:
-                forked.append(pid)
-            return pid
-
-        monkeypatch.setattr(pipeline.os, "fork", fork)
-        return forked
-
-    def test_one_and_two_shares_write_the_same_files(self, workspace, monkeypatch):
-        config = load_config(workspace / "config.json")
-        runs = []
-        for cpus in (1, 2):
-            forked = self.pin_cpus(monkeypatch, cpus)
-            shutil.rmtree(config.out_dir, ignore_errors=True)
-            written = run_rank(config)
-            assert_no_child_process()
-            runs.append((written, {p.name: p.read_bytes() for p in config.out_dir.iterdir()}))
-            # the three fields split into shares of one and two, in each window
-            assert len(forked) == 2 * (cpus - 1)
-        assert runs[0] == runs[1]
-        assert len(runs[0][0]) == 18
 
     @pytest.mark.parametrize("failing", [
         # the fixture fields in name order are artificial_intelligence,
@@ -431,7 +503,7 @@ class TestRank:
     def test_fault_of_the_earliest_field_wins(self, workspace, monkeypatch, failing):
         outputs = []
         for cpus in (1, 2):
-            self.pin_cpus(monkeypatch, cpus)
+            pin_cpus(monkeypatch, cpus)
             out = workspace / f"out{cpus}"
             for stem in failing:  # a directory where the file goes: its write fails
                 (out / f"{stem}_w5_ranking.csv").mkdir(parents=True)
@@ -445,18 +517,26 @@ class TestRank:
         assert outputs[0].startswith(f"error: cannot write OUT/{failing[0]}_w5_ranking.csv: ")
 
     def test_killed_child_is_an_error(self, workspace, monkeypatch):
-        self.pin_cpus(monkeypatch, 2)
-        parent, real = os.getpid(), pipeline._write_field
+        # each fork point, by a function that only its child calls
+        for command, national, victim in (("rank", True, "_write_field"),
+                                          ("rank", True, "load_journals"),
+                                          ("compare", True, "load_external_rankings"),
+                                          ("compare", True, "_write_concordance")):
+            set_national(workspace, national)
+            with monkeypatch.context() as patch:
+                pin_cpus(patch, 2)
+                parent, real = os.getpid(), getattr(pipeline, victim)
 
-        def die_in_child(*args):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            real(*args)
+                def die_in_child(*args, real=real, **kwargs):
+                    if os.getpid() != parent:
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    return real(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "_write_field", die_in_child)
-        with pytest.raises(RuntimeError, match="^a forked child ended with wait status 9$"):
-            run_rank(load_config(workspace / "config.json"))
-        assert_no_child_process()
+                patch.setattr(pipeline, victim, die_in_child)
+                with pytest.raises(RuntimeError,
+                                   match="^a forked child ended with wait status 9$"):
+                    getattr(pipeline, f"run_{command}")(load_config(workspace / "config.json"))
+                assert_no_child_process()
 
     def test_no_fork_while_another_thread_runs(self, workspace, monkeypatch):
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
@@ -465,17 +545,22 @@ class TestRank:
         thread = threading.Thread(target=stop.wait, args=(10,))
         thread.start()
         try:
-            assert len(run_rank(load_config(workspace / "config.json"))) == 18
+            for command, national in COMMANDS:
+                set_national(workspace, national)
+                result = run_cli(command, "--config", str(workspace / "config.json"))
+                assert result.exit_code == 0, result.output
+                assert len(result.output.splitlines()) == PRINTED[command]
         finally:
             stop.set()
             thread.join(10)
         assert not thread.is_alive()
 
     def test_cli_import_loads_no_process_pool_or_pickle(self):
-        # rank imports pickle only to pass a fault from a child to its parent
+        # only a fork point imports pickle, to pass a value from a child
         src = str(Path(bibliorank.__file__).resolve().parent.parent)
         code = ("import sys; import bibliorank.cli; print(sorted(m for m in ("
-                "'multiprocessing', 'concurrent.futures', 'pickle') if m in sys.modules))")
+                "'multiprocessing', 'concurrent.futures', 'pickle', '_pickle') "
+                "if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                              text=True, env={**os.environ, "PYTHONPATH": src}).stdout
         assert out == "[]\n"
@@ -636,7 +721,8 @@ class TestCompare:
         assert [p.name for p in written] == ["concordance_shanghai_national.csv"]
         live = [count for _, count in entries()]
         assert len(live) == 3 and max(live) <= 1, entries()
-        assert {pid for pid, _ in entries()} == {os.getpid()}  # compare does not fork
+        # window 0 is ranked in this process, one field at a time
+        assert {pid for pid, _ in entries()} == {os.getpid()}
 
     def test_compare_rerun_is_byte_identical(self, workspace):
         run_cli("compare", "--config", str(workspace / "config.json"))
@@ -644,3 +730,108 @@ class TestCompare:
         run_cli("compare", "--config", str(workspace / "config.json"))
         second = {p.name: p.read_bytes() for p in (workspace / "out").iterdir()}
         assert first == second
+
+
+# One fault per input file: the row appended and a part of its message.
+FAULTS = {
+    "publications": ("publications.csv", "R9001,UnivA,2010,J-CS-A,-1\n",
+                     "line 205: negative citations (-1)"),
+    "journals": ("journals.csv", "J-X,Physics,2010,7\n", "line 86: quartile 7 outside"),
+    "taxonomy": ("taxonomy.csv", "Physics,level9,Physics\n",
+                 "line 7: level must be one of"),
+    "external": ("external_rankings.csv", "shanghai,overall,Nowhere,abc\n",
+                 "line 53: malformed rank 'abc'"),
+    "national": ("national_rankings.csv", "national,overall,Nowhere,xyz\n",
+                 "line 21: malformed rank 'xyz'"),
+    "crosswalk": ("crosswalk.csv", "zzz,overall,national,overall\n",
+                  "names unknown system 'zzz'"),
+    # a second system in the national file, and none named national_system
+    "national_system": ("national_rankings.csv", "other,overall,Barcelona,1\n",
+                        "none match national_system='natl'"),
+}
+
+
+class TestForkPoints:
+    """The loads side by side and the forked shares run what one process
+    would, with its faults: the first in a one-CPU run's order wins."""
+
+    @pytest.mark.parametrize("command, national, faults", [
+        ("validate", True, ("publications", "journals")),
+        ("rank", True, ("publications", "journals")),
+        ("compare", False, ("publications", "journals")),
+        ("validate", True, ("journals", "taxonomy")),
+        ("rank", True, ("journals", "taxonomy")),
+        ("rank", True, ("journals",)),
+        ("compare", True, ("external", "national")),
+        ("compare", True, ("crosswalk", "national")),
+        ("compare", True, ("national",)),
+        ("compare", True, ("national_system",)),
+        ("compare", True, ("crosswalk", "national_system")),
+    ], ids=lambda v: v if isinstance(v, str) else "+".join(v) if isinstance(v, tuple) else None)
+    def test_first_fault_of_a_one_cpu_run_wins(self, workspace, monkeypatch, command,
+                                                national, faults):
+        set_national(workspace, national)
+        if "national_system" in faults:  # the crosswalk follows the new name
+            edit_config(workspace, national_system="natl")
+            crosswalk = workspace / "crosswalk.csv"
+            crosswalk.write_text(crosswalk.read_text(encoding="utf-8").replace(
+                ",national,", ",natl,"), encoding="utf-8")
+        for fault in faults:
+            name, row, _ = FAULTS[fault]
+            with (workspace / name).open("a", encoding="utf-8") as fh:
+                fh.write(row)
+        outputs = []
+        for cpus in (1, 2):
+            forked = pin_cpus(monkeypatch, cpus)
+            result = run_cli(command, "--config", str(workspace / "config.json"))
+            assert_no_child_process()
+            assert isinstance(result.exception, SystemExit), result.exception
+            outputs.append((result.exit_code, result.output))
+            assert len(forked) == cpus - 1  # the journals, or the national file
+        assert outputs[0] == outputs[1]
+        code, message = outputs[0]
+        assert code == (2 if faults == ("national_system",) else 1), message
+        assert message.startswith("configuration error: " if code == 2 else "error: "), message
+        assert FAULTS[faults[0]][2] in message
+        assert len(message.splitlines()) == 1, message
+        assert not (workspace / "out").exists()
+
+    def test_input_error_in_a_child_keeps_its_line(self, workspace, monkeypatch):
+        name, row, message = FAULTS["journals"]
+        with (workspace / name).open("a", encoding="utf-8") as fh:
+            fh.write(row)
+        forked = pin_cpus(monkeypatch, 2)
+        with pytest.raises(InputError) as info:
+            pipeline._load_inputs(load_config(workspace / "config.json"))
+        assert_no_child_process()
+        assert len(forked) == 1
+        assert info.value.line == 86
+        assert str(info.value).startswith(message)
+
+    def test_numbers_stay_shared_through_a_child(self, workspace, monkeypatch):
+        # Two national fields whose rows repeat rank texts: as loaded, equal
+        # ranks are one float, as equal years in the journals file are one int.
+        (workspace / "national_rankings.csv").write_text(
+            "system_name,field_name,institution_id,rank\n" + "".join(
+                f"national,{field},{inst},{rank}\n" for field in ("a", "b")
+                for inst, rank in (("U1", "1"), ("U2", "2-3"), ("U3", "2-3"), ("U4", "250"))),
+            encoding="utf-8")
+        config = load_config(workspace / "config.json")
+
+        def national():
+            return pipeline._supplied_national_tables(
+                config, pipeline.load_external_rankings(config.national_rankings))
+
+        forked = pin_cpus(monkeypatch, 2)
+        through_child = pipeline._load_inputs(config)[1], pipeline._fork_call(national)()
+        assert len(forked) == 2
+        pin_cpus(monkeypatch, 1)
+        in_process = pipeline._load_inputs(config)[1], national()
+        assert through_child == in_process
+        for journals, tables in (through_child, in_process):
+            years = [year for quartiles in journals.values()
+                     for by_year in quartiles.values() for year in by_year]
+            ranks = [rank for table in tables.values() for rank in table.ranks]
+            for numbers in (years, ranks):
+                assert len({id(n) for n in numbers}) == len(set(numbers)) < len(numbers)
+        assert_no_child_process()
