@@ -290,17 +290,6 @@ def _header(config: RunConfig, window: TimeWindow | None = None) -> str:
 
 
 @dataclass(frozen=True)
-class FieldResult:
-    """Everything computed for one (field, window)."""
-
-    field_name: str
-    indicators: Mapping[str, IndicatorSet]
-    scores: Mapping[str, IndexScore]
-    quadrants: tuple[float, float, Mapping[str, str]]  # as classify_quadrants returns
-    table: RankingTable
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     publication_count: int
     journal_count: int
@@ -363,25 +352,27 @@ def run_validate(config: RunConfig) -> ValidationReport:
     )
 
 
-def compute_field_results(config: RunConfig, window: TimeWindow,
+def compute_field_results(window: TimeWindow,
                           publications: Sequence[PublicationRecord],
-                          journals: Mapping[str, Quartiles],
-                          taxonomy: Taxonomy) -> dict[str, RankingTable]:
-    """The ranking table of each non-empty field in ``window``, by field name
-    in name order, from the files the caller parsed once per run.
+                          journals: Mapping[str, Quartiles], taxonomy: Taxonomy,
+                          each: Callable[[str, Corpus], _T]) -> dict[str, _T]:
+    """``each(name, field corpus)`` for every non-empty field in ``window``, by
+    field name in name order, from the files the caller parsed once per run.
 
-    Each field's other results are dropped as soon as its table is kept, so
-    one field's results are alive at a time.
+    The records are bucketed by field once, in this process; then
+    ``_fork_shares`` spreads the fields over the usable CPUs, and each value
+    comes back from the process that computed it. ``each`` should drop what
+    it does not return, so that one field's results are alive at a time in
+    each process. The buckets go on return.
     """
     corpus = build_corpus(publications, journals, window)
     assignment = assign_fields(corpus, taxonomy)
-    tables: dict[str, RankingTable] = {}
+    names = [name for name in sorted(taxonomy) if assignment.records_by_field[name]]
+    weights = [len(assignment.records_by_field[name]) for name in names]
     with _rare_full_collections():
-        for name in sorted(taxonomy):
-            fc = field_corpus(corpus, assignment, name)
-            if len(fc) > 0:
-                tables[name] = _field_result(config, taxonomy, fc, name).table
-    return tables
+        values = _fork_shares(
+            weights, lambda i: each(names[i], field_corpus(corpus, assignment, names[i])))
+    return dict(zip(names, values))
 
 
 @contextmanager
@@ -401,8 +392,9 @@ def _rare_full_collections() -> Iterator[None]:
         gc.set_threshold(*thresholds)
 
 
-def _field_result(config: RunConfig, taxonomy: Taxonomy, fc: Corpus,
-                  name: str) -> FieldResult:
+def _field_scores(config: RunConfig, taxonomy: Taxonomy, name: str,
+                  fc: Corpus) -> tuple[dict[str, IndicatorSet], dict[str, IndexScore]]:
+    """The indicators and the index scores of one non-empty field."""
     indicators = compute_indicators(
         fc, top10_threshold(fc),
         field_categories=taxonomy[name],
@@ -410,34 +402,14 @@ def _field_result(config: RunConfig, taxonomy: Taxonomy, fc: Corpus,
         missing_quartile=config.missing_quartile,
         field_name=name,
     )
-    scores = score_field(indicators)
-    return FieldResult(
-        field_name=name,
-        indicators=indicators,
-        scores=scores,
-        quadrants=classify_quadrants(scores),
-        table=build_ranking(scores, config.national_system, name),
-    )
+    return indicators, score_field(indicators)
 
 
-def _field_outputs(result: FieldResult) -> tuple[tuple[str, str, Iterator[tuple]], ...]:
-    """Each output file of one field, in ``_output_paths`` order: (column
-    line, row format, iterator of row tuples)."""
-    name, table = result.field_name, result.table
-    scores, indicators = result.scores, result.indicators
-    mean_qnif, mean_qlif, labels = result.quadrants
-    means = "%.6f,%.6f" % (mean_qnif, mean_qlif)
-    return (
-        ("system_name,field_name,institution_id,rank,ifq2a",
-         "%s,%s,%s,%d,%.6f\n",
-         zip(repeat(table.system_name), repeat(name), table.ids, table.ranks, table.scores)),
-        ("field_name,institution_id,qnif,qlif,ifq2a,quadrant,mean_qnif,mean_qlif",
-         "%s,%s,%.6f,%.6f,%.6f,%s,%s\n",
-         ((name, *scores[inst], labels[inst], means) for inst in sorted(scores))),
-        ("field_name,institution_id,ndoc,ncit,h,pct_q1,acit,topcit",
-         "%s,%s,%d,%d,%d,%.6f,%.6f,%.6f\n",
-         ((name, *indicators[inst]) for inst in sorted(indicators))),
-    )
+def _field_table(config: RunConfig, taxonomy: Taxonomy, name: str,
+                 fc: Corpus) -> RankingTable:
+    """One non-empty field's ranking table; its other results are dropped."""
+    return build_ranking(_field_scores(config, taxonomy, name, fc)[1],
+                         config.national_system, name)
 
 
 def _output_paths(config: RunConfig, window: TimeWindow, name: str) -> tuple[Path, ...]:
@@ -448,12 +420,25 @@ def _output_paths(config: RunConfig, window: TimeWindow, name: str) -> tuple[Pat
 
 
 def _write_field(config: RunConfig, taxonomy: Taxonomy, window: TimeWindow,
-                 header: str, fc: Corpus, name: str) -> None:
-    """Compute one non-empty field's results and write its files; the results
-    are dropped on return."""
-    result = _field_result(config, taxonomy, fc, name)
-    for path, (columns, row_format, rows) in zip(_output_paths(config, window, name),
-                                                 _field_outputs(result)):
+                 header: str, name: str, fc: Corpus) -> None:
+    """Compute one non-empty field's results and write its ranking, quadrants
+    and indicators files; the results are dropped on return."""
+    indicators, scores = _field_scores(config, taxonomy, name, fc)
+    table = build_ranking(scores, config.national_system, name)
+    mean_qnif, mean_qlif, labels = classify_quadrants(scores)
+    means = "%.6f,%.6f" % (mean_qnif, mean_qlif)
+    outputs = (
+        ("system_name,field_name,institution_id,rank,ifq2a",
+         "%s,%s,%s,%d,%.6f\n",
+         zip(repeat(table.system_name), repeat(name), table.ids, table.ranks, table.scores)),
+        ("field_name,institution_id,qnif,qlif,ifq2a,quadrant,mean_qnif,mean_qlif",
+         "%s,%s,%.6f,%.6f,%.6f,%s,%s\n",
+         ((name, *scores[inst], labels[inst], means) for inst in sorted(scores))),
+        ("field_name,institution_id,ndoc,ncit,h,pct_q1,acit,topcit",
+         "%s,%s,%d,%d,%d,%.6f,%.6f,%.6f\n",
+         ((name, *indicators[inst]) for inst in sorted(indicators))),
+    )
+    for path, (columns, row_format, rows) in zip(_output_paths(config, window, name), outputs):
         _write_csv(path, header, columns, row_format, rows)
 
 
@@ -626,48 +611,54 @@ def _side_by_side(there: Callable[[], _T], here: Callable[[], _U]) -> tuple[_U, 
 _Fault = tuple[int, Exception]  # (index, what run(index) raised)
 
 
-def _run_share(share: Sequence[int], run: Callable[[int], None]) -> _Fault | None:
-    """Call ``run(i)`` for each index of ``share`` in order; the first to
-    raise ends the share, and its fault is returned."""
+def _run_share(share: Sequence[int], run: Callable[[int], _T]
+               ) -> tuple[list[_T], _Fault | None]:
+    """``run(i)`` for each index of ``share`` in order, and no fault; or, once
+    one raises, no values and that index's fault."""
+    values = []
     for i in share:
         try:
-            run(i)
+            values.append(run(i))
         except Exception as exc:  # kept until every share has ended
-            return i, exc
-    return None
+            return [], (i, exc)
+    return values, None
 
 
-def _fork_shares(weights: Sequence[int], run: Callable[[int], None]) -> None:
-    """Call ``run(i)`` once for each index of ``weights``, split over the
-    processes ``_fork_cpus`` allows: ``_split`` makes one share per process
-    (no more than there are indices), the first share runs in this process
-    and each other one in a child made by ``_fork_call``. Every child is
-    reaped before this function returns or raises.
+def _fork_shares(weights: Sequence[int], run: Callable[[int], _T]) -> list[_T]:
+    """``run(i)`` for each index of ``weights``, in index order, split over
+    the processes ``_fork_cpus`` allows: ``_split`` makes one share per
+    process (no more than there are indices), the first share runs in this
+    process and each other one in a child made by ``_fork_call``, which sends
+    back its share's values. Every child is reaped before this function
+    returns or raises.
 
-    A share stops at its first fault. If any share failed, the fault of the
-    lowest index is raised, so the error is the one a single process running
-    the indices in order would raise.
+    A share stops at its first fault. If any share failed, every value is
+    dropped and the fault of the lowest index is raised, so the error is the
+    one a single process running the indices in order would raise.
     """
     shares = _split(weights, max(1, min(_fork_cpus(), len(weights))))
-    waits: list[tuple[int, Callable[..., _Fault | None]]] = []  # first index, waiter
-    faults: list[_Fault | None] = []
+    waits: list[tuple[Sequence[int], Callable[..., tuple[list[_T], _Fault | None]]]] = []
+    outcomes: list[tuple[Sequence[int], list[_T], _Fault | None]] = []  # share, values, fault
     try:
         for share in shares[1:]:
-            waits.append((share[0], _fork_call(partial(_run_share, share, run))))
-        faults.append(_run_share(shares[0], run))
+            waits.append((share, _fork_call(partial(_run_share, share, run))))
+        outcomes.append((shares[0], *_run_share(shares[0], run)))
     finally:
-        for first, wait in waits:
+        for share, wait in waits:
             try:
-                faults.append(wait())
+                outcomes.append((share, *wait()))
             except RuntimeError as exc:  # the child ended without reporting
-                faults.append((first, exc))
-    first = min(filter(None, faults), key=itemgetter(0), default=None)
-    del faults
+                outcomes.append((share, [], (share[0], exc)))
+    first = min((fault for _, _, fault in outcomes if fault is not None),
+                key=itemgetter(0), default=None)
     if first is not None:
+        del outcomes
         try:
             raise first[1]
         finally:
             del first  # as in _fork_call's waiter
+    by_index = {i: value for share, values, _ in outcomes for i, value in zip(share, values)}
+    return [by_index[i] for i in range(len(weights))]
 
 
 def run_rank(config: RunConfig) -> list[Path]:
@@ -681,31 +672,11 @@ def run_rank(config: RunConfig) -> list[Path]:
     _check_field_stems(taxonomy)
     written: list[Path] = []
     for window in config.windows:
-        written += _rank_window(config, window, publications, journals, taxonomy)
+        names = compute_field_results(
+            window, publications, journals, taxonomy,
+            partial(_write_field, config, taxonomy, window, _header(config, window)))
+        written += [path for name in names for path in _output_paths(config, window, name)]
     return written
-
-
-def _rank_window(config: RunConfig, window: TimeWindow,
-                 publications: Sequence[PublicationRecord],
-                 journals: Mapping[str, Quartiles],
-                 taxonomy: Taxonomy) -> list[Path]:
-    """Write the files of every non-empty field in ``window``; return their paths.
-
-    The records are bucketed by field once, in this process; then
-    ``_fork_shares`` spreads the fields over the usable CPUs. Each process
-    keeps one field's results alive at a time. The buckets go on return,
-    before the next window's are built.
-    """
-    header = _header(config, window)
-    corpus = build_corpus(publications, journals, window)
-    assignment = assign_fields(corpus, taxonomy)
-    names = [name for name in sorted(taxonomy) if assignment.records_by_field[name]]
-    with _rare_full_collections():
-        _fork_shares([len(assignment.records_by_field[name]) for name in names],
-                     lambda i: _write_field(config, taxonomy, window, header,
-                                            field_corpus(corpus, assignment, names[i]),
-                                            names[i]))
-    return [path for name in names for path in _output_paths(config, window, name)]
 
 
 def _supplied_national_tables(config: RunConfig,
@@ -727,8 +698,11 @@ def _supplied_national_tables(config: RunConfig,
 
 
 def _national_tables(config: RunConfig) -> dict[str, RankingTable]:
-    """Without a national file: the tables of ranking the first window."""
-    tables = compute_field_results(config, config.windows[0], *_load_inputs(config))
+    """Without a national file: the tables of ranking the first window, its
+    fields spread over the usable CPUs as ``rank`` spreads them."""
+    publications, journals, taxonomy = _load_inputs(config)
+    tables = compute_field_results(config.windows[0], publications, journals, taxonomy,
+                                   partial(_field_table, config, taxonomy))
     if not tables:
         raise InputError("no non-empty fields to build national tables from")
     return tables

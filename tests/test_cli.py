@@ -46,23 +46,28 @@ def edit_config(workspace, **changes):
 
 def watch_live_field_results(monkeypatch, log: Path):
     """At each call of compute_indicators, in whichever process makes it,
-    append ``pid,live`` to ``log``: the number of FieldResult objects alive
-    in that process. Forked children inherit the wrapper. Returns a function
-    that reads back the (pid, live) pairs."""
+    append ``pid,live`` to ``log``: the number of fields whose results are
+    alive in that process, each counted by the indicators mapping that
+    compute_indicators returned for it. Forked children inherit the wrapper.
+    Returns a function that reads back and empties the (pid, live) pairs."""
     real = pipeline.compute_indicators
 
+    class Indicators(dict):
+        """A field's indicators, told apart from every other dict."""
+
     def counting(*args, **kwargs):
-        live = sum(isinstance(o, pipeline.FieldResult) for o in gc.get_objects())
+        live = sum(type(o) is Indicators for o in gc.get_objects())
         with log.open("a", encoding="ascii") as fh:
             fh.write(f"{os.getpid()},{live}\n")
-        return real(*args, **kwargs)
+        return Indicators(real(*args, **kwargs))
 
     monkeypatch.setattr(pipeline, "compute_indicators", counting)
-    # An earlier test's CliRunner may leave a failed run's results in a
-    # reference cycle; count only what this run keeps alive.
-    gc.collect()
-    return lambda: [tuple(map(int, line.split(","))) for line in
-                    log.read_text(encoding="ascii").splitlines()]
+
+    def entries() -> list[tuple[int, int]]:
+        lines = log.read_text(encoding="ascii").splitlines()
+        log.unlink()
+        return [tuple(map(int, line.split(","))) for line in lines]
+    return entries
 
 
 def assert_no_child_process():
@@ -463,8 +468,9 @@ class TestRank:
     def test_one_and_two_shares_write_the_same_files(self, workspace, monkeypatch):
         # forks at two CPUs: one for the journals or the national file, then
         # one share per window for rank's three fields (shares of one and
-        # two) and one for compare's ten system pairs
-        forks = {("validate", True): 1, ("rank", True): 1 + 2, ("compare", False): 1 + 1,
+        # two), one for the fields of compare's national tables when it has
+        # no national file, and one for compare's ten system pairs
+        forks = {("validate", True): 1, ("rank", True): 1 + 2, ("compare", False): 1 + 1 + 1,
                  ("compare", True): 1 + 1}
         out = workspace / "out"
         for (command, has_national), expected_forks in forks.items():
@@ -486,12 +492,15 @@ class TestRank:
 
     def test_holds_one_field_result_at_a_time(self, workspace, monkeypatch):
         entries = watch_live_field_results(monkeypatch, workspace / "live.log")
-        written = run_rank(load_config(workspace / "config.json"))
-        assert len(written) == 18  # 3 fields x 3 files x 2 windows
-        live = [count for _, count in entries()]
-        assert len(live) == 6 and max(live) <= 1, entries()
-        if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
-            assert len({pid for pid, _ in entries()}) >= 2, entries()
+        for cpus in (1, 2):
+            pin_cpus(monkeypatch, cpus)
+            written = run_rank(load_config(workspace / "config.json"))
+            assert_no_child_process()
+            assert len(written) == 18  # 3 fields x 3 files x 2 windows
+            calls = entries()
+            assert len(calls) == 6 and max(live for _, live in calls) <= 1, calls
+            pids = {pid for pid, _ in calls}
+            assert pids == {os.getpid()} if cpus == 1 else len(pids) >= 2, calls
 
     @pytest.mark.parametrize("failing", [
         # the fixture fields in name order are artificial_intelligence,
@@ -520,6 +529,7 @@ class TestRank:
         # each fork point, by a function that only its child calls
         for command, national, victim in (("rank", True, "_write_field"),
                                           ("rank", True, "load_journals"),
+                                          ("compare", False, "_field_table"),
                                           ("compare", True, "load_external_rankings"),
                                           ("compare", True, "_write_concordance")):
             set_national(workspace, national)
@@ -717,12 +727,16 @@ class TestCompare:
             encoding="utf-8",
         )
         entries = watch_live_field_results(monkeypatch, workspace / "live.log")
-        written = run_compare(load_config(workspace / "config.json"))
-        assert [p.name for p in written] == ["concordance_shanghai_national.csv"]
-        live = [count for _, count in entries()]
-        assert len(live) == 3 and max(live) <= 1, entries()
-        # window 0 is ranked in this process, one field at a time
-        assert {pid for pid, _ in entries()} == {os.getpid()}
+        for cpus in (1, 2):
+            pin_cpus(monkeypatch, cpus)
+            written = run_compare(load_config(workspace / "config.json"))
+            assert_no_child_process()
+            assert [p.name for p in written] == ["concordance_shanghai_national.csv"]
+            # window 0's three fields, ranked for their tables only
+            calls = entries()
+            assert len(calls) == 3 and max(live for _, live in calls) <= 1, calls
+            pids = {pid for pid, _ in calls}
+            assert pids == {os.getpid()} if cpus == 1 else len(pids) >= 2, calls
 
     def test_compare_rerun_is_byte_identical(self, workspace):
         run_cli("compare", "--config", str(workspace / "config.json"))
@@ -795,6 +809,65 @@ class TestForkPoints:
         assert FAULTS[faults[0]][2] in message
         assert len(message.splitlines()) == 1, message
         assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("removed, message", [
+        (('J-PH-A,"Physics, Applied",2010,1\n',),
+         "journal 'J-PH-A' has no quartile for category 'physics, applied' in year 2010"),
+        # at two CPUs computer_science, the first faulty field in name order,
+        # is this process's share, and physics is in the child's
+        (('J-CS-T,"Computer Science, Theory & Methods",2009,2\n',
+          'J-PH-A,"Physics, Applied",2010,1\n'),
+         "journal 'J-CS-T' has no quartile for category "
+         "'computer science, theory & methods' in year 2009"),
+    ], ids=["physics", "computer_science+physics"])
+    def test_national_share_fault_of_the_first_field_wins(self, workspace, monkeypatch,
+                                                          removed, message):
+        set_national(workspace, False)
+        journals = workspace / "journals.csv"
+        text = journals.read_text(encoding="utf-8")
+        for row in removed:
+            assert row in text
+            text = text.replace(row, "")
+        journals.write_text(text, encoding="utf-8")
+        outputs = []
+        for cpus in (1, 2):
+            forked = pin_cpus(monkeypatch, cpus)
+            result = run_cli("compare", "--config", str(workspace / "config.json"),
+                             "--strict-quartiles")
+            assert_no_child_process()
+            assert isinstance(result.exception, SystemExit), result.exception
+            outputs.append((result.exit_code, result.output))
+            assert len(forked) == 2 * (cpus - 1)  # the journals, then the fields' share
+        assert outputs[0] == outputs[1] == (1, f"error: {message}\n")
+        assert not (workspace / "out").exists()
+
+    # shares of _split(WEIGHTS, 2): [0, 3] in this process, [1, 2, 4] in the child
+    WEIGHTS = (5, 1, 1, 1, 3)
+
+    def test_shares_return_values_in_index_order(self, monkeypatch):
+        assert pipeline._split(self.WEIGHTS, 2) == [[0, 3], [1, 2, 4]]
+        runs = []
+        for cpus in (1, 2):
+            forked = pin_cpus(monkeypatch, cpus)
+            runs.append(pipeline._fork_shares(self.WEIGHTS, lambda i: (i, i / 2, f"field {i}")))
+            assert_no_child_process()
+            assert len(forked) == cpus - 1
+        assert runs[0] == runs[1] == [(i, i / 2, f"field {i}") for i in range(5)]
+
+    @pytest.mark.parametrize("failing, first", [((1, 3), 1), ((0, 4), 0)],
+                             ids=["child_first", "parent_first"])
+    def test_shares_raise_the_fault_of_the_lowest_index(self, monkeypatch, failing, first):
+        def run(i):
+            if i in failing:
+                raise ValueError(f"index {i}")
+            return i
+
+        for cpus in (1, 2):
+            forked = pin_cpus(monkeypatch, cpus)
+            with pytest.raises(ValueError, match=f"^index {first}$"):
+                pipeline._fork_shares(self.WEIGHTS, run)
+            assert_no_child_process()
+            assert len(forked) == cpus - 1
 
     def test_input_error_in_a_child_keeps_its_line(self, workspace, monkeypatch):
         name, row, message = FAULTS["journals"]
