@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import io
 import json
+import marshal
 import os
 import re
 import threading
@@ -19,8 +19,7 @@ from functools import partial
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import (BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence,
-                    TypeVar)
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, TypeVar
 
 from . import __version__
 from .concordance import (
@@ -361,9 +360,10 @@ def compute_field_results(window: TimeWindow,
 
     The records are bucketed by field once, in this process; then
     ``_fork_shares`` spreads the fields over the usable CPUs, and each value
-    comes back from the process that computed it. ``each`` should drop what
-    it does not return, so that one field's results are alive at a time in
-    each process. The buckets go on return.
+    comes back from the process that computed it, so it must be plain data
+    (``_fork_call``). ``each`` should drop what it does not return, so that
+    one field's results are alive at a time in each process. The buckets go
+    on return.
     """
     corpus = build_corpus(publications, journals, window)
     assignment = assign_fields(corpus, taxonomy)
@@ -405,11 +405,20 @@ def _field_scores(config: RunConfig, taxonomy: Taxonomy, name: str,
     return indicators, score_field(indicators)
 
 
-def _field_table(config: RunConfig, taxonomy: Taxonomy, name: str,
-                 fc: Corpus) -> RankingTable:
-    """One non-empty field's ranking table; its other results are dropped."""
-    return build_ranking(_field_scores(config, taxonomy, name, fc)[1],
-                         config.national_system, name)
+# A ranking table as plain data, to cross from a forked child: its fields in
+# order, so that RankingTable(*columns) rebuilds it.
+_Columns = tuple[str, str, tuple[str, ...], tuple[float, ...], tuple[float, ...]]
+
+
+def _columns(table: RankingTable) -> _Columns:
+    return table.system_name, table.field_name, table.ids, table.ranks, table.scores
+
+
+def _field_table(config: RunConfig, taxonomy: Taxonomy, name: str, fc: Corpus) -> _Columns:
+    """One non-empty field's ranking table, as columns; its other results
+    are dropped."""
+    return _columns(build_ranking(_field_scores(config, taxonomy, name, fc)[1],
+                                  config.national_system, name))
 
 
 def _output_paths(config: RunConfig, window: TimeWindow, name: str) -> tuple[Path, ...]:
@@ -479,10 +488,11 @@ def _fork_call(fn: Callable[[], _T]) -> Callable[..., _T]:
     ``fn`` raised; a child that ends without reporting either is a
     RuntimeError naming its wait status. ``wait(discard=True)`` reaps the
     child and drops its report. The child shares this process's memory
-    copy-on-write and reports through a pipe (``_send``). Where
-    ``_fork_cpus()`` is 1 no child is made: ``wait()`` calls ``fn`` in this
-    process and ``wait(discard=True)`` does not call it, which is the
-    one-process run.
+    copy-on-write and reports through a pipe (``_child``), so the value must
+    be plain data that ``marshal`` takes: any other value is marshal's
+    ValueError, raised here. Where ``_fork_cpus()`` is 1 no child is made:
+    ``wait()`` calls ``fn`` in this process and ``wait(discard=True)`` does
+    not call it, which is the one-process run.
     """
     if _fork_cpus() < 2:
         return lambda discard=False: None if discard else fn()
@@ -498,100 +508,68 @@ def _fork_call(fn: Callable[[], _T]) -> Callable[..., _T]:
     os.close(write_fd)
 
     def wait(discard: bool = False):
-        outcome = None
         try:
             # Closed before the wait: a child still writing then fails and ends.
             with open(read_fd, "rb") as pipe:
-                if not discard:
-                    outcome = _receive(pipe)
-        except (EOFError, _pickle_core().UnpicklingError):  # the report is cut short
-            pass
+                report = b"" if discard else pipe.read()
         finally:
             status = os.waitpid(pid, 0)[1]
         if discard:
             return None
-        if outcome is None:
+        if status != 0 or not report:  # no report, or one cut short
             raise RuntimeError(f"a forked child ended with wait status {status}")
-        ok, value = outcome
-        if ok:
-            return value
+        if report[:1] == _VALUE:
+            return marshal.loads(memoryview(report)[1:])
+        fault = _pickle_core().loads(memoryview(report)[1:])
         try:
-            raise value
+            raise fault
         finally:
             # The traceback holds this frame: no local may hold the fault,
             # or the two would keep each other alive until a full collection.
-            del outcome, value
+            del fault
 
     return wait
 
 
+_VALUE, _FAULT = b"v", b"f"  # the first byte of a child's report
+
+
 def _child(fn: Callable[[], object], read_fd: int, write_fd: int) -> NoReturn:
-    """Run ``fn`` in a forked child, send ``(True, value)`` or ``(False,
-    exception)`` to ``write_fd`` and end the process. Never returns, so the
-    child never unwinds into its caller's stack. Exit status 0 means the
-    report was sent whole."""
+    """Run ``fn`` in a forked child, send its report to ``write_fd`` and end
+    the process. Never returns, so the child never unwinds into its caller's
+    stack. Exit status 0 means the report was sent whole.
+
+    The report is ``_VALUE`` and ``fn``'s value by ``marshal``, or ``_FAULT``
+    and what ``fn`` raised, pickled so that its class and attributes (an
+    InputError's ``line``) survive. A value that marshal refuses is sent as
+    marshal's ValueError. Marshal writes an object held more than once as a
+    back-reference, so the loaders' shared years, ranks and ids stay one
+    object each in the receiving process.
+    """
     status = 1
     try:
         os.close(read_fd)
         try:
-            outcome = True, fn()
+            kind, body = _VALUE, marshal.dumps(fn())
         except Exception as exc:
-            outcome = False, exc
+            kind, body = _FAULT, _pickle_core().dumps(exc, -1)  # -1: the highest protocol
         with open(write_fd, "wb") as pipe:
-            _send(outcome, pipe)
+            pipe.write(kind)
+            pipe.write(body)
         status = 0
     finally:
         os._exit(status)
 
 
 def _pickle_core():
-    """The pickle module's C core, imported by a fork point only. The
-    ``pickle`` module around it adds 0.35 MB to the peak RSS of a run."""
+    """The pickle module's C core, imported only to send and receive a
+    child's fault. The ``pickle`` module around it adds 0.35 MB to the peak
+    RSS of a run."""
     try:
         import _pickle as pickle
     except ImportError:  # a Python without the C core
         import pickle
     return pickle
-
-
-def _send(value: object, pipe: BinaryIO) -> None:
-    """Write ``value`` to ``pipe`` pickled, keeping its numbers shared.
-
-    Pickle copies an int or a float at each reference, where the loaders'
-    memos made the rows share one object: sent plainly, the journals' year
-    keys and the national tables' rank floats would add megabytes to the
-    receiving process. So each distinct number object goes once into a
-    table, written first, and the value refers to its place there. The
-    value is pickled whole in the sending process, so that the table can go
-    first.
-    """
-    pickle = _pickle_core()
-    numbers: list[int | float] = []
-    places: dict[int, int] = {}  # id of a number -> its place in numbers
-
-    class Pickler(pickle.Pickler):
-        def persistent_id(self, obj):
-            if type(obj) is not int and type(obj) is not float:
-                return None
-            place = places.get(id(obj))
-            if place is None:
-                place = places[id(obj)] = len(numbers)
-                numbers.append(obj)
-            return place
-
-    body = io.BytesIO()
-    Pickler(body, -1).dump(value)  # -1: the highest protocol
-    pickle.dump(numbers, pipe, -1)
-    pipe.write(body.getbuffer())
-
-
-def _receive(pipe: BinaryIO) -> object:
-    """The value ``_send`` wrote, unpickled as it is read from ``pipe``."""
-    pickle = _pickle_core()
-    numbers = pickle.load(pipe)
-    unpickler = pickle.Unpickler(pipe)
-    unpickler.persistent_load = numbers.__getitem__
-    return unpickler.load()
 
 
 def _side_by_side(there: Callable[[], _T], here: Callable[[], _U]) -> tuple[_U, _T]:
@@ -611,17 +589,20 @@ def _side_by_side(there: Callable[[], _T], here: Callable[[], _U]) -> tuple[_U, 
 _Fault = tuple[int, Exception]  # (index, what run(index) raised)
 
 
-def _run_share(share: Sequence[int], run: Callable[[int], _T]
-               ) -> tuple[list[_T], _Fault | None]:
-    """``run(i)`` for each index of ``share`` in order, and no fault; or, once
-    one raises, no values and that index's fault."""
+class _ShareFault(Exception):
+    """A share's first fault: ``args`` is its ``_Fault``."""
+
+
+def _run_share(share: Sequence[int], run: Callable[[int], _T]) -> list[_T]:
+    """``run(i)`` for each index of ``share`` in order; once one raises,
+    ``_ShareFault(i, exception)``."""
     values = []
     for i in share:
         try:
             values.append(run(i))
-        except Exception as exc:  # kept until every share has ended
-            return [], (i, exc)
-    return values, None
+        except Exception as exc:
+            raise _ShareFault(i, exc)
+    return values
 
 
 def _fork_shares(weights: Sequence[int], run: Callable[[int], _T]) -> list[_T]:
@@ -637,27 +618,33 @@ def _fork_shares(weights: Sequence[int], run: Callable[[int], _T]) -> list[_T]:
     one a single process running the indices in order would raise.
     """
     shares = _split(weights, max(1, min(_fork_cpus(), len(weights))))
-    waits: list[tuple[Sequence[int], Callable[..., tuple[list[_T], _Fault | None]]]] = []
-    outcomes: list[tuple[Sequence[int], list[_T], _Fault | None]] = []  # share, values, fault
+    waits: list[tuple[Sequence[int], Callable[[], list[_T]]]] = []
+    by_index: dict[int, _T] = {}
+    faults: list[_Fault] = []  # kept until every share has ended
+
+    def collect(share: Sequence[int], values: Callable[[], list[_T]]) -> None:
+        try:
+            by_index.update(zip(share, values()))
+        except _ShareFault as fault:
+            faults.append(fault.args)
+        except Exception as exc:  # a child that did not report, or sent no plain data
+            faults.append((share[0], exc))
+
     try:
         for share in shares[1:]:
             waits.append((share, _fork_call(partial(_run_share, share, run))))
-        outcomes.append((shares[0], *_run_share(shares[0], run)))
+        collect(shares[0], partial(_run_share, shares[0], run))
     finally:
         for share, wait in waits:
-            try:
-                outcomes.append((share, *wait()))
-            except RuntimeError as exc:  # the child ended without reporting
-                outcomes.append((share, [], (share[0], exc)))
-    first = min((fault for _, _, fault in outcomes if fault is not None),
-                key=itemgetter(0), default=None)
-    if first is not None:
-        del outcomes
+            collect(share, wait)
+    if faults:
+        by_index.clear()
+        first = min(faults, key=itemgetter(0))[1]
+        del faults
         try:
-            raise first[1]
+            raise first
         finally:
             del first  # as in _fork_call's waiter
-    by_index = {i: value for share, values, _ in outcomes for i, value in zip(share, values)}
     return [by_index[i] for i in range(len(weights))]
 
 
@@ -697,15 +684,21 @@ def _supplied_national_tables(config: RunConfig,
     return {f: t for (s, f), t in tables.items() if s == chosen}
 
 
+def _national_file_columns(config: RunConfig) -> dict[str, _Columns]:
+    """The national file's tables (``_supplied_national_tables``), as columns."""
+    tables = _supplied_national_tables(config, load_external_rankings(config.national_rankings))
+    return {field: _columns(table) for field, table in tables.items()}
+
+
 def _national_tables(config: RunConfig) -> dict[str, RankingTable]:
     """Without a national file: the tables of ranking the first window, its
     fields spread over the usable CPUs as ``rank`` spreads them."""
     publications, journals, taxonomy = _load_inputs(config)
-    tables = compute_field_results(config.windows[0], publications, journals, taxonomy,
-                                   partial(_field_table, config, taxonomy))
-    if not tables:
+    columns = compute_field_results(config.windows[0], publications, journals, taxonomy,
+                                    partial(_field_table, config, taxonomy))
+    if not columns:
         raise InputError("no non-empty fields to build national tables from")
-    return tables
+    return {name: RankingTable(*c) for name, c in columns.items()}
 
 
 def _write_concordance(config: RunConfig, header: str,
@@ -741,10 +734,11 @@ def run_compare(config: RunConfig) -> list[Path]:
     national system's institutions before any pair is compared.
 
     A national file is parsed in a forked child while this process parses
-    the external rankings and the crosswalk; a fault is the one a
-    one-process run raises, in that order: external rankings, crosswalk,
-    national file. The system pairs are then spread over the usable CPUs
-    by ``_fork_shares``, weighted by their field pairs.
+    the external rankings and the crosswalk; its tables come back as
+    columns, the file's system name kept. A fault is the one a one-process
+    run raises, in that order: external rankings, crosswalk, national file.
+    The system pairs are then spread over the usable CPUs by
+    ``_fork_shares``, weighted by their field pairs.
     """
     config.validate()
     if config.external_rankings is None or config.crosswalk is None:
@@ -759,10 +753,9 @@ def run_compare(config: RunConfig) -> list[Path]:
         external, crosswalks = load_external()
         natl_tables = _national_tables(config)
     else:
-        (external, crosswalks), natl_tables = _side_by_side(
-            lambda: _supplied_national_tables(
-                config, load_external_rankings(config.national_rankings)),
-            load_external)
+        (external, crosswalks), national = _side_by_side(
+            partial(_national_file_columns, config), load_external)
+        natl_tables = {field: RankingTable(*c) for field, c in national.items()}
     system_set = set().union(*(t.ids for t in natl_tables.values()))
     tables: dict[str, dict[str, RankingTable]] = {}
     for (system, field), table in external.items():

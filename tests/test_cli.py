@@ -1,12 +1,14 @@
 import csv
 import gc
 import json
+import marshal
 import os
 import shutil
 import signal
 import subprocess
 import sys
 import threading
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from bibliorank import pipeline
 from bibliorank.cli import main
 from bibliorank.errors import InputError
 from bibliorank.pipeline import RunConfig, load_config, run_compare, run_rank
+from bibliorank.ranking import RankingTable
 from conftest import FIXTURES
 
 
@@ -565,15 +568,29 @@ class TestRank:
             thread.join(10)
         assert not thread.is_alive()
 
-    def test_cli_import_loads_no_process_pool_or_pickle(self):
-        # only a fork point imports pickle, to pass a value from a child
+    def test_cli_import_loads_no_process_pool_or_pickle(self, tmp_path):
+        # Importing the CLI loads none of these. A rank and a compare with a
+        # national file, on two usable CPUs, load no pickle either: a child's
+        # value comes back by marshal, and only a child's fault is pickled.
         src = str(Path(bibliorank.__file__).resolve().parent.parent)
-        code = ("import sys; import bibliorank.cli; print(sorted(m for m in ("
-                "'multiprocessing', 'concurrent.futures', 'pickle', '_pickle') "
-                "if m in sys.modules))")
-        out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
-                             text=True, env={**os.environ, "PYTHONPATH": src}).stdout
-        assert out == "[]\n"
+        code = ("import dataclasses, os, pathlib, sys; import bibliorank.cli\n"
+                "from bibliorank import pipeline\n"
+                "modules = ('multiprocessing', 'concurrent.futures', 'pickle', '_pickle')\n"
+                "print(sorted(m for m in modules if m in sys.modules))\n"
+                "pipeline._usable_cpus = lambda: 2\n"
+                "forks, fork = [], os.fork\n"
+                "os.fork = lambda: forks.append(1) or fork()\n"
+                "config = dataclasses.replace(pipeline.load_config(sys.argv[1]),"
+                " out_dir=pathlib.Path(sys.argv[2]))\n"
+                "assert config.national_rankings is not None\n"
+                "pipeline.run_rank(config); pipeline.run_compare(config)\n"
+                "print(len(forks), sorted(m for m in modules if m in sys.modules))\n")
+        out = subprocess.run([sys.executable, "-c", code, str(FIXTURES / "config.json"),
+                              str(tmp_path)], check=True, capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        # forks: the journals and one share per window (rank), the national
+        # file and one share of system pairs (compare)
+        assert out == "[]\n5 []\n"
 
     @pytest.mark.parametrize("failing", ["compute_indicators", "_atomic_write"])
     def test_collector_thresholds_restored(self, workspace, monkeypatch, failing):
@@ -882,29 +899,73 @@ class TestForkPoints:
         assert str(info.value).startswith(message)
 
     def test_numbers_stay_shared_through_a_child(self, workspace, monkeypatch):
-        # Two national fields whose rows repeat rank texts: as loaded, equal
-        # ranks are one float, as equal years in the journals file are one int.
+        # Two national fields whose rows repeat ids and rank texts: as loaded,
+        # equal ranks are one float and equal ids one string, as equal years in
+        # the journals file are one int. The file's only system, natl, is not
+        # the configured national_system; its tables cross as columns, as
+        # run_compare sends them.
         (workspace / "national_rankings.csv").write_text(
             "system_name,field_name,institution_id,rank\n" + "".join(
-                f"national,{field},{inst},{rank}\n" for field in ("a", "b")
+                f"natl,{field},{inst},{rank}\n" for field in ("a", "b")
                 for inst, rank in (("U1", "1"), ("U2", "2-3"), ("U3", "2-3"), ("U4", "250"))),
             encoding="utf-8")
         config = load_config(workspace / "config.json")
 
         def national():
-            return pipeline._supplied_national_tables(
-                config, pipeline.load_external_rankings(config.national_rankings))
+            columns = pipeline._fork_call(partial(pipeline._national_file_columns, config))()
+            return {field: RankingTable(*c) for field, c in columns.items()}
 
         forked = pin_cpus(monkeypatch, 2)
-        through_child = pipeline._load_inputs(config)[1], pipeline._fork_call(national)()
+        through_child = pipeline._load_inputs(config)[1], national()
         assert len(forked) == 2
         pin_cpus(monkeypatch, 1)
         in_process = pipeline._load_inputs(config)[1], national()
         assert through_child == in_process
         for journals, tables in (through_child, in_process):
+            assert {table.system_name for table in tables.values()} == {"natl"}
             years = [year for quartiles in journals.values()
                      for by_year in quartiles.values() for year in by_year]
             ranks = [rank for table in tables.values() for rank in table.ranks]
-            for numbers in (years, ranks):
-                assert len({id(n) for n in numbers}) == len(set(numbers)) < len(numbers)
+            ids = [inst for table in tables.values() for inst in table.ids]
+            for values in (years, ranks, ids):
+                assert len({id(v) for v in values}) == len(set(values)) < len(values)
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("value", [RankingTable("natl", "a", ("U1",), (1.0,)), object()],
+                             ids=["table", "object"])
+    def test_value_marshal_refuses_is_a_value_error(self, monkeypatch, value):
+        # a child's value must be plain data; nothing falls back to pickle
+        forked = pin_cpus(monkeypatch, 2)
+        with pytest.raises(ValueError, match="^unmarshallable object$"):
+            pipeline._fork_call(lambda: value)()
+        assert_no_child_process()
+        # shares of _split(WEIGHTS, 2): indices 1, 2 and 4 are the child's
+        with pytest.raises(ValueError, match="^unmarshallable object$"):
+            pipeline._fork_shares(self.WEIGHTS, lambda i: value)
+        assert_no_child_process()
+        assert len(forked) == 2
+
+    @pytest.mark.parametrize("end, status", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), 9),
+        (lambda: os._exit(1), 256),  # as _child ends when its write fails
+    ], ids=["killed", "exits"])
+    def test_report_cut_short_is_a_runtime_error(self, monkeypatch, end, status):
+        pin_cpus(monkeypatch, 2)
+        pipes = []
+        real_pipe = os.pipe
+
+        def pipe():
+            pipes.append(real_pipe())
+            return pipes[-1]
+
+        monkeypatch.setattr(pipeline.os, "pipe", pipe)
+
+        def write_half_then_end():
+            report = pipeline._VALUE + marshal.dumps(list(range(100_000)))
+            os.write(pipes[-1][1], report[:len(report) // 2])
+            end()
+
+        wait = pipeline._fork_call(write_half_then_end)
+        with pytest.raises(RuntimeError, match=f"^a forked child ended with wait status {status}$"):
+            wait()
         assert_no_child_process()
