@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -133,17 +132,22 @@ def compare_pair(source: RankingTable, target: RankingTable,
                            *agreement_level(source, target, missing_national=missing_national))
 
 
-def aggregate_agreement(pairs: Sequence[ConcordancePair]) -> tuple[int, int, Fraction]:
+def aggregate_agreement(pairs: Sequence[ConcordancePair]
+                        ) -> tuple[int, int, tuple[int, int]]:
     """(sum of numerators, sum of denominators, unweighted mean of fractions)
-    over the pairs with a non-zero denominator; (0, 0, 0) when no pair has one."""
+    over the pairs with a non-zero denominator; (0, 0, (0, 1)) when no pair
+    has one. The mean is the reduced (numerator, denominator) of the exact
+    rational, so ``n / d`` is its correctly rounded float."""
     measurable = [p for p in pairs if p.agreement_den > 0]
     if not measurable:
-        return 0, 0, Fraction(0)
+        return 0, 0, (0, 1)
     num = sum(p.agreement_num for p in measurable)
     den = sum(p.agreement_den for p in measurable)
-    mean = sum((Fraction(p.agreement_num, p.agreement_den) for p in measurable),
-               Fraction(0)) / len(measurable)
-    return num, den, mean
+    common = math.lcm(*(p.agreement_den for p in measurable))
+    mean_num = sum(p.agreement_num * (common // p.agreement_den) for p in measurable)
+    mean_den = common * len(measurable)
+    g = math.gcd(mean_num, mean_den)
+    return num, den, (mean_num // g, mean_den // g)
 
 
 @dataclass(frozen=True)

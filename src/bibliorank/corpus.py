@@ -201,13 +201,12 @@ def load_publications(path: str | Path, format: str = "csv") -> list[Publication
     Row order is preserved; duplicate record ids are an error naming both rows.
     ``RunConfig.validate`` checks ``format``.
     """
-    rows = (read_csv(path, PUBLICATION_COLUMNS, "publications") if format == "csv"
-            else _read_jsonl(path, PUBLICATION_COLUMNS))
     memos: tuple[dict, ...] = ({}, {}, {}, {})
     institutions, years, journals, citations = memos
     records: list[PublicationRecord] = []
-    seen: dict[str, int] = {}
-    for line, cells in rows:
+    # The ids alone: a duplicate reads the file again to name the first line.
+    seen: set[str] = set()
+    for line, cells in _publication_rows(path, format):
         rid, inst, year, jid, cites = cells
         try:
             rec = PublicationRecord(rid.strip(), institutions[inst], years[year],
@@ -219,12 +218,30 @@ def load_publications(path: str | Path, format: str = "csv") -> list[Publication
         if rec.record_id in seen:
             raise InputError(
                 f"duplicate record_id {rec.record_id!r} "
-                f"(first seen at line {seen[rec.record_id]})",
+                f"(first seen at line {_first_record_line(path, format, rec.record_id)})",
                 line,
             )
-        seen[rec.record_id] = line
+        seen.add(rec.record_id)
         records.append(rec)
     return records
+
+
+def _publication_rows(path: str | Path,
+                      format: str) -> Iterator[tuple[int, tuple[str | None, ...]]]:
+    """(line, cells) for each row of a publications file in ``format``."""
+    return (read_csv(path, PUBLICATION_COLUMNS, "publications") if format == "csv"
+            else _read_jsonl(path, PUBLICATION_COLUMNS))
+
+
+def _first_record_line(path: str | Path, format: str, record_id: str) -> int | None:
+    """The line of the publications file's first row whose trimmed record_id
+    is ``record_id``. Read again only to word a duplicate, so that the load
+    keeps no line per record; every row before the duplicate passed its
+    checks, so the first match is that record's."""
+    for line, cells in _publication_rows(path, format):
+        if cells[0] is not None and normalize_id(cells[0]) == record_id:
+            return line
+    return None
 
 
 def _check_journal_row(cells: Sequence[str | None], line: int,

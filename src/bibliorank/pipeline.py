@@ -7,7 +7,6 @@ comment header with the tool version, config hash, and policy choices.
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
 import marshal
 import os
@@ -53,6 +52,16 @@ from .indicators import (
 from .ranking import RankingTable, build_ranking, load_external_rankings, restrict_to_system
 from .scoring import IndexScore, classify_quadrants, score_field
 from .taxonomy import Taxonomy, assign_fields, field_corpus, load_taxonomy
+
+# The config digest hashes a few hundred bytes once per header. hashlib
+# would load OpenSSL's _hashlib for that, 3.6 MB of resident set.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # a Python built without the built-in hashes
+        from hashlib import sha256
 
 _T = TypeVar("_T")
 _U = TypeVar("_U")
@@ -126,7 +135,7 @@ class RunConfig:
             "national_system": self.national_system,
         }
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return sha256(blob).hexdigest()[:16]
 
 
 def parse_window(text: str) -> TimeWindow:
@@ -306,12 +315,14 @@ def _load_inputs(config: RunConfig) -> tuple[list[PublicationRecord],
 
     The journals file is parsed in a forked child while this process parses
     the publications (``_side_by_side``). The records stay here: a pickled
-    round trip of 48k of them cost more than their parse. A fault is the one
-    a one-process run raises: the publications', then the journals', then
-    the taxonomy's.
+    round trip of 48k of them cost more than their parse. The child checks
+    every row of the journals file, then keeps only the quartiles of years
+    inside a configured window (``_journals_in_windows``). A fault is the
+    one a one-process run raises: the publications', then the journals',
+    then the taxonomy's.
     """
     publications, journals = _side_by_side(
-        lambda: load_journals(config.journals),
+        partial(_journals_in_windows, config),
         lambda: load_publications(config.publications, config.publications_format))
     taxonomy = load_taxonomy(config.taxonomy)
     for rec in publications:
@@ -319,6 +330,20 @@ def _load_inputs(config: RunConfig) -> tuple[list[PublicationRecord],
             raise InputError(
                 f"record {rec.record_id!r} references unknown journal {rec.journal_id!r}")
     return publications, journals, taxonomy
+
+
+def _journals_in_windows(config: RunConfig) -> dict[str, dict[str, dict[int, int]]]:
+    """The journals file, every row checked, with only the quartiles of years
+    inside a configured window: a quartile is looked up only for a record in
+    a window, and so only for a year in one. Every journal and category is
+    kept, so the journal count and the unknown-journal check see them all."""
+    years = {year for w in config.windows for year in range(w.start_year, w.end_year + 1)}
+    journals = load_journals(config.journals)
+    for by_cat in journals.values():
+        for cat, by_year in by_cat.items():
+            # A new dict, sized to its years: deleting keys would not shrink one.
+            by_cat[cat] = {year: q for year, q in by_year.items() if year in years}
+    return journals
 
 
 def run_validate(config: RunConfig) -> ValidationReport:
@@ -709,7 +734,7 @@ def _write_concordance(config: RunConfig, header: str,
         cw, tables[cw.source_system], tables[cw.target_system],
         min_n=config.min_n, missing_national=config.missing_national,
     )
-    num, den, mean = aggregate_agreement(report.pairs)
+    num, den, (mean_num, mean_den) = aggregate_agreement(report.pairs)
     _write_csv(
         config.out_dir / f"concordance_{stem}.csv",
         f"{header}# systems={cw.source_system}->{cw.target_system}\n",
@@ -719,8 +744,7 @@ def _write_concordance(config: RunConfig, header: str,
           agreement_decimal(a_num, a_den))
          for src, tgt, n, rho, a_num, a_den in report.pairs),
         trailer=(f"# pooled_agreement={num}/{den} decimal={agreement_decimal(num, den):.6f}",
-                 f"# mean_of_fractions={mean.numerator}/{mean.denominator} "
-                 f"decimal={float(mean):.6f}",
+                 f"# mean_of_fractions={mean_num}/{mean_den} decimal={mean_num / mean_den:.6f}",
                  *(f"# unresolved={src}->{tgt}" for src, tgt in report.unresolved)),
     )
 

@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import json
 import marshal
 import os
@@ -17,6 +18,7 @@ from click.testing import CliRunner
 import bibliorank
 from bibliorank import pipeline
 from bibliorank.cli import main
+from bibliorank.corpus import TimeWindow
 from bibliorank.errors import InputError
 from bibliorank.pipeline import RunConfig, load_config, run_compare, run_rank
 from bibliorank.ranking import RankingTable
@@ -400,6 +402,43 @@ class TestRoundTrip:
             assert institution in {row[field_at + 1] for row in rows}, path
 
 
+class TestConfigDigest:
+    CONFIG = RunConfig(
+        publications=Path("/data/publications.csv"), journals=Path("/data/journals.csv"),
+        taxonomy=Path("/data/taxonomy.csv"),
+        windows=(TimeWindow(2008, 2012), TimeWindow(2003, 2012)), out_dir=Path("/data/out"),
+        external_rankings=Path("/data/external_rankings.csv"),
+        crosswalk=Path("/data/crosswalk.csv"), min_n=4)
+    # What every output header has carried for this config; out_dir is not in it.
+    PINNED = "c45ad5e7d4c5ac97"
+
+    def test_pinned_and_equal_to_hashlib(self):
+        payload = {
+            "publications": "/data/publications.csv", "journals": "/data/journals.csv",
+            "taxonomy": "/data/taxonomy.csv", "windows": [[2008, 2012], [2003, 2012]],
+            "external_rankings": "/data/external_rankings.csv", "national_rankings": "",
+            "crosswalk": "/data/crosswalk.csv", "publications_format": "csv",
+            "q1_policy": "any-relevant", "missing_quartile": "warn", "missing_national": "warn",
+            "min_n": 4, "national_system": "national",
+        }
+        reference = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8"))
+        assert self.CONFIG.digest() == reference.hexdigest()[:16] == self.PINNED
+
+    def test_hashlib_fallback_gives_the_same_digest(self):
+        # A Python without the built-in sha256 modules hashes through hashlib.
+        src = str(Path(bibliorank.__file__).resolve().parent.parent)
+        code = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+                "from pathlib import PosixPath\n"
+                "from bibliorank.corpus import TimeWindow\n"
+                "from bibliorank.pipeline import RunConfig, sha256\n"
+                "import hashlib; assert sha256 is hashlib.sha256\n"
+                "print(eval(sys.argv[1]).digest())\n")
+        out = subprocess.run([sys.executable, "-c", code, repr(self.CONFIG)], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out == f"{self.PINNED}\n"
+
+
 class TestRank:
     def test_writes_expected_files_per_window(self, workspace):
         result = run_cli("rank", "--config", str(workspace / "config.json"))
@@ -572,10 +611,13 @@ class TestRank:
         # Importing the CLI loads none of these. A rank and a compare with a
         # national file, on two usable CPUs, load no pickle either: a child's
         # value comes back by marshal, and only a child's fault is pickled.
+        # OpenSSL (through hashlib) and decimal (through fractions) would
+        # add about 4 MB to every command's peak RSS.
         src = str(Path(bibliorank.__file__).resolve().parent.parent)
         code = ("import dataclasses, os, pathlib, sys; import bibliorank.cli\n"
                 "from bibliorank import pipeline\n"
-                "modules = ('multiprocessing', 'concurrent.futures', 'pickle', '_pickle')\n"
+                "modules = ('multiprocessing', 'concurrent.futures', 'pickle', '_pickle',"
+                " '_hashlib', 'hashlib', 'fractions', 'decimal')\n"
                 "print(sorted(m for m in modules if m in sys.modules))\n"
                 "pipeline._usable_cpus = lambda: 2\n"
                 "forks, fork = [], os.fork\n"
@@ -780,6 +822,71 @@ FAULTS = {
     "national_system": ("national_rankings.csv", "other,overall,Barcelona,1\n",
                         "none match national_system='natl'"),
 }
+
+
+def outputs_of(workspace, command, out):
+    """(printed lines with ``out`` left out, {file name: bytes}) of one run."""
+    result = run_cli(command, "--config", str(workspace / "config.json"), "--out", str(out))
+    assert result.exit_code == 0, result.output
+    files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+    return result.output.replace(f"{out}/", ""), files
+
+
+class TestJournalsInWindows:
+    """The journals file is checked whole; then only the years of the
+    configured windows are kept."""
+
+    def test_rows_outside_every_window_change_no_output(self, workspace, monkeypatch):
+        journals = workspace / "journals.csv"
+        header, *rows = journals.read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [row for row in rows if 2003 <= int(row.rsplit(",", 2)[1]) <= 2012]
+        assert 0 < len(kept) < len(rows)
+        for cpus in (1, 2):
+            pin_cpus(monkeypatch, cpus)
+            for command, national in COMMANDS:
+                set_national(workspace, national)
+                journals.write_text(header + "".join(rows), encoding="utf-8")
+                config = load_config(workspace / "config.json")
+                loaded = pipeline._load_inputs(config)[1]
+                before = outputs_of(workspace, command, workspace / "before")
+                journals.write_text(header + "".join(kept), encoding="utf-8")
+                assert loaded == pipeline.load_journals(journals)
+                assert outputs_of(workspace, command, workspace / "after") == before
+                shutil.rmtree(workspace / "before", ignore_errors=True)
+                shutil.rmtree(workspace / "after", ignore_errors=True)
+                assert_no_child_process()
+
+    def test_every_journal_and_category_kept(self, workspace):
+        # a journal whose one row lies outside every window still counts
+        with (workspace / "journals.csv").open("a", encoding="utf-8") as fh:
+            fh.write("J-OLD,History,1999,2\nJ-CS-A,Old Category,2013,3\n")
+        journals = pipeline._journals_in_windows(load_config(workspace / "config.json"))
+        assert journals["J-OLD"] == {"history": {}}
+        assert journals["J-CS-A"]["old category"] == {}
+        assert sorted(journals["J-CS-A"]["computer science, artificial intelligence"]) == list(
+            range(2003, 2013))
+        result = run_cli("validate", "--config", str(workspace / "config.json"))
+        assert "journals: 7\n" in result.output, result.output  # the fixtures' 6 and J-OLD
+
+    @pytest.mark.parametrize("row, message", [
+        ('J-CS-A,"Computer Science, Artificial Intelligence",2014,2\n',
+         "line 86: conflicting quartiles for journal 'J-CS-A', category "
+         "'computer science, artificial intelligence', year 2014: Q1 (line 13) vs Q2"),
+        ('J-CS-A,"Computer Science, Artificial Intelligence",1999,9\n',
+         "line 86: quartile 9 outside {1,2,3,4}"),
+    ], ids=["conflict", "quartile_9"])
+    @pytest.mark.parametrize("command, national", COMMANDS[:3])
+    def test_fault_in_a_year_outside_every_window_exits_one(
+            self, workspace, monkeypatch, command, national, row, message):
+        set_national(workspace, national)
+        with (workspace / "journals.csv").open("a", encoding="utf-8") as fh:
+            fh.write(row)
+        for cpus in (1, 2):
+            pin_cpus(monkeypatch, cpus)
+            result = run_cli(command, "--config", str(workspace / "config.json"))
+            assert_no_child_process()
+            assert (result.exit_code, result.output) == (1, f"error: {message}\n")
+        assert not (workspace / "out").exists()
 
 
 class TestForkPoints:

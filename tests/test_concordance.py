@@ -200,29 +200,41 @@ class TestAggregateAgreement:
 
     def test_pooled_and_mean(self):
         pairs = [self.pair(2, 6), self.pair(4, 4)]
-        assert aggregate_agreement(pairs) == (6, 10, Fraction(2, 3))
+        assert aggregate_agreement(pairs) == (6, 10, (2, 3))
 
     def test_single_pair(self):
-        assert aggregate_agreement([self.pair(3, 5)]) == (3, 5, Fraction(3, 5))
+        assert aggregate_agreement([self.pair(3, 5)]) == (3, 5, (3, 5))
 
     def test_all_perfect(self):
         num, den, mean = aggregate_agreement([self.pair(1, 1)] * 4)
         assert agreement_decimal(num, den) == 1.0
-        assert mean == 1
+        assert mean == (1, 1)
 
     def test_empty_tables_left_out(self):
         assert aggregate_agreement(
-            [self.pair(2, 6), self.pair(0, 0), self.pair(4, 4)]) == (6, 10, Fraction(2, 3))
+            [self.pair(2, 6), self.pair(0, 0), self.pair(4, 4)]) == (6, 10, (2, 3))
         num, den, mean = aggregate_agreement([self.pair(0, 0)] * 3)
         assert (num, den) == (0, 0)
         assert agreement_decimal(num, den) == 0.0
-        assert mean == 0
+        assert mean == (0, 1)
 
     def test_pooled_bounded_by_extremes(self):
         pairs = [self.pair(1, 4), self.pair(3, 4), self.pair(2, 5)]
-        num, den, _ = aggregate_agreement(pairs)
+        num, den, (mean_num, mean_den) = aggregate_agreement(pairs)
         fracs = [Fraction(p.agreement_num, p.agreement_den) for p in pairs]
         assert min(fracs) <= Fraction(num, den) <= max(fracs)
+        assert min(fracs) <= Fraction(mean_num, mean_den) <= max(fracs)
+
+    @given(st.lists(st.integers(0, 10**6).flatmap(
+        lambda den: st.tuples(st.integers(0, den), st.just(den))), max_size=30))
+    def test_mean_is_the_reduced_fraction(self, drawn):
+        # Fraction is the reference: the mean of the measurable fractions,
+        # reduced, and its float; no measurable pair gives Fraction(0).
+        measurable = [Fraction(num, den) for num, den in drawn if den]
+        expected = sum(measurable, Fraction(0)) / (len(measurable) or 1)
+        _, _, (mean_num, mean_den) = aggregate_agreement([self.pair(*p) for p in drawn])
+        assert (mean_num, mean_den) == (expected.numerator, expected.denominator)
+        assert mean_num / mean_den == float(expected)
 
 
 class TestRunCrosswalk:

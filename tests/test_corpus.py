@@ -93,6 +93,26 @@ class TestLoadPublications:
         with pytest.raises(InputError, match=r"line 5.*'dup'.*line 4"):
             load_publications(path, "csv")
 
+    @pytest.mark.parametrize("name, text", [
+        ("p.csv", PUB_HEADER + 'r1,"u\na",2010,j1,1\n\n\n dup ,ua,2010,j1,1\n'
+         "r2,ua,2010,j1,1\ndup,ub,2011,j1,2\n"),
+        ("p.jsonl", '{"record_id":"r1","institution_id":"u\\na","year":2010,'
+         '"journal_id":"j1","citations":1}\n\n  \n{"record_id":" dup ","institution_id":"ua",'
+         '"year":2010,"journal_id":"j1","citations":1}\n{"record_id":"r2","institution_id":'
+         '"ua","year":2010,"journal_id":"j1","citations":1}\n{"record_id":"dup",'
+         '"institution_id":"ub","year":2011,"journal_id":"j1","citations":2}\n'),
+    ], ids=["csv", "jsonl"])
+    def test_duplicate_names_first_copy_after_line_breaks_and_blank_lines(
+            self, tmp_path, name, text):
+        # the first copy's line is found by reading the file again
+        path = write(tmp_path, name, text)
+        line = 8 if name == "p.csv" else 6
+        with pytest.raises(InputError) as info:
+            load_publications(path, name.rsplit(".", 1)[1])
+        assert str(info.value) == (
+            f"line {line}: duplicate record_id 'dup' (first seen at line {line - 2})")
+        assert info.value.line == line
+
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "p.csv", "record_id,year,journal_id,citations\nr1,2010,j1,1\n")
         with pytest.raises(InputError):
