@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, Ty
 
 from . import __version__
 from .concordance import (
+    DEFAULT_MIN_N,
     MISSING_NATIONAL_POLICIES,
     FieldCrosswalk,
     aggregate_agreement,
@@ -64,7 +65,6 @@ except ImportError:
         from hashlib import sha256
 
 _T = TypeVar("_T")
-_U = TypeVar("_U")
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class RunConfig:
     q1_policy: str = "any-relevant"
     missing_quartile: str = "warn"
     missing_national: str = "warn"
-    min_n: int = 3
+    min_n: int = DEFAULT_MIN_N
     national_system: str = "national"
 
     def validate(self) -> None:
@@ -313,17 +313,17 @@ def _load_inputs(config: RunConfig) -> tuple[list[PublicationRecord],
     then check that every record, in any window or none, names a journal of
     the journals file.
 
-    The journals file is parsed in a forked child while this process parses
-    the publications (``_side_by_side``). The records stay here: a pickled
-    round trip of 48k of them cost more than their parse. The child checks
-    every row of the journals file, then keeps only the quartiles of years
-    inside a configured window (``_journals_in_windows``). A fault is the
-    one a one-process run raises: the publications', then the journals',
-    then the taxonomy's.
+    The two parses are the two indices of ``_fork_shares``: the
+    publications, index 0, are parsed in this process and stay here (a round
+    trip of 48k records cost more than their parse, and marshal refuses a
+    NamedTuple), and the journals file in a forked child, which checks every
+    row, then keeps only the quartiles of years inside a configured window
+    (``_journals_in_windows``). A fault is the one a one-process run raises:
+    the publications', then the journals', then the taxonomy's.
     """
-    publications, journals = _side_by_side(
-        partial(_journals_in_windows, config),
-        lambda: load_publications(config.publications, config.publications_format))
+    loads = (partial(load_publications, config.publications, config.publications_format),
+             partial(_journals_in_windows, config))
+    publications, journals = _fork_shares((1, 1), lambda i: loads[i]())
     taxonomy = load_taxonomy(config.taxonomy)
     for rec in publications:
         if rec.journal_id not in journals:
@@ -505,22 +505,18 @@ def _split(weights: Sequence[int], k: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _fork_call(fn: Callable[[], _T]) -> Callable[..., _T]:
+def _fork_call(fn: Callable[[], _T]) -> Callable[[], _T]:
     """Start ``fn()`` in a child made by ``os.fork`` and return its waiter,
     to be called once.
 
     ``wait()`` reaps the child, then returns ``fn``'s value or raises what
     ``fn`` raised; a child that ends without reporting either is a
-    RuntimeError naming its wait status. ``wait(discard=True)`` reaps the
-    child and drops its report. The child shares this process's memory
-    copy-on-write and reports through a pipe (``_child``), so the value must
-    be plain data that ``marshal`` takes: any other value is marshal's
-    ValueError, raised here. Where ``_fork_cpus()`` is 1 no child is made:
-    ``wait()`` calls ``fn`` in this process and ``wait(discard=True)`` does
-    not call it, which is the one-process run.
+    RuntimeError naming its wait status. The child shares this process's
+    memory copy-on-write and reports through a pipe (``_child``), so the
+    value must be plain data that ``marshal`` takes: any other value is
+    marshal's ValueError, raised here. Whether to fork at all is
+    ``_fork_shares``'s decision, its one caller.
     """
-    if _fork_cpus() < 2:
-        return lambda discard=False: None if discard else fn()
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -532,15 +528,13 @@ def _fork_call(fn: Callable[[], _T]) -> Callable[..., _T]:
         _child(fn, read_fd, write_fd)
     os.close(write_fd)
 
-    def wait(discard: bool = False):
+    def wait() -> _T:
         try:
             # Closed before the wait: a child still writing then fails and ends.
             with open(read_fd, "rb") as pipe:
-                report = b"" if discard else pipe.read()
+                report = pipe.read()
         finally:
             status = os.waitpid(pid, 0)[1]
-        if discard:
-            return None
         if status != 0 or not report:  # no report, or one cut short
             raise RuntimeError(f"a forked child ended with wait status {status}")
         if report[:1] == _VALUE:
@@ -597,20 +591,6 @@ def _pickle_core():
     return pickle
 
 
-def _side_by_side(there: Callable[[], _T], here: Callable[[], _U]) -> tuple[_U, _T]:
-    """``(here(), there())``, with ``there`` run in a forked child
-    (``_fork_call``) while this process runs ``here``. If ``here`` raises, the
-    child is reaped and its report dropped, so the fault raised is the one of
-    a run that calls ``here`` first."""
-    wait = _fork_call(there)
-    try:
-        value = here()
-    except BaseException:
-        wait(discard=True)
-        raise
-    return value, wait()
-
-
 _Fault = tuple[int, Exception]  # (index, what run(index) raised)
 
 
@@ -635,8 +615,10 @@ def _fork_shares(weights: Sequence[int], run: Callable[[int], _T]) -> list[_T]:
     the processes ``_fork_cpus`` allows: ``_split`` makes one share per
     process (no more than there are indices), the first share runs in this
     process and each other one in a child made by ``_fork_call``, which sends
-    back its share's values. Every child is reaped before this function
-    returns or raises.
+    back its share's values. The first share holds the heaviest index (the
+    lowest of equals), so that index's value never crosses a pipe and need
+    not be plain data. Every child is reaped before this function returns
+    or raises.
 
     A share stops at its first fault. If any share failed, every value is
     dropped and the fault of the lowest index is raised, so the error is the
@@ -697,6 +679,8 @@ def _supplied_national_tables(config: RunConfig,
     """The national system's tables by field, from the loaded national file:
     those of ``config.national_system``, or of the file's only system."""
     systems = {system for system, _ in tables}
+    if not systems:
+        raise InputError("national rankings file has no rows")
     if config.national_system in systems:
         chosen = config.national_system
     elif len(systems) == 1:
@@ -757,8 +741,9 @@ def run_compare(config: RunConfig) -> list[Path]:
     tables of that system. Every external table is restricted once to the
     national system's institutions before any pair is compared.
 
-    A national file is parsed in a forked child while this process parses
-    the external rankings and the crosswalk; its tables come back as
+    With a national file, the two parses are the two indices of
+    ``_fork_shares``: the external rankings and the crosswalk in this
+    process, the national file in a forked child, whose tables come back as
     columns, the file's system name kept. A fault is the one a one-process
     run raises, in that order: external rankings, crosswalk, national file.
     The system pairs are then spread over the usable CPUs by
@@ -777,8 +762,8 @@ def run_compare(config: RunConfig) -> list[Path]:
         external, crosswalks = load_external()
         natl_tables = _national_tables(config)
     else:
-        (external, crosswalks), national = _side_by_side(
-            partial(_national_file_columns, config), load_external)
+        loads = (load_external, partial(_national_file_columns, config))
+        (external, crosswalks), national = _fork_shares((1, 1), lambda i: loads[i]())
         natl_tables = {field: RankingTable(*c) for field, c in national.items()}
     system_set = set().union(*(t.ids for t in natl_tables.values()))
     tables: dict[str, dict[str, RankingTable]] = {}

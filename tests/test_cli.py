@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
 import bibliorank
 from bibliorank import pipeline
@@ -251,6 +252,9 @@ class TestValidate:
          "out_dir is not a usable path: embedded null byte"),
         (lambda ws: edit_config(ws, journals="j" * 5000), (), 2,
          "input is not an existing file: "),
+        (lambda ws: (ws / "national_rankings.csv").write_text(
+            "system_name,field_name,institution_id,rank\n"), (), 1,
+         "national rankings file has no rows"),
     ], ids=["reversed_window", "reversed_window_flag", "json_list", "unknown_format",
             "directory_input", "non_utf8_config", "non_utf8_csv", "jsonl_not_object",
             "path_number", "out_dir_number", "windows_number", "national_system_list",
@@ -260,7 +264,7 @@ class TestValidate:
             "missing_quartile", "missing_national",
             "equal_length_windows", "repeated_window_flag", "config_integer_too_long",
             "config_nested_too_deep", "window_year_too_large", "window_year_too_small_flag",
-            "path_nul_byte", "out_dir_nul_byte", "path_too_long"])
+            "path_nul_byte", "out_dir_nul_byte", "path_too_long", "header_only_national"])
     def test_boundary_fault_exit_code(self, workspace, setup, args, code, message):
         setup(workspace)
         result = run_cli("validate", "--config", str(workspace / "config.json"), *args)
@@ -311,7 +315,9 @@ class TestValidate:
          "none match national_system='national'"),
         ("crosswalk.csv", "source_system,source_field,target_system,target_field\n", 1,
          "error: crosswalk file defines no system pairs"),
-    ], ids=["no_national_system", "header_only_crosswalk"])
+        ("national_rankings.csv", "system_name,field_name,institution_id,rank\n", 1,
+         "error: national rankings file has no rows"),
+    ], ids=["no_national_system", "header_only_crosswalk", "header_only_national"])
     def test_validate_runs_compare_checks(self, workspace, command, name, text, code,
                                           message):
         (workspace / name).write_text(text, encoding="utf-8")
@@ -968,6 +974,17 @@ class TestForkPoints:
     # shares of _split(WEIGHTS, 2): [0, 3] in this process, [1, 2, 4] in the child
     WEIGHTS = (5, 1, 1, 1, 3)
 
+    @given(st.lists(st.integers(0, 50), min_size=1, max_size=12).flatmap(
+        lambda weights: st.tuples(st.just(weights), st.integers(1, len(weights)))))
+    def test_split_partitions_and_keeps_the_heaviest_first(self, weights_k):
+        # the loads rely on it: index 0 of (1, 1) stays in this process
+        weights, k = weights_k
+        shares = pipeline._split(weights, k)
+        assert len(shares) == k
+        assert sorted(i for share in shares for i in share) == list(range(len(weights)))
+        assert all(share == sorted(share) for share in shares)
+        assert weights.index(max(weights)) in shares[0]
+
     def test_shares_return_values_in_index_order(self, monkeypatch):
         assert pipeline._split(self.WEIGHTS, 2) == [[0, 3], [1, 2, 4]]
         runs = []
@@ -978,10 +995,18 @@ class TestForkPoints:
             assert len(forked) == cpus - 1
         assert runs[0] == runs[1] == [(i, i / 2, f"field {i}") for i in range(5)]
 
-    @pytest.mark.parametrize("failing, first", [((1, 3), 1), ((0, 4), 0)],
-                             ids=["child_first", "parent_first"])
-    def test_shares_raise_the_fault_of_the_lowest_index(self, monkeypatch, failing, first):
+    @pytest.mark.parametrize("failing, killed, first", [
+        ((1, 3), (), 1), ((0, 4), (), 0),
+        # a child killed while this process's index 0 fails: index 0's fault
+        ((0,), (1,), 0),
+    ], ids=["child_first", "parent_first", "parent_first_child_killed"])
+    def test_shares_raise_the_fault_of_the_lowest_index(self, monkeypatch, failing, killed,
+                                                        first):
+        parent = os.getpid()
+
         def run(i):
+            if i in killed and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
             if i in failing:
                 raise ValueError(f"index {i}")
             return i
@@ -1018,15 +1043,17 @@ class TestForkPoints:
             encoding="utf-8")
         config = load_config(workspace / "config.json")
 
-        def national():
-            columns = pipeline._fork_call(partial(pipeline._national_file_columns, config))()
+        def national(columns):
             return {field: RankingTable(*c) for field, c in columns.items()}
 
         forked = pin_cpus(monkeypatch, 2)
-        through_child = pipeline._load_inputs(config)[1], national()
+        through_child = pipeline._load_inputs(config)[1], national(
+            pipeline._fork_call(partial(pipeline._national_file_columns, config))())
         assert len(forked) == 2
-        pin_cpus(monkeypatch, 1)
-        in_process = pipeline._load_inputs(config)[1], national()
+        forked = pin_cpus(monkeypatch, 1)
+        in_process = (pipeline._load_inputs(config)[1],
+                      national(pipeline._national_file_columns(config)))
+        assert not forked
         assert through_child == in_process
         for journals, tables in (through_child, in_process):
             assert {table.system_name for table in tables.values()} == {"natl"}
