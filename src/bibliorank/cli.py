@@ -1,16 +1,16 @@
 """Command-line driver: validate, rank, compare.
 
-Exit codes: 0 success, 1 input error, 2 configuration error.
+Exit codes: 0 success, 1 input error, 2 configuration error. A closed
+standard output or an interrupt also exits 1.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
+import os
 import sys
-from dataclasses import replace
 from pathlib import Path
-
-import click
+from typing import Sequence
 
 from .errors import BiblioRankError, ConfigError
 from .pipeline import (Q1_POLICIES, RunConfig, load_config, parse_window, run_compare,
@@ -20,93 +20,88 @@ EXIT_INPUT_ERROR = 1
 EXIT_CONFIG_ERROR = 2
 
 
-@click.group()
-def main() -> None:
-    """Bibliometric ranking and ranking-comparison toolkit."""
-
-
-# Applied to each command in this order; --help lists them in reverse.
-_OPTIONS = (
-    click.option("--config", "config_path", required=True,
-                 type=click.Path(exists=True, dir_okay=False),
-                 help="JSON run configuration."),
-    click.option("--window", "windows", multiple=True, metavar="START:END",
-                 help="Override configured windows (repeatable)."),
-    click.option("--out", default=None, metavar="DIR",
-                 help="Override output directory."),
-    click.option("--min-n", type=int, default=None,
-                 help="Minimum joined institutions to report rho."),
-    click.option("--q1-policy", type=click.Choice(Q1_POLICIES),
-                 default=None, help="Category policy for the Q1 share."),
-    click.option("--strict-quartiles", is_flag=True,
-                 help="Treat missing quartile lookups as errors."),
-)
-
-
-def command(body):
-    """Register ``body(config)`` as a subcommand taking the shared options.
-
-    The command loads the config and applies the overrides; ``body`` runs a
-    ``run_*`` function, which validates the config first. Errors become the
-    documented exit codes.
-    """
-    @functools.wraps(body)
-    def run(config_path, windows, out, min_n, q1_policy, strict_quartiles) -> None:
-        try:
-            config = load_config(config_path)
-            if windows:
-                config = replace(config, windows=tuple(parse_window(w) for w in windows))
-            if out is not None:
-                config = replace(config, out_dir=Path(out).resolve())
-            if min_n is not None:
-                config = replace(config, min_n=min_n)
-            if q1_policy is not None:
-                config = replace(config, q1_policy=q1_policy)
-            if strict_quartiles:
-                config = replace(config, missing_quartile="strict")
-            body(config)
-        except ConfigError as exc:
-            click.echo(f"configuration error: {exc}", err=True)
-            sys.exit(EXIT_CONFIG_ERROR)
-        except BiblioRankError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INPUT_ERROR)
-
-    for option in _OPTIONS:
-        run = option(run)
-    return main.command()(run)
-
-
-@command
 def validate(config: RunConfig) -> None:
     """Load and validate every configured input; print counts."""
     report = run_validate(config)
-    click.echo(f"publications: {report.publication_count}")
-    click.echo(f"journals: {report.journal_count}")
-    click.echo(f"fields: {report.field_count}")
+    print(f"publications: {report.publication_count}")
+    print(f"journals: {report.journal_count}")
+    print(f"fields: {report.field_count}")
     for window in sorted(report.retained_by_window):
-        click.echo(
-            f"window {window}: retained {report.retained_by_window[window]}, "
-            f"dropped {report.dropped_by_window[window]}"
-        )
+        print(f"window {window}: retained {report.retained_by_window[window]}, "
+              f"dropped {report.dropped_by_window[window]}")
         unassigned = report.unassigned_by_window[window]
-        click.echo(f"window {window}: unassigned {len(unassigned)}")
+        print(f"window {window}: unassigned {len(unassigned)}")
         for rid in unassigned:
-            click.echo(f"  unassigned: {rid}")
+            print(f"  unassigned: {rid}")
 
 
-@command
 def rank(config: RunConfig) -> None:
     """Write per-field ranking, quadrant, and indicator files per window."""
     for path in run_rank(config):
-        click.echo(str(path))
+        print(path)
 
 
-@command
 def compare(config: RunConfig) -> None:
     """Write one concordance report per crosswalk system pair."""
     for path in run_compare(config):
-        click.echo(str(path))
+        print(path)
+
+
+def _parser() -> argparse.ArgumentParser:
+    """One subcommand per command, each taking the shared options."""
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--config", required=True, metavar="PATH", help="JSON run configuration.")
+    options.add_argument("--window", dest="windows", action="append", metavar="START:END",
+                         help="Override configured windows (repeatable).")
+    options.add_argument("--out", metavar="DIR", help="Override output directory.")
+    options.add_argument("--min-n", type=int, metavar="N",
+                         help="Minimum joined institutions to report rho.")
+    options.add_argument("--q1-policy", choices=Q1_POLICIES,
+                         help="Category policy for the Q1 share.")
+    options.add_argument("--strict-quartiles", action="store_true",
+                         help="Treat missing quartile lookups as errors.")
+    parser = argparse.ArgumentParser(
+        prog="bibliorank", description="Bibliometric ranking and ranking-comparison toolkit.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for body in (validate, rank, compare):
+        commands.add_parser(body.__name__, parents=[options], help=body.__doc__,
+                            description=body.__doc__).set_defaults(body=body)
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> None:
+    """The console script: run the command that ``argv`` (by default the
+    process's arguments) names. The command loads the config and applies the
+    overrides; it then runs a ``run_*`` function, which validates the config
+    first. Errors become the documented exit codes; a malformed command line
+    exits 2 with argparse's usage message."""
+    args = _parser().parse_args(argv)
+    try:
+        config = load_config(args.config)
+        if args.windows:
+            config = config._replace(windows=tuple(map(parse_window, args.windows)))
+        if args.out is not None:
+            config = config._replace(out_dir=Path(args.out).resolve())
+        if args.min_n is not None:
+            config = config._replace(min_n=args.min_n)
+        if args.q1_policy is not None:
+            config = config._replace(q1_policy=args.q1_policy)
+        if args.strict_quartiles:
+            config = config._replace(missing_quartile="strict")
+        args.body(config)
+        sys.stdout.flush()  # so that a broken pipe is met here, not at exit
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_CONFIG_ERROR)
+    except BiblioRankError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_INPUT_ERROR)
+    except BrokenPipeError:  # the reader of the printout, `head` say, has gone
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for exit's flush
+        sys.exit(1)
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)  # after the ^C the terminal echoed
+        sys.exit(1)
 
 
 if __name__ == "__main__":

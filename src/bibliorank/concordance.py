@@ -13,7 +13,6 @@ institutions first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -150,8 +149,7 @@ def aggregate_agreement(pairs: Sequence[ConcordancePair]
     return num, den, (mean_num // g, mean_den // g)
 
 
-@dataclass(frozen=True)
-class FieldCrosswalk:
+class FieldCrosswalk(NamedTuple):
     """Field matching between one source system and one target system."""
 
     source_system: str

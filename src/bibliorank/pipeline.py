@@ -13,12 +13,11 @@ import os
 import re
 import threading
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence, TypeVar
 
 from . import __version__
 from .concordance import (
@@ -50,7 +49,8 @@ from .indicators import (
     compute_indicators,
     top10_threshold,
 )
-from .ranking import RankingTable, build_ranking, load_external_rankings, restrict_to_system
+from .ranking import (Columns, RankingTable, build_ranking, load_external_rankings,
+                      restrict_to_system)
 from .scoring import IndexScore, classify_quadrants, score_field
 from .taxonomy import Taxonomy, assign_fields, field_corpus, load_taxonomy
 
@@ -67,8 +67,7 @@ except ImportError:
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     publications: Path
     journals: Path
     taxonomy: Path
@@ -139,7 +138,7 @@ class RunConfig:
 
 
 def parse_window(text: str) -> TimeWindow:
-    m = re.match(r"^(\d{4}):(\d{4})$", text.strip())
+    m = re.fullmatch(r"([0-9]{4}):([0-9]{4})", text.strip())
     if m is None:
         raise ConfigError(f"window must look like START:END, got {text!r}")
     return TimeWindow(int(m.group(1)), int(m.group(2)))
@@ -297,8 +296,7 @@ def _header(config: RunConfig, window: TimeWindow | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     publication_count: int
     journal_count: int
     field_count: int
@@ -430,20 +428,11 @@ def _field_scores(config: RunConfig, taxonomy: Taxonomy, name: str,
     return indicators, score_field(indicators)
 
 
-# A ranking table as plain data, to cross from a forked child: its fields in
-# order, so that RankingTable(*columns) rebuilds it.
-_Columns = tuple[str, str, tuple[str, ...], tuple[float, ...], tuple[float, ...]]
-
-
-def _columns(table: RankingTable) -> _Columns:
-    return table.system_name, table.field_name, table.ids, table.ranks, table.scores
-
-
-def _field_table(config: RunConfig, taxonomy: Taxonomy, name: str, fc: Corpus) -> _Columns:
+def _field_table(config: RunConfig, taxonomy: Taxonomy, name: str, fc: Corpus) -> Columns:
     """One non-empty field's ranking table, as columns; its other results
     are dropped."""
-    return _columns(build_ranking(_field_scores(config, taxonomy, name, fc)[1],
-                                  config.national_system, name))
+    return build_ranking(_field_scores(config, taxonomy, name, fc)[1],
+                         config.national_system, name).columns()
 
 
 def _output_paths(config: RunConfig, window: TimeWindow, name: str) -> tuple[Path, ...]:
@@ -693,10 +682,10 @@ def _supplied_national_tables(config: RunConfig,
     return {f: t for (s, f), t in tables.items() if s == chosen}
 
 
-def _national_file_columns(config: RunConfig) -> dict[str, _Columns]:
+def _national_file_columns(config: RunConfig) -> dict[str, Columns]:
     """The national file's tables (``_supplied_national_tables``), as columns."""
     tables = _supplied_national_tables(config, load_external_rankings(config.national_rankings))
-    return {field: _columns(table) for field, table in tables.items()}
+    return {field: table.columns() for field, table in tables.items()}
 
 
 def _national_tables(config: RunConfig) -> dict[str, RankingTable]:

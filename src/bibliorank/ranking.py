@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from operator import attrgetter
 from pathlib import Path
@@ -25,6 +23,9 @@ from .scoring import IndexScore
 
 _RANK_RE = re.compile(r"^(\d+)(?:-(\d+))?$")
 EXTERNAL_COLUMNS = ("system_name", "field_name", "institution_id", "rank")
+
+# A ranking table as plain data, to cross from a forked child (RankingTable.columns).
+Columns = tuple[str, str, tuple[str, ...], tuple[float, ...], tuple[float, ...]]
 
 
 def parse_rank(text: str) -> float:
@@ -45,16 +46,33 @@ def parse_rank(text: str) -> float:
         raise InputError(f"rank {text.strip()!r} is too large for a float") from None
 
 
-@dataclass(frozen=True)
 class RankingTable:
     """Parallel columns in ascending effective rank, one row per institution:
-    built sorted by ``build_ranking``, checked by ``load_external_rankings``."""
+    built sorted by ``build_ranking``, checked by ``load_external_rankings``.
+    Two tables are equal when their five columns are."""
 
-    system_name: str
-    field_name: str
-    ids: tuple[str, ...]
-    ranks: tuple[float, ...]  # effective ranks; ints in a built table
-    scores: tuple[float, ...] = ()  # a built table's IFQ²A values; a loaded table has none
+    __slots__ = ("system_name", "field_name", "ids", "ranks", "scores", "_competition")
+
+    def __init__(self, system_name: str, field_name: str, ids: tuple[str, ...],
+                 ranks: tuple[float, ...], scores: tuple[float, ...] = ()):
+        self.system_name = system_name
+        self.field_name = field_name
+        self.ids = ids
+        self.ranks = ranks  # effective ranks; ints in a built table
+        self.scores = scores  # a built table's IFQ²A values; a loaded table has none
+        self._competition: Mapping[str, int] | None = None
+
+    def columns(self) -> Columns:
+        """Its five fields in order: ``RankingTable(*table.columns())`` rebuilds it."""
+        return self.system_name, self.field_name, self.ids, self.ranks, self.scores
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RankingTable):
+            return NotImplemented
+        return self.columns() == other.columns()
+
+    def __repr__(self) -> str:
+        return f"RankingTable{self.columns()!r}"
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -62,11 +80,10 @@ class RankingTable:
     def competition_ranks(self) -> Mapping[str, int]:
         """Local 1..m competition ranks from effective ranks; ties share a rank.
         Computed once per table and shared, so the mapping is read-only."""
-        return self._competition_ranks
-
-    @cached_property
-    def _competition_ranks(self) -> Mapping[str, int]:
-        return MappingProxyType(dict(zip(self.ids, competition_ranks(self.ranks))))
+        if self._competition is None:
+            self._competition = MappingProxyType(
+                dict(zip(self.ids, competition_ranks(self.ranks))))
+        return self._competition
 
 
 def competition_ranks(keys: Sequence) -> list[int]:

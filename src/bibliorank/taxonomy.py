@@ -7,9 +7,8 @@ k fields counts fully in each of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .corpus import Corpus, PublicationRecord, normalize_category, normalize_id, read_csv
 from .errors import InputError
@@ -22,8 +21,7 @@ TAXONOMY_COLUMNS = ("field_name", "level", "category")
 Taxonomy = Mapping[str, frozenset[str]]
 
 
-@dataclass(frozen=True)
-class FieldAssignment:
+class FieldAssignment(NamedTuple):
     """Each field's records in corpus order, and the sorted ids of the
     records that matched no field, for the coverage report."""
 

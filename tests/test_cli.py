@@ -4,6 +4,7 @@ import hashlib
 import json
 import marshal
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -13,17 +14,15 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
 import bibliorank
-from bibliorank import pipeline
-from bibliorank.cli import main
+from bibliorank import cli, pipeline
 from bibliorank.corpus import TimeWindow
 from bibliorank.errors import InputError
 from bibliorank.pipeline import RunConfig, load_config, run_compare, run_rank
 from bibliorank.ranking import RankingTable
-from conftest import FIXTURES
+from conftest import FIXTURES, run_cli
 
 
 @pytest.fixture
@@ -37,10 +36,6 @@ def workspace(tmp_path, fixtures_dir):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     return tmp_path
-
-
-def run_cli(*args):
-    return CliRunner().invoke(main, list(args))
 
 
 def edit_config(workspace, **changes):
@@ -246,6 +241,8 @@ class TestValidate:
          "outside year range [1900, 2100]"),
         (lambda ws: None, ("--window", "1899:2012"), 2,
          "window 1899-2012 outside year range [1900, 2100]"),
+        (lambda ws: None, ("--window", "２００８:２０１２"), 2,
+         "window must look like START:END, got '２００８:２０１２'"),
         (lambda ws: edit_config(ws, journals="journals\u0000.csv"), (), 2,
          "journals is not a usable path: embedded null byte"),
         (lambda ws: edit_config(ws, out_dir="o\u0000ut"), (), 2,
@@ -264,7 +261,8 @@ class TestValidate:
             "missing_quartile", "missing_national",
             "equal_length_windows", "repeated_window_flag", "config_integer_too_long",
             "config_nested_too_deep", "window_year_too_large", "window_year_too_small_flag",
-            "path_nul_byte", "out_dir_nul_byte", "path_too_long", "header_only_national"])
+            "window_flag_non_ascii_digits", "path_nul_byte", "out_dir_nul_byte", "path_too_long",
+            "header_only_national"])
     def test_boundary_fault_exit_code(self, workspace, setup, args, code, message):
         setup(workspace)
         result = run_cli("validate", "--config", str(workspace / "config.json"), *args)
@@ -273,6 +271,53 @@ class TestValidate:
         prefix = "configuration error: " if code == 2 else "error: "
         assert result.output.startswith(prefix), result.output
         assert message in result.output
+
+    @pytest.mark.parametrize("args, output", [
+        (("validate", "--config", "{ws}/missing.json"),
+         r"configuration error: cannot read config .*/missing\.json: .*\n"),
+        (("validate", "--config", "{ws}"), r"configuration error: cannot read config .*\n"),
+        (("rank", "--config", "{ws}/config.json", "--min-n", "x"),
+         r"(?s)usage: bibliorank rank .*\n"
+         r"bibliorank rank: error: argument --min-n: invalid int value: 'x'\n"),
+        (("compare", "--config", "{ws}/config.json", "--no-such-option"),
+         r"(?s)usage: bibliorank .*\n"
+         r"bibliorank: error: unrecognized arguments: --no-such-option\n"),
+        ((), r"(?s)usage: bibliorank .*\nbibliorank: error: .* required: COMMAND\n"),
+    ], ids=["config_missing", "config_directory", "min_n_not_an_integer", "unknown_option",
+            "no_command"])
+    def test_usage_fault_exits_two(self, workspace, args, output):
+        # A config path that names no readable file is a configuration error,
+        # on one line; a malformed command line ends in the usage message.
+        result = run_cli(*(arg.format(ws=workspace) for arg in args))
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert re.fullmatch(output, result.output), result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_one_quietly(self, unbuffered):
+        # A reader that stops early, as `head` does, has closed the pipe
+        # before the printout is written or flushed.
+        read, write = os.pipe()
+        os.close(read)
+        src = str(Path(bibliorank.__file__).resolve().parent.parent)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "bibliorank.cli", "validate",
+                 "--config", str(FIXTURES / "config.json")],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (1, "")
+
+    def test_interrupt_exits_one(self, workspace, monkeypatch):
+        def interrupted(config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_validate", interrupted)
+        result = run_cli("validate", "--config", workspace / "config.json")
+        assert (result.exit_code, result.output) == (1, "\nAborted!\n")
 
     @pytest.mark.parametrize("name, row, message", [
         ("taxonomy.csv", 'Physics!,field,"Physics, Applied"\n',
@@ -618,18 +663,20 @@ class TestRank:
         # national file, on two usable CPUs, load no pickle either: a child's
         # value comes back by marshal, and only a child's fault is pickled.
         # OpenSSL (through hashlib) and decimal (through fractions) would
-        # add about 4 MB to every command's peak RSS.
+        # add about 4 MB to every command's peak RSS; click, dataclasses and
+        # inspect about 2 MB and 25 ms to every command's set-up.
         src = str(Path(bibliorank.__file__).resolve().parent.parent)
-        code = ("import dataclasses, os, pathlib, sys; import bibliorank.cli\n"
+        code = ("import os, pathlib, sys; import bibliorank.cli\n"
                 "from bibliorank import pipeline\n"
                 "modules = ('multiprocessing', 'concurrent.futures', 'pickle', '_pickle',"
-                " '_hashlib', 'hashlib', 'fractions', 'decimal')\n"
+                " '_hashlib', 'hashlib', 'fractions', 'decimal', 'click', 'dataclasses',"
+                " 'inspect')\n"
                 "print(sorted(m for m in modules if m in sys.modules))\n"
                 "pipeline._usable_cpus = lambda: 2\n"
                 "forks, fork = [], os.fork\n"
                 "os.fork = lambda: forks.append(1) or fork()\n"
-                "config = dataclasses.replace(pipeline.load_config(sys.argv[1]),"
-                " out_dir=pathlib.Path(sys.argv[2]))\n"
+                "config = pipeline.load_config(sys.argv[1])._replace("
+                "out_dir=pathlib.Path(sys.argv[2]))\n"
                 "assert config.national_rankings is not None\n"
                 "pipeline.run_rank(config); pipeline.run_compare(config)\n"
                 "print(len(forks), sorted(m for m in modules if m in sys.modules))\n")

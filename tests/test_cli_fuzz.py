@@ -22,10 +22,9 @@ import tempfile
 import traceback
 from pathlib import Path
 
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bibliorank.cli import main
+from conftest import run_cli
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 INPUTS = ("publications.csv", "journals.csv", "taxonomy.csv", "external_rankings.csv",
@@ -158,7 +157,7 @@ def write_workspace(root: Path, mutations) -> None:
 
 def check_commands(root: Path) -> None:
     for command in ("validate", "rank", "compare"):
-        result = CliRunner().invoke(main, [command, "--config", str(root / "config.json")])
+        result = run_cli(command, "--config", root / "config.json")
         if result.exception is not None and not isinstance(result.exception, SystemExit):
             raise AssertionError(f"{command} raised:\n"
                                  + "".join(traceback.format_exception(*result.exc_info)))

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -170,7 +169,7 @@ class TestComparePair:
         # The six international pairs in the fixture crosswalk, checked on
         # the real compare path against scipy and a brute-force count.
         scipy_stats = pytest.importorskip("scipy.stats")
-        config = replace(load_config(fixtures_dir / "config.json"), out_dir=tmp_path)
+        config = load_config(fixtures_dir / "config.json")._replace(out_dir=tmp_path)
         reports = {p.name: p for p in run_compare(config)}
         tables = load_external_rankings(fixtures_dir / "external_rankings.csv")
         national = load_external_rankings(fixtures_dir / "national_rankings.csv")

@@ -11,7 +11,6 @@ and why.
 import hashlib
 import json
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -53,16 +52,16 @@ def fixture_outputs(out: Path) -> list[Path]:
     no national file under best-all, and compare of the league tables above
     with no national file."""
     config = load_config(FIXTURES / "config.json")
-    full = replace(config, out_dir=out / "fixtures")
-    no_national = replace(config, out_dir=out / "best_all_no_national",
-                          national_rankings=None, q1_policy="best-all")
+    full = config._replace(out_dir=out / "fixtures")
+    no_national = config._replace(out_dir=out / "best_all_no_national",
+                                  national_rankings=None, q1_policy="best-all")
     inputs = out / "league_inputs"
     inputs.mkdir()
     (inputs / "league.csv").write_text(LEAGUE_CSV, encoding="utf-8")
     (inputs / "crosswalk.csv").write_text(LEAGUE_CROSSWALK_CSV, encoding="utf-8")
-    internal = replace(config, out_dir=out / "league_internal", national_rankings=None,
-                       external_rankings=inputs / "league.csv",
-                       crosswalk=inputs / "crosswalk.csv")
+    internal = config._replace(out_dir=out / "league_internal", national_rankings=None,
+                               external_rankings=inputs / "league.csv",
+                               crosswalk=inputs / "crosswalk.csv")
     return (run_rank(full) + run_compare(full) + run_rank(no_national)
             + run_compare(internal))
 
