@@ -13,6 +13,7 @@ institutions first.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -28,19 +29,17 @@ CROSSWALK_COLUMNS = ("source_system", "source_field", "target_system", "target_f
 
 
 def midranks(values: Sequence[float]) -> list[float]:
-    """Average ranks (1-based); tied values share the mean of their positions."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
-    return ranks
+    """Average ranks (1-based); tied values share the mean of their positions:
+    the c copies of a value with ``below`` smaller ones hold positions
+    below+1 .. below+c, so each gets below + (c+1)/2, twice which is an int."""
+    counts = Counter(values)
+    ranks: dict[float, float] = {}
+    below = 0
+    for value in sorted(counts):
+        count = counts[value]
+        ranks[value] = below + (count + 1) / 2
+        below += count
+    return list(map(ranks.__getitem__, values))
 
 
 def _pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -119,8 +118,8 @@ def compare_pair(source: RankingTable, target: RankingTable,
     institutions present on both sides.
     """
     target_ranks = target.competition_ranks()
-    joined = [(rank, target_ranks[inst])
-              for inst, rank in zip(source.ids, source.ranks) if inst in target_ranks]
+    joined = [(rank, target_rank) for inst, rank in zip(source.ids, source.ranks)
+              if (target_rank := target_ranks.get(inst)) is not None]
     x = [rank for rank, _ in joined]
     y = [float(target_rank) for _, target_rank in joined]
     try:
@@ -165,18 +164,19 @@ class ConcordanceReport(NamedTuple):
 def load_crosswalk(path: str | Path) -> list[FieldCrosswalk]:
     """Load crosswalks from CSV, grouped by (source_system, target_system)."""
     grouped: dict[tuple[str, str], dict[tuple[str, str], int]] = {}
-    for line, cells in read_csv(path, CROSSWALK_COLUMNS, "crosswalk"):
-        values = [normalize_id(c or "") for c in cells]
-        if not all(values):
-            raise InputError("empty crosswalk cell", line)
-        source_system, source_field, target_system, target_field = values
-        key = (source_system, target_system)
-        pair = (source_field, target_field)
-        first_line = grouped.setdefault(key, {})
-        if pair in first_line:
-            raise InputError(f"duplicate (source, target) pair in crosswalk {key[0]!r} -> "
-                             f"{key[1]!r} (first seen at line {first_line[pair]})", line)
-        first_line[pair] = line
+    with read_csv(path, CROSSWALK_COLUMNS, "crosswalk") as (rows, line):
+        for cells in rows:
+            values = [normalize_id(c or "") for c in cells]
+            if not all(values):
+                raise InputError("empty crosswalk cell", line())
+            source_system, source_field, target_system, target_field = values
+            key = (source_system, target_system)
+            pair = (source_field, target_field)
+            first_line = grouped.setdefault(key, {})
+            if pair in first_line:
+                raise InputError(f"duplicate (source, target) pair in crosswalk {key[0]!r} -> "
+                                 f"{key[1]!r} (first seen at line {first_line[pair]})", line())
+            first_line[pair] = line()
     return [
         FieldCrosswalk(src, tgt, tuple(pairs))
         for (src, tgt), pairs in grouped.items()

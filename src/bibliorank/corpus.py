@@ -11,9 +11,10 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
-from operator import itemgetter
+from itertools import repeat
+from operator import add, itemgetter
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Callable, ContextManager, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import ConfigError, InputError
 
@@ -92,25 +93,31 @@ class Corpus(NamedTuple):
 
 @contextmanager
 def _open_input(path: Path) -> Iterator[TextIO]:
-    """Open a UTF-8 input file; a failure to open or decode it is an InputError
-    without a line number, since decoding runs a buffer ahead of the rows."""
+    """Open a UTF-8 input file, less any byte-order mark; a failure to open or
+    decode it is an InputError without a line number, since decoding runs a
+    buffer ahead of the rows."""
     try:
-        with path.open(encoding="utf-8", newline="") as fh:
+        with path.open(encoding="utf-8-sig", newline="") as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
-def read_csv(path: str | Path, columns: Sequence[str],
-             what: str) -> Iterator[tuple[int, tuple[str | None, ...]]]:
-    """Yield (line, cells) for each data row of a CSV file with a header.
+# An input reader's (rows, line): each data row's cells, and line(), the line of the last row.
+Rows = tuple[Iterator[tuple[str | None, ...]], Callable[[], int]]
+
+
+@contextmanager
+def read_csv(path: str | Path, columns: Sequence[str], what: str) -> Iterator[Rows]:
+    """``with read_csv(path, columns, what) as (rows, line):`` gives the cells
+    of each data row of a CSV file with a header, each tuple made in C with
+    no Python frame per row, and ``line()``, the physical line that the row
+    given last ends on, so blank lines and quoted fields are counted.
 
     A header lacking any of ``columns`` is an error at line 1, naming the
-    file as ``what``. A row's line is the physical line it ends on, so blank
-    lines and quoted fields that span lines are counted. ``cells`` holds the
-    row's cells for ``columns``, in that order, as ``csv.DictReader`` gives
-    them: a repeated name takes its last cell and a short row is padded with
-    None.
+    file as ``what``. A row's cells are those of ``columns``, in that order,
+    as ``csv.DictReader`` gives them: a repeated name takes its last cell, a
+    short row is padded with None, and a blank row is skipped.
     """
     with _open_input(Path(path)) as fh:
         reader = csv.reader(fh)
@@ -120,25 +127,24 @@ def read_csv(path: str | Path, columns: Sequence[str],
                 raise InputError(f"{what} file must have columns {','.join(columns)}", line=1)
             index = {name: i for i, name in enumerate(header)}
             wanted = [index[c] for c in columns]
-            width = max(wanted) + 1
-            # itemgetter of one index gives the bare cell, so wrap it.
-            take = itemgetter(*wanted) if len(wanted) > 1 else lambda row: (row[wanted[0]],)
-            for row in reader:
-                if len(row) < width:
-                    if not row:
-                        continue
-                    row += [None] * (width - len(row))
-                yield reader.line_num, take(row)
+            # Padding every row keeps this in C; testing a row's length would not.
+            padded = map(add, filter(None, reader), repeat([None] * (max(wanted) + 1)))
+            # itemgetter of one index gives the bare cell; zip makes it a 1-tuple.
+            yield (map(itemgetter(*wanted), padded) if len(wanted) > 1
+                   else zip(map(itemgetter(*wanted), padded))), lambda: reader.line_num
         except csv.Error as exc:
             raise InputError(f"malformed CSV: {exc}", reader.line_num) from None
 
 
-def _read_jsonl(path: str | Path,
-                columns: Sequence[str]) -> Iterator[tuple[int, tuple[str | None, ...]]]:
-    """Yield (line, cells) for each non-blank line of a JSON Lines file, with
-    the cells as ``read_csv`` gives them: each value of ``columns`` as text,
-    or None where the key is absent or null."""
-    with _open_input(Path(path)) as fh:
+@contextmanager
+def _read_jsonl(path: str | Path, columns: Sequence[str]) -> Iterator[Rows]:
+    """``read_csv``'s ``(rows, line)`` for the non-blank lines of a JSON
+    Lines file: each value of ``columns`` as text, or None where the key is
+    absent or null."""
+    line = 0
+
+    def rows() -> Iterator[tuple[str | None, ...]]:
+        nonlocal line
         for line, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
@@ -150,7 +156,10 @@ def _read_jsonl(path: str | Path,
                 raise InputError(f"invalid JSON: {exc}", line) from None
             if not isinstance(row, dict):
                 raise InputError(f"expected a JSON object, got {type(row).__name__}", line)
-            yield line, tuple(None if (v := row.get(c)) is None else str(v) for c in columns)
+            yield tuple(None if (v := row.get(c)) is None else str(v) for c in columns)
+
+    with _open_input(Path(path)) as fh:
+        yield rows(), lambda: line
 
 
 def _parse_int(raw: str, what: str, line: int) -> int:
@@ -206,29 +215,29 @@ def load_publications(path: str | Path, format: str = "csv") -> list[Publication
     records: list[PublicationRecord] = []
     # The ids alone: a duplicate reads the file again to name the first line.
     seen: set[str] = set()
-    for line, cells in _publication_rows(path, format):
-        rid, inst, year, jid, cites = cells
-        try:
-            rec = PublicationRecord(rid.strip(), institutions[inst], years[year],
-                                    journals[jid], citations[cites])
-        except (AttributeError, KeyError):  # a None record_id, or a cell not checked yet
-            rec = None
-        if rec is None or not rec.record_id:
-            rec = _check_record(cells, line, memos)
-        if rec.record_id in seen:
-            raise InputError(
-                f"duplicate record_id {rec.record_id!r} "
-                f"(first seen at line {_first_record_line(path, format, rec.record_id)})",
-                line,
-            )
-        seen.add(rec.record_id)
-        records.append(rec)
+    with _publication_rows(path, format) as (rows, line):
+        for cells in rows:
+            rid, inst, year, jid, cites = cells
+            try:
+                rec = PublicationRecord(rid.strip(), institutions[inst], years[year],
+                                        journals[jid], citations[cites])
+            except (AttributeError, KeyError):  # a None record_id, or a cell not checked yet
+                rec = None
+            if rec is None or not rec.record_id:
+                rec = _check_record(cells, line(), memos)
+            if rec.record_id in seen:
+                raise InputError(
+                    f"duplicate record_id {rec.record_id!r} "
+                    f"(first seen at line {_first_record_line(path, format, rec.record_id)})",
+                    line(),
+                )
+            seen.add(rec.record_id)
+            records.append(rec)
     return records
 
 
-def _publication_rows(path: str | Path,
-                      format: str) -> Iterator[tuple[int, tuple[str | None, ...]]]:
-    """(line, cells) for each row of a publications file in ``format``."""
+def _publication_rows(path: str | Path, format: str) -> ContextManager[Rows]:
+    """``read_csv``'s ``(rows, line)`` for a publications file in ``format``."""
     return (read_csv(path, PUBLICATION_COLUMNS, "publications") if format == "csv"
             else _read_jsonl(path, PUBLICATION_COLUMNS))
 
@@ -238,9 +247,10 @@ def _first_record_line(path: str | Path, format: str, record_id: str) -> int | N
     is ``record_id``. Read again only to word a duplicate, so that the load
     keeps no line per record; every row before the duplicate passed its
     checks, so the first match is that record's."""
-    for line, cells in _publication_rows(path, format):
-        if cells[0] is not None and normalize_id(cells[0]) == record_id:
-            return line
+    with _publication_rows(path, format) as (rows, line):
+        for cells in rows:
+            if cells[0] is not None and normalize_id(cells[0]) == record_id:
+                return line()
     return None
 
 
@@ -264,32 +274,45 @@ def load_journals(path: str | Path) -> dict[str, dict[str, dict[int, int]]]:
 
     A repeated (journal, category, year) must repeat its quartile; a conflict
     is an error at the later row that names the line of the first.
+
+    A journal's years in a category sit together, so its journal_id and
+    category cells are looked up once per run of rows that repeat them as
+    they are; the run's other rows check only year and quartile.
     """
     memos: tuple[dict, ...] = ({}, {}, {}, {})
     jid_memo, cat_memo, year_memo, quartile_memo = memos
     # journal -> category -> year -> quartile. Each row costs one dict entry
     # and no line record: a conflict reads the file again to name the first.
     quartiles: dict[str, dict[str, dict[int, int]]] = {}
-    for line, cells in read_csv(path, JOURNAL_COLUMNS, "journals"):
-        raw_jid, raw_cat, raw_year, raw_quartile = cells
-        try:
-            jid, cat, year, quartile = (jid_memo[raw_jid], cat_memo[raw_cat],
-                                        year_memo[raw_year], quartile_memo[raw_quartile])
-        except KeyError:  # a cell not checked yet
-            jid, cat, year, quartile = _check_journal_row(cells, line, memos)
-        by_cat = quartiles.get(jid)
-        if by_cat is None:
-            by_cat = quartiles[jid] = {}
-        by_year = by_cat.get(cat)
-        if by_year is None:
-            by_year = by_cat[cat] = {}
-        if by_year.setdefault(year, quartile) != quartile:
-            raise InputError(
-                f"conflicting quartiles for journal {jid!r}, category {cat!r}, "
-                f"year {year}: Q{by_year[year]} "
-                f"(line {_first_journal_line(path, (jid, cat, year), memos)}) vs Q{quartile}",
-                line,
-            )
+    run_jid = run_cat = object()  # the current run's raw key cells; object() equals no cell
+    with read_csv(path, JOURNAL_COLUMNS, "journals") as (rows, line):
+        for cells in rows:
+            raw_jid, raw_cat, raw_year, raw_quartile = cells
+            if raw_jid == run_jid and raw_cat == run_cat:
+                try:
+                    year, quartile = year_memo[raw_year], quartile_memo[raw_quartile]
+                except KeyError:  # a cell not checked yet
+                    year, quartile = _check_journal_row(cells, line(), memos)[2:]
+            else:
+                try:
+                    jid, cat, year, quartile = (jid_memo[raw_jid], cat_memo[raw_cat],
+                                                year_memo[raw_year], quartile_memo[raw_quartile])
+                except KeyError:  # a cell not checked yet
+                    jid, cat, year, quartile = _check_journal_row(cells, line(), memos)
+                by_cat = quartiles.get(jid)
+                if by_cat is None:
+                    by_cat = quartiles[jid] = {}
+                by_year = by_cat.get(cat)
+                if by_year is None:
+                    by_year = by_cat[cat] = {}
+                run_jid, run_cat = raw_jid, raw_cat
+            if by_year.setdefault(year, quartile) != quartile:
+                raise InputError(
+                    f"conflicting quartiles for journal {jid!r}, category {cat!r}, "
+                    f"year {year}: Q{by_year[year]} "
+                    f"(line {_first_journal_line(path, (jid, cat, year), memos)}) vs Q{quartile}",
+                    line(),
+                )
     return quartiles
 
 
@@ -298,9 +321,10 @@ def _first_journal_line(path: str | Path, key: tuple[str, str, int],
     """The line of the journals file's first row whose normalized (journal_id,
     category, year) is ``key``. Read again only to word a conflict, so that
     the load keeps no line per key."""
-    for line, cells in read_csv(path, JOURNAL_COLUMNS, "journals"):
-        if _check_journal_row(cells, line, memos)[:3] == key:
-            return line
+    with read_csv(path, JOURNAL_COLUMNS, "journals") as (rows, line):
+        for cells in rows:
+            if _check_journal_row(cells, line(), memos)[:3] == key:
+                return line()
     return None
 
 

@@ -148,7 +148,7 @@ def load_config(path: str | Path) -> RunConfig:
     """Load a JSON run configuration; relative paths resolve against the file."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     # ValueError covers undecodable bytes, invalid JSON and an integer of
     # more than 4,300 digits; RecursionError a value nested too deeply.
     except (OSError, ValueError, RecursionError) as exc:

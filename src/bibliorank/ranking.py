@@ -125,23 +125,37 @@ def _check_ranking_row(cells: Sequence[str | None], line: int,
 
 
 def load_external_rankings(path: str | Path) -> dict[tuple[str, str], RankingTable]:
-    """Load every (system, field) table from an external-ranking CSV."""
+    """Load every (system, field) table from an external-ranking CSV.
+
+    A league table's rows sit together, so its system_name and field_name
+    cells are looked up once per run of rows that repeat them as they are;
+    the run's other rows check only institution_id and rank.
+    """
     # One memo per column (see memoize_checked), so rows share one float.
     memos: tuple[dict, ...] = ({}, {}, {}, {})
     system_memo, field_memo, inst_memo, rank_memo = memos
-    rows: dict[tuple[str, str], tuple[list[str], list[float]]] = defaultdict(lambda: ([], []))
-    for line, cells in read_csv(path, EXTERNAL_COLUMNS, "external ranking"):
-        raw_system, raw_field, raw_inst, raw_rank = cells
-        try:
-            system, field, inst, rank = (system_memo[raw_system], field_memo[raw_field],
-                                         inst_memo[raw_inst], rank_memo[raw_rank])
-        except KeyError:  # a cell not checked yet
-            system, field, inst, rank = _check_ranking_row(cells, line, memos)
-        ids, ranks = rows[system, field]
-        ids.append(inst)
-        ranks.append(rank)
+    by_table: dict[tuple[str, str], tuple[list[str], list[float]]] = defaultdict(lambda: ([], []))
+    run_system = run_field = object()  # the current run's raw key cells; object() equals no cell
+    with read_csv(path, EXTERNAL_COLUMNS, "external ranking") as (rows, line):
+        for cells in rows:
+            raw_system, raw_field, raw_inst, raw_rank = cells
+            if raw_field == run_field and raw_system == run_system:
+                try:
+                    inst, rank = inst_memo[raw_inst], rank_memo[raw_rank]
+                except KeyError:  # a cell not checked yet
+                    inst, rank = _check_ranking_row(cells, line(), memos)[2:]
+            else:
+                try:
+                    system, field, inst, rank = (system_memo[raw_system], field_memo[raw_field],
+                                                 inst_memo[raw_inst], rank_memo[raw_rank])
+                except KeyError:  # a cell not checked yet
+                    system, field, inst, rank = _check_ranking_row(cells, line(), memos)
+                ids, ranks = by_table[system, field]
+                run_system, run_field = raw_system, raw_field
+            ids.append(inst)
+            ranks.append(rank)
     tables: dict[tuple[str, str], RankingTable] = {}
-    for (system, field), (ids, ranks) in rows.items():
+    for (system, field), (ids, ranks) in by_table.items():
         if len(set(ids)) != len(ids):
             dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
             raise InputError(f"duplicate institution(s) in table {system!r}/{field!r}: "

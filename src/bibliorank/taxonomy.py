@@ -37,24 +37,25 @@ def load_taxonomy(path: str | Path) -> dict[str, frozenset[str]]:
     """
     categories: dict[str, set[str]] = {}
     levels: dict[str, str] = {}
-    for line, (raw_name, raw_level, raw_cat) in read_csv(path, TAXONOMY_COLUMNS, "taxonomy"):
-        name = normalize_id(raw_name or "")
-        level = normalize_id(raw_level or "")
-        cat = normalize_category(raw_cat or "")
-        if not name:
-            raise InputError("empty field name", line)
-        if level not in LEVELS:
-            raise InputError(f"level must be one of {LEVELS}, got {level!r}", line)
-        if not cat:
-            raise InputError(f"field {name!r} has an empty category", line)
-        if name in levels and levels[name] != level:
-            raise InputError(
-                f"field {name!r} listed with conflicting levels "
-                f"{levels[name]!r} and {level!r}",
-                line,
-            )
-        levels[name] = level
-        categories.setdefault(name, set()).add(cat)
+    with read_csv(path, TAXONOMY_COLUMNS, "taxonomy") as (rows, line):
+        for raw_name, raw_level, raw_cat in rows:
+            name = normalize_id(raw_name or "")
+            level = normalize_id(raw_level or "")
+            cat = normalize_category(raw_cat or "")
+            if not name:
+                raise InputError("empty field name", line())
+            if level not in LEVELS:
+                raise InputError(f"level must be one of {LEVELS}, got {level!r}", line())
+            if not cat:
+                raise InputError(f"field {name!r} has an empty category", line())
+            if name in levels and levels[name] != level:
+                raise InputError(
+                    f"field {name!r} listed with conflicting levels "
+                    f"{levels[name]!r} and {level!r}",
+                    line(),
+                )
+            levels[name] = level
+            categories.setdefault(name, set()).add(cat)
     if not categories:
         raise InputError("taxonomy file defines no fields")
     return {n: frozenset(c) for n, c in categories.items()}

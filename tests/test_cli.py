@@ -414,6 +414,12 @@ class TestValidate:
             **{key: (tmp_path / name).resolve() for key, name in paths.items()},
             windows=(), out_dir=(tmp_path / "out").resolve())
 
+    def test_config_byte_order_mark_is_dropped(self, tmp_path):
+        text = json.dumps({key: f"{key}.csv" for key in ("publications", "journals", "taxonomy")})
+        (tmp_path / "plain.json").write_text(text, encoding="utf-8")
+        (tmp_path / "marked.json").write_text("\ufeff" + text, encoding="utf-8")
+        assert load_config(tmp_path / "marked.json") == load_config(tmp_path / "plain.json")
+
 
 def read_back(path) -> list[list[str]]:
     """The rows of an output file as csv.reader parses them, ``#`` lines skipped."""

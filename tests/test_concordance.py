@@ -46,6 +46,19 @@ class TestMidranks:
     def test_all_equal(self):
         assert midranks([5, 5, 5]) == [2.0, 2.0, 2.0]
 
+    @given(st.lists(st.integers(0, 4) | st.integers(0, 4).map(float)
+                    | st.sampled_from([0.5, 2.5, -0.0, 1e300]), max_size=40))
+    def test_matches_mean_of_sorted_positions(self, values):
+        # Heavy ties, and an int beside the float equal to it.
+        ordered = sorted(values)
+        expected = []
+        for value in values:
+            positions = [p for p, v in enumerate(ordered, start=1) if v == value]
+            expected.append(sum(positions) / len(positions))
+        ranks = midranks(values)
+        assert ranks == expected
+        assert all((2 * r).is_integer() for r in ranks)
+
 
 class TestSpearmanRho:
     def test_identity(self):

@@ -54,6 +54,7 @@ def dump_publications(records, path, format):
 
 
 PUB_HEADER = "record_id,institution_id,year,journal_id,citations\n"
+RANKING_HEADER = "system_name,field_name,institution_id,rank\n"
 
 
 class TestLoadPublications:
@@ -281,6 +282,28 @@ EVERY_LOADER = pytest.mark.parametrize("loader, header", [
         "external_rankings", "crosswalk"])
 
 
+# Two valid data rows for each EVERY_LOADER header.
+VALID_ROWS = {
+    PUB_HEADER: "r1,u1,2010,J,3\nr2,u2,2011,K,0\n",
+    "": "".join(json.dumps(dict(zip(PUBLICATION_COLUMNS, row))) + "\n"
+                for row in [["r1", "u1", 2010, "J", 3], ["r2", "u2", 2011, "K", 0]]),
+    JOURNAL_HEADER: "J,A,2010,1\nJ,A,2011,2\n",
+    "field_name,level,category\n": "Physics,field,a\nBiology,subfield,b\n",
+    RANKING_HEADER: "s,f,i1,2\ns,f,i2,1-3\n",
+    "source_system,source_field,target_system,target_field\n": "s,f,t,g\ns,f,t,h\n",
+}
+
+
+@EVERY_LOADER
+def test_byte_order_mark_is_dropped(tmp_path, loader, header):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF.
+    text = header + VALID_ROWS[header]
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert loader(marked) == loader(plain)
+
+
 @EVERY_LOADER
 def test_non_utf8_input_names_the_file(tmp_path, loader, header):
     path = tmp_path / "input.txt"
@@ -358,7 +381,8 @@ def test_read_csv_matches_dictreader(header, body):
         # One wanted column still gives 1-tuples.
         for columns in (READ_COLUMNS, READ_COLUMNS[1:2]):
             expected = dictreader_rows(path, columns)
-            assert list(read_csv(path, columns, "test")) == expected
+            with read_csv(path, columns, "test") as (rows, line):
+                assert [(line(), cells) for cells in rows] == expected
 
 
 # The loaders memoize each column's checked values by raw cell text. These
@@ -585,6 +609,27 @@ class TestMemoizedCells:
                      f"s,f,i1,5\ns,f,i2,201-300\ns,f,i3,{rank}\n")
         with pytest.raises(InputError, match=f"^line 4: {re.escape(message)}"):
             load_external_rankings(path)
+
+    # The loaders check a run's key cells once; the other cells of every row
+    # in the run are still checked, each fault at its own line.
+    @pytest.mark.parametrize("loader, text, message", [
+        (load_external_rankings, RANKING_HEADER + "s,f,i1,5\ns,f,i2,7\ns,f,i3,x\ns,f,i4,9\n",
+         "line 4: malformed rank 'x' (expected 'N' or 'LO-HI')"),
+        (load_external_rankings, RANKING_HEADER + "s,f,i1,5\ns,f,i2,7\ns,f, ,8\n",
+         "line 4: empty system_name, field_name or institution_id"),
+        (load_journals, JOURNAL_HEADER + "J,A,2010,1\nJ,A,2011,1\nJ,A,20x2,1\nJ,A,2013,1\n",
+         "line 4: year must be a base-10 integer, got '20x2'"),
+        (load_journals, JOURNAL_HEADER + "J,A,2010,1\nJ,A,2011,1\nJ,A,2012,7\n",
+         "line 4: quartile 7 outside {1,2,3,4}"),
+        (load_journals, JOURNAL_HEADER + "J,A,2010,1\nJ,A,2011,2\nJ,A,2012,2\nJ,A,2010,3\n",
+         "line 5: conflicting quartiles for journal 'J', category 'a', year 2010: "
+         "Q1 (line 2) vs Q3"),
+    ], ids=["rank", "institution", "year", "quartile", "conflict"])
+    def test_fault_inside_a_run_names_its_own_line(self, tmp_path, loader, text, message):
+        path = write(tmp_path, "t.csv", text)
+        with pytest.raises(InputError) as info:
+            loader(path)
+        assert str(info.value) == message
 
     def test_rows_share_one_object_per_cell_text(self, tmp_path):
         path = write(tmp_path, "p.csv", PUB_HEADER + "r1,ua,2010,j1,5\nr2,ua,2010,j1,5\n")

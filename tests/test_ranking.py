@@ -125,6 +125,26 @@ class TestExternalTables:
                            match=r"duplicate institution\(s\) in table 's'/'g': 'X'$"):
             load_external_rankings(path)
 
+    # The loader looks up a table once per run of rows that repeat its key
+    # cells as they are; a run's end never ends its table.
+    @pytest.mark.parametrize("rows, expected", [
+        ("s,f,A,5\ns,f,B,3\ns,g,A,1\ns,f,C,5\ns,f,D,3\n",
+         {("s", "f"): [("B", 3), ("D", 3), ("A", 5), ("C", 5)], ("s", "g"): [("A", 1)]}),
+        ("S,f,A,2\n S,f,B,1\nS,f,C,3\nS, f ,D,1-7\n",
+         {("S", "f"): [("B", 1), ("A", 2), ("C", 3), ("D", 4)]}),
+        ("s,f,A,1\ns,g,A,1\ns,f,A,2\n",
+         "duplicate institution(s) in table 's'/'f': 'A'"),
+    ], ids=["two_runs_apart", "spelled_apart", "duplicate_across_runs"])
+    def test_runs_of_one_table(self, tmp_path, rows, expected):
+        path = tmp_path / "r.csv"
+        path.write_text("system_name,field_name,institution_id,rank\n" + rows, encoding="utf-8")
+        try:
+            loaded = {key: list(zip(t.ids, t.ranks))
+                      for key, t in load_external_rankings(path).items()}
+        except InputError as exc:
+            loaded = str(exc)
+        assert loaded == expected
+
     def test_peak_memory_per_row(self, tmp_path):
         # 60 tables x 500 rows, exact positions to 100 and "LO-HI" bands
         # beyond, the shape of a published top-500 league table.
