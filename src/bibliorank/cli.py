@@ -12,9 +12,9 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+from .config import Q1_POLICIES, RunConfig, load_config, parse_window
 from .errors import BiblioRankError, ConfigError
-from .pipeline import (Q1_POLICIES, RunConfig, load_config, parse_window, run_compare,
-                       run_rank, run_validate)
+from .pipeline import run_compare, run_rank, run_validate
 
 EXIT_INPUT_ERROR = 1
 EXIT_CONFIG_ERROR = 2

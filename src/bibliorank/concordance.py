@@ -21,8 +21,6 @@ from .corpus import normalize_id, read_csv
 from .errors import ConstantInputError, InputError, InsufficientDataError
 from .ranking import RankingTable
 
-MISSING_NATIONAL_POLICIES = ("strict", "warn")
-
 DEFAULT_MIN_N = 3
 
 CROSSWALK_COLUMNS = ("source_system", "source_field", "target_system", "target_field")

@@ -24,7 +24,6 @@ YEAR_MAX = 2100
 CITATIONS_MAX = 10**9
 
 PUBLICATION_COLUMNS = ("record_id", "institution_id", "year", "journal_id", "citations")
-PUBLICATION_FORMATS = ("csv", "jsonl")
 JOURNAL_COLUMNS = ("journal_id", "category", "year", "quartile")
 
 

@@ -16,9 +16,6 @@ from .errors import QuartileLookupError
 
 log = logging.getLogger(__name__)
 
-Q1_POLICIES = ("any-relevant", "best-all")
-MISSING_QUARTILE_POLICIES = ("strict", "warn")
-
 
 class IndicatorSet(NamedTuple):
     institution_id: str

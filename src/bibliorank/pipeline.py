@@ -2,37 +2,33 @@
 ranking systems. All file outputs are deterministic: identical inputs and
 configuration produce byte-identical files, and every output carries a
 comment header with the tool version, config hash, and policy choices.
+
+Each run validates its ``config.RunConfig`` first, then spreads its
+parses, fields and system pairs over processes through ``forks.fork_shares``.
 """
 
 from __future__ import annotations
 
 import gc
-import json
-import marshal
 import os
 import re
-import threading
 from contextlib import contextmanager, suppress
 from functools import partial
 from itertools import repeat
-from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from . import __version__
 from .concordance import (
-    DEFAULT_MIN_N,
-    MISSING_NATIONAL_POLICIES,
     FieldCrosswalk,
     aggregate_agreement,
     agreement_decimal,
     load_crosswalk,
     run_crosswalk,
 )
+from .config import RunConfig
+from .config import load_config  # noqa: F401  perfbench/child.py calls pipeline.load_config
 from .corpus import (
-    PUBLICATION_FORMATS,
-    YEAR_MAX,
-    YEAR_MIN,
     Corpus,
     PublicationRecord,
     Quartiles,
@@ -42,173 +38,14 @@ from .corpus import (
     load_publications,
 )
 from .errors import ConfigError, InputError
-from .indicators import (
-    MISSING_QUARTILE_POLICIES,
-    Q1_POLICIES,
-    IndicatorSet,
-    compute_indicators,
-    top10_threshold,
-)
+from .forks import fork_shares
+from .indicators import IndicatorSet, compute_indicators, top10_threshold
 from .ranking import (Columns, RankingTable, build_ranking, load_external_rankings,
                       restrict_to_system)
 from .scoring import IndexScore, classify_quadrants, score_field
 from .taxonomy import Taxonomy, assign_fields, field_corpus, load_taxonomy
 
-# The config digest hashes a few hundred bytes once per header. hashlib
-# would load OpenSSL's _hashlib for that, 3.6 MB of resident set.
-try:
-    from _sha2 import sha256  # Python 3.12 and later
-except ImportError:
-    try:
-        from _sha256 import sha256  # Python 3.10 and 3.11
-    except ImportError:  # a Python built without the built-in hashes
-        from hashlib import sha256
-
 _T = TypeVar("_T")
-
-
-class RunConfig(NamedTuple):
-    publications: Path
-    journals: Path
-    taxonomy: Path
-    windows: tuple[TimeWindow, ...]
-    out_dir: Path
-    external_rankings: Path | None = None
-    national_rankings: Path | None = None
-    crosswalk: Path | None = None
-    publications_format: str = "csv"
-    q1_policy: str = "any-relevant"
-    missing_quartile: str = "warn"
-    missing_national: str = "warn"
-    min_n: int = DEFAULT_MIN_N
-    national_system: str = "national"
-
-    def validate(self) -> None:
-        if self.publications_format not in PUBLICATION_FORMATS:
-            raise ConfigError(f"publications_format must be one of {PUBLICATION_FORMATS}")
-        if self.q1_policy not in Q1_POLICIES:
-            raise ConfigError(f"q1_policy must be one of {Q1_POLICIES}")
-        if self.missing_quartile not in MISSING_QUARTILE_POLICIES:
-            raise ConfigError(
-                f"missing_quartile must be one of {MISSING_QUARTILE_POLICIES}"
-            )
-        if self.missing_national not in MISSING_NATIONAL_POLICIES:
-            raise ConfigError(f"missing_national must be one of {MISSING_NATIONAL_POLICIES}")
-        if self.min_n < 2:
-            raise ConfigError("min_n must be >= 2")
-        if not self.windows:
-            raise ConfigError("at least one window is required")
-        # run_rank names each window's files by its label, so two windows
-        # of one length would overwrite each other's files.
-        by_label: dict[str, TimeWindow] = {}
-        for window in self.windows:
-            if not (YEAR_MIN <= window.start_year and window.end_year <= YEAR_MAX):
-                raise ConfigError(
-                    f"window {window} outside year range [{YEAR_MIN}, {YEAR_MAX}]"
-                )
-            first = by_label.setdefault(window.label, window)
-            if first is not window:
-                raise ConfigError(
-                    f"windows {first} and {window} share the output label {window.label!r}"
-                )
-        for p in (self.publications, self.journals, self.taxonomy,
-                  self.external_rankings, self.national_rankings, self.crosswalk):
-            # Unlike Path.is_file, os.path.isfile is False for a name too long.
-            if p is not None and not os.path.isfile(p):
-                raise ConfigError(f"input is not an existing file: {p}")
-
-    def digest(self) -> str:
-        payload = {
-            "publications": str(self.publications),
-            "journals": str(self.journals),
-            "taxonomy": str(self.taxonomy),
-            "windows": [[w.start_year, w.end_year] for w in self.windows],
-            "external_rankings": str(self.external_rankings or ""),
-            "national_rankings": str(self.national_rankings or ""),
-            "crosswalk": str(self.crosswalk or ""),
-            "publications_format": self.publications_format,
-            "q1_policy": self.q1_policy,
-            "missing_quartile": self.missing_quartile,
-            "missing_national": self.missing_national,
-            "min_n": self.min_n,
-            "national_system": self.national_system,
-        }
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return sha256(blob).hexdigest()[:16]
-
-
-def parse_window(text: str) -> TimeWindow:
-    m = re.fullmatch(r"([0-9]{4}):([0-9]{4})", text.strip())
-    if m is None:
-        raise ConfigError(f"window must look like START:END, got {text!r}")
-    return TimeWindow(int(m.group(1)), int(m.group(2)))
-
-
-def load_config(path: str | Path) -> RunConfig:
-    """Load a JSON run configuration; relative paths resolve against the file."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8-sig"))
-    # ValueError covers undecodable bytes, invalid JSON and an integer of
-    # more than 4,300 digits; RecursionError a value nested too deeply.
-    except (OSError, ValueError, RecursionError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must be a JSON object, got {type(raw).__name__}")
-    base = path.parent
-
-    def _str(key: str) -> str:
-        value = raw[key]
-        if not isinstance(value, str):
-            raise ConfigError(f"{key} must be a string, got {value!r}")
-        return value
-
-    def _resolve(key: str) -> Path:
-        try:
-            return (base / _str(key)).resolve()
-        except ValueError as exc:  # a NUL byte
-            raise ConfigError(f"{key} is not a usable path: {exc}") from None
-
-    def _path(key: str, required: bool = False) -> Path | None:
-        """The path at ``key``; null or absent is allowed only where not required."""
-        if raw.get(key) is None:
-            if required:
-                raise ConfigError(f"config is missing required key {key!r}")
-            return None
-        return _resolve(key)
-
-    def _int(value, what: str) -> int:
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{what} must be an integer, got {value!r}")
-        return value
-
-    pairs = raw.get("windows", [])
-    if not isinstance(pairs, list):
-        raise ConfigError(f"windows must be a list of [start, end] pairs, got {pairs!r}")
-    windows = []
-    for pair in pairs:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ConfigError(f"each window must be [start, end], got {pair!r}")
-        windows.append(TimeWindow(_int(pair[0], "window year"), _int(pair[1], "window year")))
-
-    # A key the file leaves out keeps RunConfig's default; null is a fault.
-    settings = {key: _str(key) for key in ("publications_format", "q1_policy", "missing_quartile",
-                                           "missing_national", "national_system") if key in raw}
-    if "min_n" in raw:
-        settings["min_n"] = _int(raw["min_n"], "min_n")
-    return RunConfig(
-        publications=_path("publications", required=True),
-        journals=_path("journals", required=True),
-        taxonomy=_path("taxonomy", required=True),
-        windows=tuple(windows),
-        out_dir=_resolve("out_dir") if "out_dir" in raw else (base / "out").resolve(),
-        external_rankings=_path("external_rankings"),
-        national_rankings=_path("national_rankings"),
-        crosswalk=_path("crosswalk"),
-        **settings,
-    )
 
 
 def slugify(name: str) -> str:
@@ -311,7 +148,7 @@ def _load_inputs(config: RunConfig) -> tuple[list[PublicationRecord],
     then check that every record, in any window or none, names a journal of
     the journals file.
 
-    The two parses are the two indices of ``_fork_shares``: the
+    The two parses are the two indices of ``fork_shares``: the
     publications, index 0, are parsed in this process and stay here (a round
     trip of 48k records cost more than their parse, and marshal refuses a
     NamedTuple), and the journals file in a forked child, which checks every
@@ -321,7 +158,7 @@ def _load_inputs(config: RunConfig) -> tuple[list[PublicationRecord],
     """
     loads = (partial(load_publications, config.publications, config.publications_format),
              partial(_journals_in_windows, config))
-    publications, journals = _fork_shares((1, 1), lambda i: loads[i]())
+    publications, journals = fork_shares((1, 1), lambda i: loads[i]())
     taxonomy = load_taxonomy(config.taxonomy)
     for rec in publications:
         if rec.journal_id not in journals:
@@ -382,9 +219,9 @@ def compute_field_results(window: TimeWindow,
     field name in name order, from the files the caller parsed once per run.
 
     The records are bucketed by field once, in this process; then
-    ``_fork_shares`` spreads the fields over the usable CPUs, and each value
+    ``fork_shares`` spreads the fields over the usable CPUs, and each value
     comes back from the process that computed it, so it must be plain data
-    (``_fork_call``). ``each`` should drop what it does not return, so that
+    that ``marshal`` takes. ``each`` should drop what it does not return, so that
     one field's results are alive at a time in each process. The buckets go
     on return.
     """
@@ -393,7 +230,7 @@ def compute_field_results(window: TimeWindow,
     names = [name for name in sorted(taxonomy) if assignment.records_by_field[name]]
     weights = [len(assignment.records_by_field[name]) for name in names]
     with _rare_full_collections():
-        values = _fork_shares(
+        values = fork_shares(
             weights, lambda i: each(names[i], field_corpus(corpus, assignment, names[i])))
     return dict(zip(names, values))
 
@@ -463,185 +300,6 @@ def _write_field(config: RunConfig, taxonomy: Taxonomy, window: TimeWindow,
     )
     for path, (columns, row_format, rows) in zip(_output_paths(config, window, name), outputs):
         _write_csv(path, header, columns, row_format, rows)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, or 1 where it cannot fork."""
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
-def _fork_cpus() -> int:
-    """How many processes a fork point may keep busy: the usable CPUs, or 1
-    while another thread runs, since forking a process that runs threads can
-    leave a lock held for ever in the child."""
-    return 1 if threading.active_count() > 1 else _usable_cpus()
-
-
-def _split(weights: Sequence[int], k: int) -> list[list[int]]:
-    """The indices of ``weights`` in ``k`` shares of near-equal total weight.
-
-    Heaviest first, each index joins the lightest share (the first of equals).
-    Each share lists its indices in ascending order.
-    """
-    shares: list[list[int]] = [[] for _ in range(k)]
-    loads = [0] * k
-    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
-        lightest = loads.index(min(loads))
-        shares[lightest].append(i)
-        loads[lightest] += weights[i]
-    return [sorted(share) for share in shares]
-
-
-def _fork_call(fn: Callable[[], _T]) -> Callable[[], _T]:
-    """Start ``fn()`` in a child made by ``os.fork`` and return its waiter,
-    to be called once.
-
-    ``wait()`` reaps the child, then returns ``fn``'s value or raises what
-    ``fn`` raised; a child that ends without reporting either is a
-    RuntimeError naming its wait status. The child shares this process's
-    memory copy-on-write and reports through a pipe (``_child``), so the
-    value must be plain data that ``marshal`` takes: any other value is
-    marshal's ValueError, raised here. Whether to fork at all is
-    ``_fork_shares``'s decision, its one caller.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        _child(fn, read_fd, write_fd)
-    os.close(write_fd)
-
-    def wait() -> _T:
-        try:
-            # Closed before the wait: a child still writing then fails and ends.
-            with open(read_fd, "rb") as pipe:
-                report = pipe.read()
-        finally:
-            status = os.waitpid(pid, 0)[1]
-        if status != 0 or not report:  # no report, or one cut short
-            raise RuntimeError(f"a forked child ended with wait status {status}")
-        if report[:1] == _VALUE:
-            return marshal.loads(memoryview(report)[1:])
-        fault = _pickle_core().loads(memoryview(report)[1:])
-        try:
-            raise fault
-        finally:
-            # The traceback holds this frame: no local may hold the fault,
-            # or the two would keep each other alive until a full collection.
-            del fault
-
-    return wait
-
-
-_VALUE, _FAULT = b"v", b"f"  # the first byte of a child's report
-
-
-def _child(fn: Callable[[], object], read_fd: int, write_fd: int) -> NoReturn:
-    """Run ``fn`` in a forked child, send its report to ``write_fd`` and end
-    the process. Never returns, so the child never unwinds into its caller's
-    stack. Exit status 0 means the report was sent whole.
-
-    The report is ``_VALUE`` and ``fn``'s value by ``marshal``, or ``_FAULT``
-    and what ``fn`` raised, pickled so that its class and attributes (an
-    InputError's ``line``) survive. A value that marshal refuses is sent as
-    marshal's ValueError. Marshal writes an object held more than once as a
-    back-reference, so the loaders' shared years, ranks and ids stay one
-    object each in the receiving process.
-    """
-    status = 1
-    try:
-        os.close(read_fd)
-        try:
-            kind, body = _VALUE, marshal.dumps(fn())
-        except Exception as exc:
-            kind, body = _FAULT, _pickle_core().dumps(exc, -1)  # -1: the highest protocol
-        with open(write_fd, "wb") as pipe:
-            pipe.write(kind)
-            pipe.write(body)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _pickle_core():
-    """The pickle module's C core, imported only to send and receive a
-    child's fault. The ``pickle`` module around it adds 0.35 MB to the peak
-    RSS of a run."""
-    try:
-        import _pickle as pickle
-    except ImportError:  # a Python without the C core
-        import pickle
-    return pickle
-
-
-_Fault = tuple[int, Exception]  # (index, what run(index) raised)
-
-
-class _ShareFault(Exception):
-    """A share's first fault: ``args`` is its ``_Fault``."""
-
-
-def _run_share(share: Sequence[int], run: Callable[[int], _T]) -> list[_T]:
-    """``run(i)`` for each index of ``share`` in order; once one raises,
-    ``_ShareFault(i, exception)``."""
-    values = []
-    for i in share:
-        try:
-            values.append(run(i))
-        except Exception as exc:
-            raise _ShareFault(i, exc)
-    return values
-
-
-def _fork_shares(weights: Sequence[int], run: Callable[[int], _T]) -> list[_T]:
-    """``run(i)`` for each index of ``weights``, in index order, split over
-    the processes ``_fork_cpus`` allows: ``_split`` makes one share per
-    process (no more than there are indices), the first share runs in this
-    process and each other one in a child made by ``_fork_call``, which sends
-    back its share's values. The first share holds the heaviest index (the
-    lowest of equals), so that index's value never crosses a pipe and need
-    not be plain data. Every child is reaped before this function returns
-    or raises.
-
-    A share stops at its first fault. If any share failed, every value is
-    dropped and the fault of the lowest index is raised, so the error is the
-    one a single process running the indices in order would raise.
-    """
-    shares = _split(weights, max(1, min(_fork_cpus(), len(weights))))
-    waits: list[tuple[Sequence[int], Callable[[], list[_T]]]] = []
-    by_index: dict[int, _T] = {}
-    faults: list[_Fault] = []  # kept until every share has ended
-
-    def collect(share: Sequence[int], values: Callable[[], list[_T]]) -> None:
-        try:
-            by_index.update(zip(share, values()))
-        except _ShareFault as fault:
-            faults.append(fault.args)
-        except Exception as exc:  # a child that did not report, or sent no plain data
-            faults.append((share[0], exc))
-
-    try:
-        for share in shares[1:]:
-            waits.append((share, _fork_call(partial(_run_share, share, run))))
-        collect(shares[0], partial(_run_share, shares[0], run))
-    finally:
-        for share, wait in waits:
-            collect(share, wait)
-    if faults:
-        by_index.clear()
-        first = min(faults, key=itemgetter(0))[1]
-        del faults
-        try:
-            raise first
-        finally:
-            del first  # as in _fork_call's waiter
-    return [by_index[i] for i in range(len(weights))]
 
 
 def run_rank(config: RunConfig) -> list[Path]:
@@ -731,12 +389,12 @@ def run_compare(config: RunConfig) -> list[Path]:
     national system's institutions before any pair is compared.
 
     With a national file, the two parses are the two indices of
-    ``_fork_shares``: the external rankings and the crosswalk in this
+    ``fork_shares``: the external rankings and the crosswalk in this
     process, the national file in a forked child, whose tables come back as
     columns, the file's system name kept. A fault is the one a one-process
     run raises, in that order: external rankings, crosswalk, national file.
     The system pairs are then spread over the usable CPUs by
-    ``_fork_shares``, weighted by their field pairs.
+    ``fork_shares``, weighted by their field pairs.
     """
     config.validate()
     if config.external_rankings is None or config.crosswalk is None:
@@ -752,7 +410,7 @@ def run_compare(config: RunConfig) -> list[Path]:
         natl_tables = _national_tables(config)
     else:
         loads = (load_external, partial(_national_file_columns, config))
-        (external, crosswalks), national = _fork_shares((1, 1), lambda i: loads[i]())
+        (external, crosswalks), national = fork_shares((1, 1), lambda i: loads[i]())
         natl_tables = {field: RankingTable(*c) for field, c in national.items()}
     system_set = set().union(*(t.ids for t in natl_tables.values()))
     tables: dict[str, dict[str, RankingTable]] = {}
@@ -760,6 +418,6 @@ def run_compare(config: RunConfig) -> list[Path]:
         tables.setdefault(system, {})[field] = restrict_to_system(table, system_set)
     tables[config.national_system] = natl_tables
     header = _header(config)
-    _fork_shares([len(cw.pairs) for _, cw in crosswalks],
+    fork_shares([len(cw.pairs) for _, cw in crosswalks],
                  lambda i: _write_concordance(config, header, tables, *crosswalks[i]))
     return [config.out_dir / f"concordance_{stem}.csv" for stem, _ in crosswalks]

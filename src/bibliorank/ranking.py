@@ -48,8 +48,7 @@ def parse_rank(text: str) -> float:
 
 class RankingTable:
     """Parallel columns in ascending effective rank, one row per institution:
-    built sorted by ``build_ranking``, checked by ``load_external_rankings``.
-    Two tables are equal when their five columns are."""
+    built sorted by ``build_ranking``, checked by ``load_external_rankings``."""
 
     __slots__ = ("system_name", "field_name", "ids", "ranks", "scores", "_competition")
 
@@ -65,14 +64,6 @@ class RankingTable:
     def columns(self) -> Columns:
         """Its five fields in order: ``RankingTable(*table.columns())`` rebuilds it."""
         return self.system_name, self.field_name, self.ids, self.ranks, self.scores
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RankingTable):
-            return NotImplemented
-        return self.columns() == other.columns()
-
-    def __repr__(self) -> str:
-        return f"RankingTable{self.columns()!r}"
 
     def __len__(self) -> int:
         return len(self.ids)

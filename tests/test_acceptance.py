@@ -16,7 +16,8 @@ import scipy.stats
 from bibliorank.concordance import agreement_level, spearman_rho
 from bibliorank.corpus import Corpus, PublicationRecord
 from bibliorank.indicators import IndicatorSet, compute_indicators, top10_threshold
-from bibliorank.pipeline import load_config, run_compare, run_rank
+from bibliorank.config import load_config
+from bibliorank.pipeline import run_compare, run_rank
 from bibliorank.ranking import RankingTable, build_ranking, load_external_rankings
 from bibliorank.scoring import IndexScore, classify_quadrants, score, score_field
 

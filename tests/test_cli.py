@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bibliorank
-from bibliorank import cli, pipeline
+from bibliorank import cli, forks, pipeline
+from bibliorank.config import RunConfig, load_config
 from bibliorank.corpus import TimeWindow
 from bibliorank.errors import InputError
-from bibliorank.pipeline import RunConfig, load_config, run_compare, run_rank
+from bibliorank.pipeline import run_compare, run_rank
 from bibliorank.ranking import RankingTable
 from conftest import FIXTURES, run_cli
 
@@ -78,7 +79,7 @@ def assert_no_child_process():
 
 def pin_cpus(monkeypatch, cpus: int) -> list[int]:
     """Make bibliorank see ``cpus`` usable CPUs; returns the pids it forks."""
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(forks, "_usable_cpus", lambda: cpus)
     forked: list[int] = []
     real = os.fork
 
@@ -88,7 +89,7 @@ def pin_cpus(monkeypatch, cpus: int) -> list[int]:
             forked.append(pid)
         return pid
 
-    monkeypatch.setattr(pipeline.os, "fork", fork)
+    monkeypatch.setattr(forks.os, "fork", fork)
     return forked
 
 
@@ -252,6 +253,11 @@ class TestValidate:
         (lambda ws: (ws / "national_rankings.csv").write_text(
             "system_name,field_name,institution_id,rank\n"), (), 1,
          "national rankings file has no rows"),
+        (lambda ws: edit_config(ws, national_system=""), (), 2,
+         "national_system must be a non-empty name without surrounding whitespace, got ''"),
+        (lambda ws: edit_config(ws, national_system="national "), (), 2,
+         "national_system must be a non-empty name without surrounding whitespace, "
+         "got 'national '"),
     ], ids=["reversed_window", "reversed_window_flag", "json_list", "unknown_format",
             "directory_input", "non_utf8_config", "non_utf8_csv", "jsonl_not_object",
             "path_number", "out_dir_number", "windows_number", "national_system_list",
@@ -262,7 +268,7 @@ class TestValidate:
             "equal_length_windows", "repeated_window_flag", "config_integer_too_long",
             "config_nested_too_deep", "window_year_too_large", "window_year_too_small_flag",
             "window_flag_non_ascii_digits", "path_nul_byte", "out_dir_nul_byte", "path_too_long",
-            "header_only_national"])
+            "header_only_national", "national_system_empty", "national_system_padded"])
     def test_boundary_fault_exit_code(self, workspace, setup, args, code, message):
         setup(workspace)
         result = run_cli("validate", "--config", str(workspace / "config.json"), *args)
@@ -487,7 +493,7 @@ class TestConfigDigest:
         code = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
                 "from pathlib import PosixPath\n"
                 "from bibliorank.corpus import TimeWindow\n"
-                "from bibliorank.pipeline import RunConfig, sha256\n"
+                "from bibliorank.config import RunConfig, sha256\n"
                 "import hashlib; assert sha256 is hashlib.sha256\n"
                 "print(eval(sys.argv[1]).digest())\n")
         out = subprocess.run([sys.executable, "-c", code, repr(self.CONFIG)], check=True,
@@ -648,8 +654,8 @@ class TestRank:
                 assert_no_child_process()
 
     def test_no_fork_while_another_thread_runs(self, workspace, monkeypatch):
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(pipeline.os, "fork", lambda: pytest.fail("forked"))
+        monkeypatch.setattr(forks, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(forks.os, "fork", lambda: pytest.fail("forked"))
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait, args=(10,))
         thread.start()
@@ -678,7 +684,7 @@ class TestRank:
                 " '_hashlib', 'hashlib', 'fractions', 'decimal', 'click', 'dataclasses',"
                 " 'inspect')\n"
                 "print(sorted(m for m in modules if m in sys.modules))\n"
-                "pipeline._usable_cpus = lambda: 2\n"
+                "bibliorank.forks._usable_cpus = lambda: 2\n"
                 "forks, fork = [], os.fork\n"
                 "os.fork = lambda: forks.append(1) or fork()\n"
                 "config = pipeline.load_config(sys.argv[1])._replace("
@@ -692,6 +698,18 @@ class TestRank:
         # forks: the journals and one share per window (rank), the national
         # file and one share of system pairs (compare)
         assert out == "[]\n5 []\n"
+        # The layering: config loads neither pipeline nor forks, and forks no
+        # other bibliorank module.
+        loaded = {}
+        for module in ("config", "forks"):
+            loaded[module] = set(subprocess.run(
+                [sys.executable, "-c", f"import sys, bibliorank.{module}; "
+                 "print(*(m for m in sys.modules if m.startswith('bibliorank')))"],
+                check=True, capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src}).stdout.split())
+        assert "bibliorank.config" in loaded["config"]
+        assert not loaded["config"] & {"bibliorank.pipeline", "bibliorank.forks"}
+        assert loaded["forks"] == {"bibliorank", "bibliorank.forks"}
 
     @pytest.mark.parametrize("failing", ["compute_indicators", "_atomic_write"])
     def test_collector_thresholds_restored(self, workspace, monkeypatch, failing):
@@ -1032,18 +1050,18 @@ class TestForkPoints:
     def test_split_partitions_and_keeps_the_heaviest_first(self, weights_k):
         # the loads rely on it: index 0 of (1, 1) stays in this process
         weights, k = weights_k
-        shares = pipeline._split(weights, k)
+        shares = forks._split(weights, k)
         assert len(shares) == k
         assert sorted(i for share in shares for i in share) == list(range(len(weights)))
         assert all(share == sorted(share) for share in shares)
         assert weights.index(max(weights)) in shares[0]
 
     def test_shares_return_values_in_index_order(self, monkeypatch):
-        assert pipeline._split(self.WEIGHTS, 2) == [[0, 3], [1, 2, 4]]
+        assert forks._split(self.WEIGHTS, 2) == [[0, 3], [1, 2, 4]]
         runs = []
         for cpus in (1, 2):
             forked = pin_cpus(monkeypatch, cpus)
-            runs.append(pipeline._fork_shares(self.WEIGHTS, lambda i: (i, i / 2, f"field {i}")))
+            runs.append(forks.fork_shares(self.WEIGHTS, lambda i: (i, i / 2, f"field {i}")))
             assert_no_child_process()
             assert len(forked) == cpus - 1
         assert runs[0] == runs[1] == [(i, i / 2, f"field {i}") for i in range(5)]
@@ -1067,7 +1085,7 @@ class TestForkPoints:
         for cpus in (1, 2):
             forked = pin_cpus(monkeypatch, cpus)
             with pytest.raises(ValueError, match=f"^index {first}$"):
-                pipeline._fork_shares(self.WEIGHTS, run)
+                forks.fork_shares(self.WEIGHTS, run)
             assert_no_child_process()
             assert len(forked) == cpus - 1
 
@@ -1101,13 +1119,15 @@ class TestForkPoints:
 
         forked = pin_cpus(monkeypatch, 2)
         through_child = pipeline._load_inputs(config)[1], national(
-            pipeline._fork_call(partial(pipeline._national_file_columns, config))())
+            forks._fork_call(partial(pipeline._national_file_columns, config))())
         assert len(forked) == 2
         forked = pin_cpus(monkeypatch, 1)
         in_process = (pipeline._load_inputs(config)[1],
                       national(pipeline._national_file_columns(config)))
         assert not forked
-        assert through_child == in_process
+        child, parent = ((journals, {field: t.columns() for field, t in tables.items()})
+                         for journals, tables in (through_child, in_process))
+        assert child == parent
         for journals, tables in (through_child, in_process):
             assert {table.system_name for table in tables.values()} == {"natl"}
             years = [year for quartiles in journals.values()
@@ -1124,11 +1144,11 @@ class TestForkPoints:
         # a child's value must be plain data; nothing falls back to pickle
         forked = pin_cpus(monkeypatch, 2)
         with pytest.raises(ValueError, match="^unmarshallable object$"):
-            pipeline._fork_call(lambda: value)()
+            forks._fork_call(lambda: value)()
         assert_no_child_process()
         # shares of _split(WEIGHTS, 2): indices 1, 2 and 4 are the child's
         with pytest.raises(ValueError, match="^unmarshallable object$"):
-            pipeline._fork_shares(self.WEIGHTS, lambda i: value)
+            forks.fork_shares(self.WEIGHTS, lambda i: value)
         assert_no_child_process()
         assert len(forked) == 2
 
@@ -1145,14 +1165,14 @@ class TestForkPoints:
             pipes.append(real_pipe())
             return pipes[-1]
 
-        monkeypatch.setattr(pipeline.os, "pipe", pipe)
+        monkeypatch.setattr(forks.os, "pipe", pipe)
 
         def write_half_then_end():
-            report = pipeline._VALUE + marshal.dumps(list(range(100_000)))
+            report = forks._VALUE + marshal.dumps(list(range(100_000)))
             os.write(pipes[-1][1], report[:len(report) // 2])
             end()
 
-        wait = pipeline._fork_call(write_half_then_end)
+        wait = forks._fork_call(write_half_then_end)
         with pytest.raises(RuntimeError, match=f"^a forked child ended with wait status {status}$"):
             wait()
         assert_no_child_process()

@@ -20,7 +20,8 @@ from bibliorank.concordance import (
 )
 from bibliorank.corpus import TimeWindow
 from bibliorank.errors import ConstantInputError, InputError, InsufficientDataError
-from bibliorank.pipeline import RunConfig, load_config, run_compare
+from bibliorank.config import RunConfig, load_config
+from bibliorank.pipeline import run_compare
 from bibliorank.ranking import RankingTable, load_external_rankings, restrict_to_system
 
 

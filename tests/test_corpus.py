@@ -22,7 +22,8 @@ from bibliorank.corpus import (
 )
 from bibliorank.errors import BiblioRankError, ConfigError, InputError, QuartileLookupError
 from bibliorank.indicators import compute_indicators, top10_threshold
-from bibliorank.ranking import EXTERNAL_COLUMNS, load_external_rankings, parse_rank
+from bibliorank.ranking import (EXTERNAL_COLUMNS, RankingTable, load_external_rankings,
+                                parse_rank)
 from bibliorank.taxonomy import load_taxonomy
 
 from conftest import make_corpus, make_journal
@@ -294,6 +295,14 @@ VALID_ROWS = {
 }
 
 
+def as_data(loaded):
+    """``loaded``, with each RankingTable among a dict's values as its columns."""
+    if isinstance(loaded, dict):
+        return {key: value.columns() if isinstance(value, RankingTable) else value
+                for key, value in loaded.items()}
+    return loaded
+
+
 @EVERY_LOADER
 def test_byte_order_mark_is_dropped(tmp_path, loader, header):
     # Excel's "CSV UTF-8" starts the file with U+FEFF.
@@ -301,7 +310,7 @@ def test_byte_order_mark_is_dropped(tmp_path, loader, header):
     plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
     plain.write_text(text, encoding="utf-8")
     marked.write_text("\ufeff" + text, encoding="utf-8")
-    assert loader(marked) == loader(plain)
+    assert as_data(loader(marked)) == as_data(loader(plain))
 
 
 @EVERY_LOADER

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from bibliorank.pipeline import load_config, run_compare, run_rank
+from bibliorank.config import load_config
+from bibliorank.pipeline import run_compare, run_rank
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden_rows.json"
