@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
+from functools import partial
 from itertools import repeat
 from operator import add, itemgetter
 from pathlib import Path
@@ -43,6 +44,11 @@ class PublicationRecord(NamedTuple):
     year: int
     journal_id: str
     citations: int
+
+
+# A record from a tuple of its five fields, built in C: the class's own
+# __new__ is a Python function, one frame per row of a load.
+_new_record = partial(tuple.__new__, PublicationRecord)
 
 
 # A journal's quartile in {1,2,3,4} by normalized subject category, then by
@@ -218,8 +224,8 @@ def load_publications(path: str | Path, format: str = "csv") -> list[Publication
         for cells in rows:
             rid, inst, year, jid, cites = cells
             try:
-                rec = PublicationRecord(rid.strip(), institutions[inst], years[year],
-                                        journals[jid], citations[cites])
+                rec = _new_record((rid.strip(), institutions[inst], years[year],
+                                   journals[jid], citations[cites]))
             except (AttributeError, KeyError):  # a None record_id, or a cell not checked yet
                 rec = None
             if rec is None or not rec.record_id:

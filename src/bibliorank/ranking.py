@@ -77,12 +77,23 @@ class RankingTable:
         return self._competition
 
 
+# _POSITIONS[p] is p: one int object per position, shared by every table's
+# ranks, so a cached mapping owns no int of its own. It grows by rebinding to
+# a longer copy, never in place, so a concurrent caller still reads a list
+# whose every entry is its own index.
+_POSITIONS: list[int] = [0]
+
+
 def competition_ranks(keys: Sequence) -> list[int]:
     """1-based competition ranks ("1,2,2,4") of keys already in rank order."""
+    global _POSITIONS
+    positions = _POSITIONS
+    if len(positions) <= len(keys):
+        positions = _POSITIONS = positions + list(range(len(positions), len(keys) + 1))
     ranks: list[int] = []
     for position, key in enumerate(keys, start=1):
         if position == 1 or key != keys[position - 2]:
-            rank = position
+            rank = positions[position]
         ranks.append(rank)
     return ranks
 
@@ -146,7 +157,10 @@ def load_external_rankings(path: str | Path) -> dict[tuple[str, str], RankingTab
             ids.append(inst)
             ranks.append(rank)
     tables: dict[tuple[str, str], RankingTable] = {}
-    for (system, field), (ids, ranks) in by_table.items():
+    # In first-seen order, the table a duplicate error names; each table's
+    # lists are popped, so they are freed once its tuples exist.
+    for system, field in list(by_table):
+        ids, ranks = by_table.pop((system, field))
         if len(set(ids)) != len(ids):
             dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
             raise InputError(f"duplicate institution(s) in table {system!r}/{field!r}: "

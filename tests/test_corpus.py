@@ -644,6 +644,9 @@ class TestMemoizedCells:
         path = write(tmp_path, "p.csv", PUB_HEADER + "r1,ua,2010,j1,5\nr2,ua,2010,j1,5\n")
         first, second = load_publications(path, "csv")
         assert all(a is b for a, b in zip(first[1:], second[1:]))
+        # the second row is built from the memos alone, not by _check_record
+        assert type(second) is PublicationRecord
+        assert second == PublicationRecord("r2", "ua", 2010, "j1", 5)
 
 
 def _records(years):
