@@ -1,9 +1,9 @@
 """Publication and journal data: loading, validation, and time-windowing.
 
-The loaders return plain values: a list of records, and each journal's
-quartiles as nested dicts. A :class:`Corpus` is one window's or one field's
-records beside the journal map. Input files are UTF-8; identifiers are compared byte-exactly
-after trimming surrounding whitespace.
+The loaders return plain values: the records of the years a run uses, and
+each journal's quartiles as nested dicts. A :class:`Corpus` is one window's
+or one field's records beside the journal map. Input files are UTF-8;
+identifiers are compared byte-exactly after trimming surrounding whitespace.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from functools import partial
 from itertools import repeat
 from operator import add, itemgetter
 from pathlib import Path
-from typing import Callable, ContextManager, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import (Callable, Container, ContextManager, Iterable, Iterator, Mapping,
+                    NamedTuple, Sequence, TextIO)
 
 from .errors import ConfigError, InputError
 
@@ -84,6 +85,12 @@ class TimeWindow(_Years):
 
     def __str__(self) -> str:
         return f"{self.start_year}-{self.end_year}"
+
+
+def window_years(windows: Iterable[TimeWindow]) -> frozenset[int]:
+    """The years inside any of ``windows``: the only years whose records
+    and quartiles a run over them looks up."""
+    return frozenset(year for w in windows for year in range(w.start_year, w.end_year + 1))
 
 
 class Corpus(NamedTuple):
@@ -209,27 +216,41 @@ def _check_record(cells: Sequence[str | None], line: int,
         memos, cells[1:], (institution_id, year, journal_id, citations)))
 
 
-def load_publications(path: str | Path, format: str = "csv") -> list[PublicationRecord]:
-    """Load publication records from a CSV or JSONL file.
+class Publications(NamedTuple):
+    """What ``load_publications`` keeps of a publications file."""
 
-    Row order is preserved; duplicate record ids are an error naming both rows.
-    ``RunConfig.validate`` checks ``format``.
+    records: list[PublicationRecord]  # those of the years asked for, in file order
+    rows: int  # every data row, of those years or not
+    # Each journal id, in file order, and the first record that names it.
+    first_records: dict[str, str]
+
+
+def load_publications(path: str | Path, format: str, years: Container[int]) -> Publications:
+    """Load the records of ``years`` from a CSV or JSONL publications file.
+
+    Every row is checked, of those years or not; a duplicate record id is an
+    error naming both rows. Only a record whose year is in ``years`` is kept,
+    and row order is preserved. ``RunConfig.validate`` checks ``format``.
     """
     memos: tuple[dict, ...] = ({}, {}, {}, {})
-    institutions, years, journals, citations = memos
+    institutions, year_memo, journals, citations = memos
     records: list[PublicationRecord] = []
+    # A journal id's first row has a journal cell not in the memo, so it
+    # takes the full checks, which alone fill this.
+    first_records: dict[str, str] = {}
     # The ids alone: a duplicate reads the file again to name the first line.
     seen: set[str] = set()
     with _publication_rows(path, format) as (rows, line):
         for cells in rows:
             rid, inst, year, jid, cites = cells
             try:
-                rec = _new_record((rid.strip(), institutions[inst], years[year],
+                rec = _new_record((rid.strip(), institutions[inst], year_memo[year],
                                    journals[jid], citations[cites]))
             except (AttributeError, KeyError):  # a None record_id, or a cell not checked yet
                 rec = None
             if rec is None or not rec.record_id:
                 rec = _check_record(cells, line(), memos)
+                first_records.setdefault(rec.journal_id, rec.record_id)
             if rec.record_id in seen:
                 raise InputError(
                     f"duplicate record_id {rec.record_id!r} "
@@ -237,8 +258,9 @@ def load_publications(path: str | Path, format: str = "csv") -> list[Publication
                     line(),
                 )
             seen.add(rec.record_id)
-            records.append(rec)
-    return records
+            if rec.year in years:
+                records.append(rec)
+    return Publications(records, len(seen), first_records)
 
 
 def _publication_rows(path: str | Path, format: str) -> ContextManager[Rows]:

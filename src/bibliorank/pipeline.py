@@ -31,11 +31,13 @@ from .config import load_config  # noqa: F401  perfbench/child.py calls pipeline
 from .corpus import (
     Corpus,
     PublicationRecord,
+    Publications,
     Quartiles,
     TimeWindow,
     build_corpus,
     load_journals,
     load_publications,
+    window_years,
 )
 from .errors import ConfigError, InputError
 from .forks import fork_shares
@@ -142,38 +144,42 @@ class ValidationReport(NamedTuple):
     unassigned_by_window: Mapping[str, tuple[str, ...]]
 
 
-def _load_inputs(config: RunConfig) -> tuple[list[PublicationRecord],
-                                             dict[str, Quartiles], Taxonomy]:
+def _load_inputs(config: RunConfig, windows: Sequence[TimeWindow]
+                 ) -> tuple[Publications, dict[str, Quartiles], Taxonomy]:
     """Parse the publications, journals and taxonomy files, once per run,
-    then check that every record, in any window or none, names a journal of
-    the journals file.
+    keeping of the first two only the records and quartiles of years inside
+    one of ``windows``, the windows the command ranks. Then check that every
+    record, in any window or none, names a journal of the journals file.
 
     The two parses are the two indices of ``fork_shares``: the
     publications, index 0, are parsed in this process and stay here (a round
-    trip of 48k records cost more than their parse, and marshal refuses a
-    NamedTuple), and the journals file in a forked child, which checks every
-    row, then keeps only the quartiles of years inside a configured window
-    (``_journals_in_windows``). A fault is the one a one-process run raises:
-    the publications', then the journals', then the taxonomy's.
+    trip of the records cost more than their parse, and marshal refuses a
+    NamedTuple), and the journals file in a forked child
+    (``_journals_in_windows``). Each load checks every row of its file,
+    in a window or not. A fault is the one a one-process run raises: the
+    publications', then the journals', then the taxonomy's, then the first
+    record in file order that names an unknown journal.
     """
-    loads = (partial(load_publications, config.publications, config.publications_format),
-             partial(_journals_in_windows, config))
+    years = window_years(windows)
+    loads = (partial(load_publications, config.publications, config.publications_format,
+                     years),
+             partial(_journals_in_windows, config.journals, years))
     publications, journals = fork_shares((1, 1), lambda i: loads[i]())
     taxonomy = load_taxonomy(config.taxonomy)
-    for rec in publications:
-        if rec.journal_id not in journals:
+    for journal_id, record_id in publications.first_records.items():
+        if journal_id not in journals:
             raise InputError(
-                f"record {rec.record_id!r} references unknown journal {rec.journal_id!r}")
+                f"record {record_id!r} references unknown journal {journal_id!r}")
     return publications, journals, taxonomy
 
 
-def _journals_in_windows(config: RunConfig) -> dict[str, dict[str, dict[int, int]]]:
-    """The journals file, every row checked, with only the quartiles of years
-    inside a configured window: a quartile is looked up only for a record in
-    a window, and so only for a year in one. Every journal and category is
-    kept, so the journal count and the unknown-journal check see them all."""
-    years = {year for w in config.windows for year in range(w.start_year, w.end_year + 1)}
-    journals = load_journals(config.journals)
+def _journals_in_windows(path: Path, years: frozenset[int]
+                         ) -> dict[str, dict[str, dict[int, int]]]:
+    """The journals file, every row checked, with only the quartiles of
+    ``years``: a quartile is looked up only for a record in a window, and so
+    only for a year in one. Every journal and category is kept, so the
+    journal count and the unknown-journal check see them all."""
+    journals = load_journals(path)
     for by_cat in journals.values():
         for cat, by_year in by_cat.items():
             # A new dict, sized to its years: deleting keys would not shrink one.
@@ -184,7 +190,7 @@ def _journals_in_windows(config: RunConfig) -> dict[str, dict[str, dict[int, int
 def run_validate(config: RunConfig) -> ValidationReport:
     """Run all loaders and per-window corpus builds; raise on hard errors."""
     config.validate()
-    publications, journals, taxonomy = _load_inputs(config)
+    publications, journals, taxonomy = _load_inputs(config, config.windows)
     _check_field_stems(taxonomy)
     external = ({} if config.external_rankings is None
                 else load_external_rankings(config.external_rankings))
@@ -196,13 +202,13 @@ def run_validate(config: RunConfig) -> ValidationReport:
     dropped: dict[str, int] = {}
     unassigned: dict[str, tuple[str, ...]] = {}
     for window in config.windows:
-        corpus = build_corpus(publications, journals, window)
+        corpus = build_corpus(publications.records, journals, window)
         assignment = assign_fields(corpus, taxonomy)
         retained[str(window)] = len(corpus)
-        dropped[str(window)] = len(publications) - len(corpus)
+        dropped[str(window)] = publications.rows - len(corpus)
         unassigned[str(window)] = assignment.unassigned
     return ValidationReport(
-        publication_count=len(publications),
+        publication_count=publications.rows,
         journal_count=len(journals),
         field_count=len(taxonomy),
         retained_by_window=retained,
@@ -309,12 +315,12 @@ def run_rank(config: RunConfig) -> list[Path]:
     w10, ...). Returns the written paths in deterministic order.
     """
     config.validate()
-    publications, journals, taxonomy = _load_inputs(config)
+    publications, journals, taxonomy = _load_inputs(config, config.windows)
     _check_field_stems(taxonomy)
     written: list[Path] = []
     for window in config.windows:
         names = compute_field_results(
-            window, publications, journals, taxonomy,
+            window, publications.records, journals, taxonomy,
             partial(_write_field, config, taxonomy, window, _header(config, window)))
         written += [path for name in names for path in _output_paths(config, window, name)]
     return written
@@ -348,10 +354,11 @@ def _national_file_columns(config: RunConfig) -> dict[str, Columns]:
 
 def _national_tables(config: RunConfig) -> dict[str, RankingTable]:
     """Without a national file: the tables of ranking the first window, its
-    fields spread over the usable CPUs as ``rank`` spreads them."""
-    publications, journals, taxonomy = _load_inputs(config)
-    columns = compute_field_results(config.windows[0], publications, journals, taxonomy,
-                                    partial(_field_table, config, taxonomy))
+    fields spread over the usable CPUs as ``rank`` spreads them. Only that
+    window's records and quartiles are kept."""
+    publications, journals, taxonomy = _load_inputs(config, config.windows[:1])
+    columns = compute_field_results(config.windows[0], publications.records, journals,
+                                    taxonomy, partial(_field_table, config, taxonomy))
     if not columns:
         raise InputError("no non-empty fields to build national tables from")
     return {name: RankingTable(*c) for name, c in columns.items()}

@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 import bibliorank
 from bibliorank import cli, forks, pipeline
 from bibliorank.config import RunConfig, load_config
-from bibliorank.corpus import TimeWindow
+from bibliorank.corpus import TimeWindow, window_years
 from bibliorank.errors import InputError
 from bibliorank.pipeline import run_compare, run_rank
 from bibliorank.ranking import RankingTable
@@ -924,7 +924,7 @@ class TestJournalsInWindows:
                 set_national(workspace, national)
                 journals.write_text(header + "".join(rows), encoding="utf-8")
                 config = load_config(workspace / "config.json")
-                loaded = pipeline._load_inputs(config)[1]
+                loaded = pipeline._load_inputs(config, config.windows)[1]
                 before = outputs_of(workspace, command, workspace / "before")
                 journals.write_text(header + "".join(kept), encoding="utf-8")
                 assert loaded == pipeline.load_journals(journals)
@@ -937,7 +937,8 @@ class TestJournalsInWindows:
         # a journal whose one row lies outside every window still counts
         with (workspace / "journals.csv").open("a", encoding="utf-8") as fh:
             fh.write("J-OLD,History,1999,2\nJ-CS-A,Old Category,2013,3\n")
-        journals = pipeline._journals_in_windows(load_config(workspace / "config.json"))
+        config = load_config(workspace / "config.json")
+        journals = pipeline._journals_in_windows(config.journals, window_years(config.windows))
         assert journals["J-OLD"] == {"history": {}}
         assert journals["J-CS-A"]["old category"] == {}
         assert sorted(journals["J-CS-A"]["computer science, artificial intelligence"]) == list(
@@ -958,6 +959,121 @@ class TestJournalsInWindows:
         set_national(workspace, national)
         with (workspace / "journals.csv").open("a", encoding="utf-8") as fh:
             fh.write(row)
+        for cpus in (1, 2):
+            pin_cpus(monkeypatch, cpus)
+            result = run_cli(command, "--config", str(workspace / "config.json"))
+            assert_no_child_process()
+            assert (result.exit_code, result.output) == (1, f"error: {message}\n")
+        assert not (workspace / "out").exists()
+
+
+def drop_rows_outside(path: Path, windows) -> None:
+    """Delete the rows of a publications or journals CSV whose year (the
+    third cell of a publications row, the second last of a journals row) is
+    in none of ``windows``; at least one row goes and one stays."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    year = 2 if path.name == "publications.csv" else -2
+    kept = [row for row in rows
+            if any(int(next(csv.reader([row]))[year]) in w for w in windows)]
+    assert 0 < len(kept) < len(rows)
+    path.write_text(header + "".join(kept), encoding="utf-8")
+
+
+def fixture_records() -> list:
+    """The fixture publications, read with the csv module alone."""
+    with (FIXTURES / "publications.csv").open(encoding="utf-8", newline="") as fh:
+        return [(r["record_id"], r["institution_id"], int(r["year"]), r["journal_id"],
+                 int(r["citations"])) for r in csv.DictReader(fh)]
+
+
+class TestPublicationsInWindows:
+    """The publications file is checked whole; then only the records of the
+    windows a command ranks are kept: every window for validate and rank,
+    window 0 for compare without a national file."""
+
+    def test_rows_outside_every_window_change_no_output(self, workspace, monkeypatch):
+        windows = load_config(workspace / "config.json").windows
+        publications = workspace / "publications.csv"
+        full = publications.read_text(encoding="utf-8")
+        for cpus in (1, 2):
+            pin_cpus(monkeypatch, cpus)
+            for command, national in (("rank", True), ("compare", False)):
+                set_national(workspace, national)
+                publications.write_text(full, encoding="utf-8")
+                before = outputs_of(workspace, command, workspace / "before")
+                drop_rows_outside(publications, windows)
+                assert outputs_of(workspace, command, workspace / "after") == before
+                shutil.rmtree(workspace / "before", ignore_errors=True)
+                shutil.rmtree(workspace / "after", ignore_errors=True)
+                assert_no_child_process()
+            # validate prints the same but for the counts of all rows and of
+            # dropped ones, each less by the rows deleted
+            publications.write_text(full, encoding="utf-8")
+            before = run_cli("validate", "--config", str(workspace / "config.json")).output
+            drop_rows_outside(publications, windows)
+            deleted = full.count("\n") - publications.read_text(encoding="utf-8").count("\n")
+            after = run_cli("validate", "--config", str(workspace / "config.json")).output
+            assert_no_child_process()
+            assert len(re.findall(r"(?m)^publications: \d+$|, dropped \d+$", before)) == 3
+            assert after == re.sub(r"(?m)(?<=^publications: )\d+$|(?<=, dropped )\d+$",
+                                   lambda m: str(int(m[0]) - deleted), before)
+
+    def test_compare_keeps_only_window_0(self, workspace, monkeypatch):
+        # compare without a national file ranks window 0 alone, so its loads
+        # keep only window 0's years, and rows of other years change no file
+        set_national(workspace, False)
+        config = load_config(workspace / "config.json")
+        first = window_years(config.windows[:1])
+        assert first < window_years(config.windows)
+        kept = []
+
+        def keeping(name, years_of):
+            real = getattr(pipeline, name)
+
+            def wrapper(*args):
+                value = real(*args)
+                kept.append((name, args[-1], years_of(value)))
+                return value
+            monkeypatch.setattr(pipeline, name, wrapper)
+
+        keeping("load_publications", lambda p: {rec.year for rec in p.records})
+        keeping("_journals_in_windows", lambda j: {
+            year for by_cat in j.values() for by_year in by_cat.values() for year in by_year})
+        pin_cpus(monkeypatch, 1)
+        before = outputs_of(workspace, "compare", workspace / "before")
+        assert [(name, years) for name, years, _ in kept] == [
+            ("load_publications", first), ("_journals_in_windows", first)]
+        assert all(years == first for _, _, years in kept)
+        for name in ("publications.csv", "journals.csv"):
+            drop_rows_outside(workspace / name, config.windows[:1])
+        for cpus in (1, 2):
+            pin_cpus(monkeypatch, cpus)
+            assert outputs_of(workspace, "compare", workspace / f"after{cpus}") == before
+            assert_no_child_process()
+
+    @pytest.mark.parametrize("windows", [slice(None), slice(1)], ids=["every", "first"])
+    def test_load_inputs_keeps_records_in_windows_in_file_order(self, workspace, windows):
+        config = load_config(workspace / "config.json")
+        years = window_years(config.windows[windows])
+        publications = pipeline._load_inputs(config, config.windows[windows])[0]
+        records = fixture_records()
+        assert publications.records == [rec for rec in records if rec[2] in years]
+        assert publications.rows == len(records) > len(publications.records)
+
+    @pytest.mark.parametrize("rows, message", [
+        # R0014's row, line 15, is of 2014
+        ("R0014,UnivB,2010,J-CS-A,1\n",
+         "line 205: duplicate record_id 'R0014' (first seen at line 15)"),
+        ("R9001,UnivA,1999,J-CS-A,-1\n", "line 205: negative citations (-1)"),
+        ("R9001,UnivA,1999,J-OLD,1\nR9002,UnivA,2010,J-NEW,1\n",
+         "record 'R9001' references unknown journal 'J-OLD'"),
+    ], ids=["duplicate", "negative_citations", "unknown_journal"])
+    @pytest.mark.parametrize("command, national", COMMANDS[:3])
+    def test_fault_in_a_row_outside_every_window_exits_one(
+            self, workspace, monkeypatch, command, national, rows, message):
+        set_national(workspace, national)
+        with (workspace / "publications.csv").open("a", encoding="utf-8") as fh:
+            fh.write(rows)
         for cpus in (1, 2):
             pin_cpus(monkeypatch, cpus)
             result = run_cli(command, "--config", str(workspace / "config.json"))
@@ -1094,8 +1210,9 @@ class TestForkPoints:
         with (workspace / name).open("a", encoding="utf-8") as fh:
             fh.write(row)
         forked = pin_cpus(monkeypatch, 2)
+        config = load_config(workspace / "config.json")
         with pytest.raises(InputError) as info:
-            pipeline._load_inputs(load_config(workspace / "config.json"))
+            pipeline._load_inputs(config, config.windows)
         assert_no_child_process()
         assert len(forked) == 1
         assert info.value.line == 86
@@ -1118,11 +1235,11 @@ class TestForkPoints:
             return {field: RankingTable(*c) for field, c in columns.items()}
 
         forked = pin_cpus(monkeypatch, 2)
-        through_child = pipeline._load_inputs(config)[1], national(
+        through_child = pipeline._load_inputs(config, config.windows)[1], national(
             forks._fork_call(partial(pipeline._national_file_columns, config))())
         assert len(forked) == 2
         forked = pin_cpus(monkeypatch, 1)
-        in_process = (pipeline._load_inputs(config)[1],
+        in_process = (pipeline._load_inputs(config, config.windows)[1],
                       national(pipeline._national_file_columns(config)))
         assert not forked
         child, parent = ((journals, {field: t.columns() for field, t in tables.items()})

@@ -13,12 +13,15 @@ from bibliorank.concordance import load_crosswalk
 from bibliorank.corpus import (
     JOURNAL_COLUMNS,
     PUBLICATION_COLUMNS,
+    YEAR_MAX,
+    YEAR_MIN,
     PublicationRecord,
     TimeWindow,
     build_corpus,
     load_journals,
     load_publications,
     read_csv,
+    window_years,
 )
 from bibliorank.errors import BiblioRankError, ConfigError, InputError, QuartileLookupError
 from bibliorank.indicators import compute_indicators, top10_threshold
@@ -55,6 +58,12 @@ def dump_publications(records, path, format):
 
 
 PUB_HEADER = "record_id,institution_id,year,journal_id,citations\n"
+EVERY_YEAR = window_years([TimeWindow(YEAR_MIN, YEAR_MAX)])
+
+
+def load_records(path, format):
+    """Every record of a publications file: those of each year a valid row can hold."""
+    return load_publications(path, format, EVERY_YEAR).records
 RANKING_HEADER = "system_name,field_name,institution_id,rank\n"
 
 
@@ -65,7 +74,7 @@ class TestLoadPublications:
             "r2,ub,2011,j1,0\n"
             "r3,ua,2012,j2,17\n"
         ))
-        records = load_publications(path, "csv")
+        records = load_records(path, "csv")
         assert len(records) == 3
         assert records[0] == PublicationRecord("r1", "ua", 2010, "j1", 5)
         assert records[2].citations == 17
@@ -73,7 +82,7 @@ class TestLoadPublications:
     def test_negative_citations_names_row(self, tmp_path):
         path = write(tmp_path, "p.csv", PUB_HEADER + "r1,ua,2010,j1,-1\n")
         with pytest.raises(InputError, match="line 2.*negative"):
-            load_publications(path, "csv")
+            load_records(path, "csv")
 
     def test_duplicate_id_names_both_rows(self, tmp_path):
         path = write(tmp_path, "p.csv", PUB_HEADER + (
@@ -84,7 +93,7 @@ class TestLoadPublications:
             "r5,ua,2010,j1,1\n"
         ))
         with pytest.raises(InputError, match=r"line 5.*'dup'.*line 3"):
-            load_publications(path, "csv")
+            load_records(path, "csv")
 
     def test_duplicate_after_blank_and_multiline_rows_names_physical_lines(self, tmp_path):
         path = write(tmp_path, "p.csv", PUB_HEADER + (
@@ -93,7 +102,7 @@ class TestLoadPublications:
             "dup,ub,2011,j1,2\n"
         ))
         with pytest.raises(InputError, match=r"line 5.*'dup'.*line 4"):
-            load_publications(path, "csv")
+            load_records(path, "csv")
 
     @pytest.mark.parametrize("name, text", [
         ("p.csv", PUB_HEADER + 'r1,"u\na",2010,j1,1\n\n\n dup ,ua,2010,j1,1\n'
@@ -110,7 +119,7 @@ class TestLoadPublications:
         path = write(tmp_path, name, text)
         line = 8 if name == "p.csv" else 6
         with pytest.raises(InputError) as info:
-            load_publications(path, name.rsplit(".", 1)[1])
+            load_records(path, name.rsplit(".", 1)[1])
         assert str(info.value) == (
             f"line {line}: duplicate record_id 'dup' (first seen at line {line - 2})")
         assert info.value.line == line
@@ -118,24 +127,24 @@ class TestLoadPublications:
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "p.csv", "record_id,year,journal_id,citations\nr1,2010,j1,1\n")
         with pytest.raises(InputError):
-            load_publications(path, "csv")
+            load_records(path, "csv")
 
     def test_year_sanity_range(self, tmp_path):
         path = write(tmp_path, "p.csv", PUB_HEADER + "r1,ua,1825,j1,1\n")
         with pytest.raises(InputError, match="sanity range"):
-            load_publications(path, "csv")
+            load_records(path, "csv")
 
     def test_jsonl(self, tmp_path):
         path = write(tmp_path, "p.jsonl",
                      '{"record_id":"r1","institution_id":"ua","year":2010,'
                      '"journal_id":"j1","citations":3}\n')
-        records = load_publications(path, "jsonl")
+        records = load_records(path, "jsonl")
         assert records == [PublicationRecord("r1", "ua", 2010, "j1", 3)]
 
     def test_jsonl_parse_error_has_line(self, tmp_path):
         path = write(tmp_path, "p.jsonl", '{"record_id": "r1"\n')
         with pytest.raises(InputError, match="line 1"):
-            load_publications(path, "jsonl")
+            load_records(path, "jsonl")
 
     @pytest.mark.parametrize("value", ["[1, 2]", "7"], ids=["array", "number"])
     def test_jsonl_non_object_line_has_line(self, tmp_path, value):
@@ -143,11 +152,11 @@ class TestLoadPublications:
                      '{"record_id":"r1","institution_id":"ua","year":2010,'
                      '"journal_id":"j1","citations":3}\n' + value + "\n")
         with pytest.raises(InputError, match="line 2.*JSON object"):
-            load_publications(path, "jsonl")
+            load_records(path, "jsonl")
 
     def test_ids_trimmed(self, tmp_path):
         path = write(tmp_path, "p.csv", PUB_HEADER + " r1 , ua ,2010, j1 ,5\n")
-        rec = load_publications(path, "csv")[0]
+        rec = load_records(path, "csv")[0]
         assert (rec.record_id, rec.institution_id, rec.journal_id) == ("r1", "ua", "j1")
 
     @pytest.mark.parametrize("column", ["record_id", "institution_id", "journal_id"])
@@ -164,7 +173,7 @@ class TestLoadPublications:
         line = 2 if format == "csv" else 1
         with pytest.raises(InputError,
                            match=re.escape(f"line {line}: missing required column(s) {column}")):
-            load_publications(path, format)
+            load_records(path, format)
 
     @pytest.mark.parametrize("format", ["csv", "jsonl"])
     def test_round_trip(self, tmp_path, format):
@@ -174,7 +183,41 @@ class TestLoadPublications:
         ]
         path = tmp_path / f"out.{format}"
         dump_publications(records, path, format)
-        assert load_publications(path, format) == records
+        assert load_records(path, format) == records
+
+    def test_only_records_of_the_years_asked_for_are_kept(self, tmp_path):
+        path = write(tmp_path, "p.csv", PUB_HEADER + (
+            "r1,ua,1999,j1,5\n"
+            "r2,ub,2010,j2,0\n"
+            "r3,ua,2013,j3,1\n"
+            "r4,ua,2011,j1,2\n"
+            "r5,uc,2010,j3,3\n"
+        ))
+        loaded = load_publications(path, "csv", window_years([TimeWindow(2010, 2011)]))
+        assert loaded.records == [PublicationRecord("r2", "ub", 2010, "j2", 0),
+                                  PublicationRecord("r4", "ua", 2011, "j1", 2),
+                                  PublicationRecord("r5", "uc", 2010, "j3", 3)]
+        assert loaded.rows == 5
+        # every row's journal, by the first record that names it, in file order
+        assert list(loaded.first_records.items()) == [("j1", "r1"), ("j2", "r2"), ("j3", "r3")]
+
+    def test_memory_kept_per_row_of_another_year(self, tmp_path):
+        # 20,000 rows of years outside every window, 1,000 of a year inside
+        # one: a row outside keeps its id in the load's set of ids, which
+        # goes on return, and nothing after it.
+        path = tmp_path / "p.csv"
+        path.write_text(PUB_HEADER + "".join(
+            f"r{i},u{i % 50},{2010 if i % 21 == 0 else 1990 + i % 10},j{i % 30},{i % 97}\n"
+            for i in range(21_000)), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_publications(path, "csv", frozenset({2010}))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (len(loaded.records), loaded.rows) == (1_000, 21_000)
+        assert (kept - before) / 20_000 < 24
 
 
 JOURNAL_HEADER = "journal_id,category,year,quartile\n"
@@ -273,8 +316,8 @@ class TestTimeWindow:
 
 # Each input loader with the header line its file format needs.
 EVERY_LOADER = pytest.mark.parametrize("loader, header", [
-    (lambda p: load_publications(p, "csv"), PUB_HEADER),
-    (lambda p: load_publications(p, "jsonl"), ""),
+    (lambda p: load_records(p, "csv"), PUB_HEADER),
+    (lambda p: load_records(p, "jsonl"), ""),
     (load_journals, JOURNAL_HEADER),
     (load_taxonomy, "field_name,level,category\n"),
     (load_external_rankings, "system_name,field_name,institution_id,rank\n"),
@@ -542,13 +585,20 @@ IDS = ["I1", " I1", "I1 ", "I2", "I3"]
         faults=[BLANK, BLANK, ["5", "1899", "2101", "x", "20 10", *BLANK], BLANK,
                 ["-1", "1000000001", "x", *BLANK]]),
     format=st.sampled_from(["csv", "jsonl"]),
+    years=st.frozensets(st.sampled_from([2010, 2011])),
 )
-def test_load_publications_matches_per_row_reference(rows, format):
+def test_load_publications_matches_per_row_reference(rows, format, years):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"p.{format}"
         write_rows(path, PUBLICATION_COLUMNS, rows, format)
-        assert (outcome(lambda p: load_publications(p, format), path)
-                == outcome(lambda p: reference_publications(p, format), path))
+        expected = outcome(lambda p: reference_publications(p, format), path)
+        if isinstance(expected, list):
+            first_records = {}
+            for rec in expected:
+                first_records.setdefault(rec.journal_id, rec.record_id)
+            expected = ([rec for rec in expected if rec.year in years], len(expected),
+                        first_records)
+        assert outcome(lambda p: load_publications(p, format, years), path) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -586,7 +636,7 @@ class TestMemoizedCells:
         path = write(tmp_path, "p.csv", PUB_HEADER + "r1,ua,2010,j1,5\nr2,ua,5,j1,5\n")
         with pytest.raises(InputError,
                            match=re.escape("line 3: year 5 outside sanity range [1900, 2100]")):
-            load_publications(path, "csv")
+            load_records(path, "csv")
 
     @pytest.mark.parametrize("format, text", [
         ("csv", PUB_HEADER + "r1,ua,2010,j1,1\nr2,ua,20x0,j1,1\n"),
@@ -597,7 +647,7 @@ class TestMemoizedCells:
         path = write(tmp_path, f"p.{format}", text)
         line = 3 if format == "csv" else 2
         with pytest.raises(InputError, match=f"^line {line}: year must be a base-10 integer"):
-            load_publications(path, format)
+            load_records(path, format)
 
     def test_year_memo_does_not_pass_a_quartile(self, tmp_path):
         path = write(tmp_path, "j.csv", JOURNAL_HEADER + "J,A,5,1\nJ,A,5,5\n")
@@ -642,7 +692,7 @@ class TestMemoizedCells:
 
     def test_rows_share_one_object_per_cell_text(self, tmp_path):
         path = write(tmp_path, "p.csv", PUB_HEADER + "r1,ua,2010,j1,5\nr2,ua,2010,j1,5\n")
-        first, second = load_publications(path, "csv")
+        first, second = load_records(path, "csv")
         assert all(a is b for a, b in zip(first[1:], second[1:]))
         # the second row is built from the memos alone, not by _check_record
         assert type(second) is PublicationRecord
