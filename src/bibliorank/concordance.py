@@ -21,8 +21,6 @@ from .corpus import normalize_id, read_csv
 from .errors import ConstantInputError, InputError, InsufficientDataError
 from .ranking import RankingTable
 
-DEFAULT_MIN_N = 3
-
 CROSSWALK_COLUMNS = ("source_system", "source_field", "target_system", "target_field")
 
 
@@ -52,8 +50,7 @@ def _pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return cov / math.sqrt(vx * vy)
 
 
-def spearman_rho(x: Sequence[float], y: Sequence[float],
-                 min_n: int = DEFAULT_MIN_N) -> float:
+def spearman_rho(x: Sequence[float], y: Sequence[float], min_n: int) -> float:
     """Rank correlation of two paired lists, midrank tie handling."""
     if len(x) != len(y):
         raise InputError(f"paired lists differ in length: {len(x)} vs {len(y)}")
@@ -65,7 +62,7 @@ def spearman_rho(x: Sequence[float], y: Sequence[float],
 
 
 def agreement_level(source: RankingTable, target: RankingTable,
-                    missing_national: str = "warn") -> tuple[int, int]:
+                    missing_national: str) -> tuple[int, int]:
     """Unreduced (numerator, s): how many of the source table's s
     institutions are in the target's top-s.
 
@@ -106,9 +103,8 @@ class ConcordancePair(NamedTuple):
     agreement_den: int
 
 
-def compare_pair(source: RankingTable, target: RankingTable,
-                 min_n: int = DEFAULT_MIN_N,
-                 missing_national: str = "warn") -> ConcordancePair:
+def compare_pair(source: RankingTable, target: RankingTable, min_n: int,
+                 missing_national: str) -> ConcordancePair:
     """Rho and agreement for one crosswalk-matched field pair.
 
     Both tables come restricted to the national system's institutions. Rho
@@ -121,11 +117,11 @@ def compare_pair(source: RankingTable, target: RankingTable,
     x = [rank for rank, _ in joined]
     y = [float(target_rank) for _, target_rank in joined]
     try:
-        rho: float | None = spearman_rho(x, y, min_n=min_n)
+        rho: float | None = spearman_rho(x, y, min_n)
     except (InsufficientDataError, ConstantInputError):
         rho = None
     return ConcordancePair(source.field_name, target.field_name, len(joined), rho,
-                           *agreement_level(source, target, missing_national=missing_national))
+                           *agreement_level(source, target, missing_national))
 
 
 def aggregate_agreement(pairs: Sequence[ConcordancePair]
@@ -183,9 +179,8 @@ def load_crosswalk(path: str | Path) -> list[FieldCrosswalk]:
 
 def run_crosswalk(crosswalk: FieldCrosswalk,
                   source_tables: Mapping[str, RankingTable],
-                  target_tables: Mapping[str, RankingTable],
-                  min_n: int = DEFAULT_MIN_N,
-                  missing_national: str = "warn") -> ConcordanceReport:
+                  target_tables: Mapping[str, RankingTable], min_n: int,
+                  missing_national: str) -> ConcordanceReport:
     """One concordance pair per crosswalk row; unresolvable rows are reported."""
     pairs: list[ConcordancePair] = []
     unresolved: list[tuple[str, str]] = []
@@ -195,9 +190,7 @@ def run_crosswalk(crosswalk: FieldCrosswalk,
         if source is None or target is None:
             unresolved.append((source_field, target_field))
             continue
-        pairs.append(
-            compare_pair(source, target, min_n=min_n, missing_national=missing_national)
-        )
+        pairs.append(compare_pair(source, target, min_n, missing_national))
     if not pairs:
         raise InputError(
             f"crosswalk {crosswalk.source_system!r} -> {crosswalk.target_system!r} "

@@ -15,7 +15,6 @@ import re
 from pathlib import Path
 from typing import NamedTuple
 
-from .concordance import DEFAULT_MIN_N
 from .corpus import YEAR_MAX, YEAR_MIN, TimeWindow, normalize_id
 from .errors import ConfigError
 
@@ -48,7 +47,7 @@ class RunConfig(NamedTuple):
     q1_policy: str = "any-relevant"
     missing_quartile: str = "warn"
     missing_national: str = "warn"
-    min_n: int = DEFAULT_MIN_N
+    min_n: int = 3
     national_system: str = "national"
 
     def validate(self) -> None:

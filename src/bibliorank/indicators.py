@@ -7,14 +7,11 @@ papers in the field-wide top 10% by citations, pooled across institutions).
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
 from .corpus import Corpus, Quartiles
 from .errors import QuartileLookupError
-
-log = logging.getLogger(__name__)
 
 
 class IndicatorSet(NamedTuple):
@@ -49,11 +46,11 @@ def top10_threshold(field_corpus: Corpus) -> int:
 
 
 def _is_q1(journal_id: str, quartiles: Quartiles, year: int,
-           field_categories: frozenset[str] | None, q1_policy: str,
+           field_categories: frozenset[str], q1_policy: str,
            missing_quartile: str) -> tuple[bool, int]:
     """Whether a paper of that journal and year counts as first-quartile;
     second value tallies lookup misses."""
-    if q1_policy == "any-relevant" and field_categories is not None:
+    if q1_policy == "any-relevant":
         cats = quartiles.keys() & field_categories
     else:
         cats = quartiles
@@ -73,18 +70,16 @@ def _is_q1(journal_id: str, quartiles: Quartiles, year: int,
 
 
 def compute_indicators(field_corpus: Corpus, threshold: int,
-                       field_categories: frozenset[str] | None = None,
-                       q1_policy: str = "any-relevant",
-                       missing_quartile: str = "warn",
-                       field_name: str = "") -> dict[str, IndicatorSet]:
-    """All six indicators per institution with at least one paper in the field.
+                       field_categories: frozenset[str], q1_policy: str,
+                       missing_quartile: str) -> tuple[dict[str, IndicatorSet], int]:
+    """All six indicators per institution with at least one paper in the
+    field, and how many quartile lookups missed (each counted as not-Q1).
 
-    ``threshold`` must come from ``top10_threshold`` of the same field corpus;
-    ``field_name`` names the field in the quartile-miss warning. Under the
-    "any-relevant" policy a paper is Q1 if its journal is first-quartile in
-    some category belonging to the field, for the paper's year; "best-all"
-    considers every category of the journal. ``RunConfig.validate`` checks
-    both policy values.
+    ``threshold`` must come from ``top10_threshold`` of the same field corpus.
+    Under the "any-relevant" policy a paper is Q1 if its journal is
+    first-quartile in some category belonging to the field, for the paper's
+    year; "best-all" considers every category of the journal.
+    ``RunConfig.validate`` checks both policy values.
     """
     # One pass in corpus order: each institution's citation counts and Q1
     # tally. (is_q1, misses) depends only on the paper's journal and year here.
@@ -116,10 +111,4 @@ def compute_indicators(field_corpus: Corpus, threshold: int,
         top_count = ndoc - bisect_left(cites, threshold)
         out[inst] = IndicatorSet(inst, ndoc, ncit, _h_of_ascending(cites),
                                  q1_by_inst[inst] / ndoc, ncit / ndoc, top_count / ndoc)
-    if total_misses:
-        # perfbench's tracer reads the miss count as the second argument.
-        log.warning(
-            "field %s: %d quartile lookup(s) missing, counted as not-Q1",
-            field_name or "<unnamed>", total_misses,
-        )
-    return out
+    return out, total_misses

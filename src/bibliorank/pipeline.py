@@ -10,6 +10,7 @@ parses, fields and system pairs over processes through ``forks.fork_shares``.
 from __future__ import annotations
 
 import gc
+import logging
 import os
 import re
 from contextlib import contextmanager, suppress
@@ -48,6 +49,9 @@ from .scoring import IndexScore, classify_quadrants, score_field
 from .taxonomy import Taxonomy, assign_fields, field_corpus, load_taxonomy
 
 _T = TypeVar("_T")
+
+# perfbench's tracer sums the miss counts, each record's second argument.
+_quartile_log = logging.getLogger("bibliorank.indicators")
 
 
 def slugify(name: str) -> str:
@@ -258,24 +262,31 @@ def _rare_full_collections() -> Iterator[None]:
         gc.set_threshold(*thresholds)
 
 
-def _field_scores(config: RunConfig, taxonomy: Taxonomy, name: str,
-                  fc: Corpus) -> tuple[dict[str, IndicatorSet], dict[str, IndexScore]]:
-    """The indicators and the index scores of one non-empty field."""
-    indicators = compute_indicators(
-        fc, top10_threshold(fc),
-        field_categories=taxonomy[name],
-        q1_policy=config.q1_policy,
-        missing_quartile=config.missing_quartile,
-        field_name=name,
-    )
-    return indicators, score_field(indicators)
+def _field_scores(config: RunConfig, taxonomy: Taxonomy, name: str, fc: Corpus
+                  ) -> tuple[dict[str, IndicatorSet], dict[str, IndexScore], int]:
+    """The indicators, the index scores and the quartile-miss count of one
+    non-empty field."""
+    indicators, misses = compute_indicators(fc, top10_threshold(fc), taxonomy[name],
+                                            config.q1_policy, config.missing_quartile)
+    return indicators, score_field(indicators), misses
 
 
-def _field_table(config: RunConfig, taxonomy: Taxonomy, name: str, fc: Corpus) -> Columns:
-    """One non-empty field's ranking table, as columns; its other results
-    are dropped."""
-    return build_ranking(_field_scores(config, taxonomy, name, fc)[1],
-                         config.national_system, name).columns()
+def _field_table(config: RunConfig, taxonomy: Taxonomy, name: str,
+                 fc: Corpus) -> tuple[Columns, int]:
+    """One non-empty field's ranking table, as columns, and its quartile-miss
+    count; its other results are dropped."""
+    scores, misses = _field_scores(config, taxonomy, name, fc)[1:]
+    return build_ranking(scores, config.national_system, name).columns(), misses
+
+
+def _warn_quartile_misses(window: TimeWindow, misses: Mapping[str, int]) -> None:
+    """One warning per field with misses, in the order of ``misses``. Only the
+    parent logs, so stderr does not depend on how the fields were spread."""
+    for name, count in misses.items():
+        if count:
+            _quartile_log.warning(
+                "field %r: %d quartile lookup(s) missing in window %s, counted as not-Q1",
+                name, count, window)
 
 
 def _output_paths(config: RunConfig, window: TimeWindow, name: str) -> tuple[Path, ...]:
@@ -286,10 +297,11 @@ def _output_paths(config: RunConfig, window: TimeWindow, name: str) -> tuple[Pat
 
 
 def _write_field(config: RunConfig, taxonomy: Taxonomy, window: TimeWindow,
-                 header: str, name: str, fc: Corpus) -> None:
+                 header: str, name: str, fc: Corpus) -> int:
     """Compute one non-empty field's results and write its ranking, quadrants
-    and indicators files; the results are dropped on return."""
-    indicators, scores = _field_scores(config, taxonomy, name, fc)
+    and indicators files, and return its quartile-miss count; the results
+    are dropped on return."""
+    indicators, scores, misses = _field_scores(config, taxonomy, name, fc)
     table = build_ranking(scores, config.national_system, name)
     mean_qnif, mean_qlif, labels = classify_quadrants(scores)
     means = "%.6f,%.6f" % (mean_qnif, mean_qlif)
@@ -306,6 +318,7 @@ def _write_field(config: RunConfig, taxonomy: Taxonomy, window: TimeWindow,
     )
     for path, (columns, row_format, rows) in zip(_output_paths(config, window, name), outputs):
         _write_csv(path, header, columns, row_format, rows)
+    return misses
 
 
 def run_rank(config: RunConfig) -> list[Path]:
@@ -319,10 +332,11 @@ def run_rank(config: RunConfig) -> list[Path]:
     _check_field_stems(taxonomy)
     written: list[Path] = []
     for window in config.windows:
-        names = compute_field_results(
+        misses = compute_field_results(
             window, publications.records, journals, taxonomy,
             partial(_write_field, config, taxonomy, window, _header(config, window)))
-        written += [path for name in names for path in _output_paths(config, window, name)]
+        _warn_quartile_misses(window, misses)
+        written += [path for name in misses for path in _output_paths(config, window, name)]
     return written
 
 
@@ -357,11 +371,13 @@ def _national_tables(config: RunConfig) -> dict[str, RankingTable]:
     fields spread over the usable CPUs as ``rank`` spreads them. Only that
     window's records and quartiles are kept."""
     publications, journals, taxonomy = _load_inputs(config, config.windows[:1])
-    columns = compute_field_results(config.windows[0], publications.records, journals,
+    results = compute_field_results(config.windows[0], publications.records, journals,
                                     taxonomy, partial(_field_table, config, taxonomy))
-    if not columns:
+    if not results:
         raise InputError("no non-empty fields to build national tables from")
-    return {name: RankingTable(*c) for name, c in columns.items()}
+    _warn_quartile_misses(config.windows[0],
+                          {name: misses for name, (_, misses) in results.items()})
+    return {name: RankingTable(*columns) for name, (columns, _) in results.items()}
 
 
 def _write_concordance(config: RunConfig, header: str,

@@ -73,7 +73,8 @@ def test_02_h_index_oracle_equivalence():
                               for c in citations.tolist()), journals)
         # top10_threshold needs a non-empty pool; with no papers any threshold
         # gives no indicator row
-        indicators = compute_indicators(corpus, top10_threshold(corpus) if n else 0)
+        indicators = compute_indicators(corpus, top10_threshold(corpus) if n else 0,
+                                        frozenset(), "best-all", "warn")[0]
         assert {u: ind.h for u, ind in indicators.items()} == ({"u": expected} if n else {})
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"h-index oracle took {elapsed:.2f}s"
@@ -104,11 +105,11 @@ def test_04_spearman_correctness():
         rng.shuffle(y)
         d2 = sum((a - b) ** 2 for a, b in zip(x, y))
         closed = 1 - 6 * d2 / (n * (n * n - 1))
-        assert spearman_rho(x, y) == pytest.approx(closed, abs=1e-12)
-    assert spearman_rho([1, 2, 3, 4], [2, 1, 4, 3]) == pytest.approx(0.600, abs=1e-12)
+        assert spearman_rho(x, y, 3) == pytest.approx(closed, abs=1e-12)
+    assert spearman_rho([1, 2, 3, 4], [2, 1, 4, 3], 3) == pytest.approx(0.600, abs=1e-12)
     x = [1.0, 2.5, 4.0, 7.5, 9.0]
-    assert spearman_rho(x, x) == pytest.approx(1.0, abs=1e-12)
-    assert spearman_rho(x, list(reversed(x))) == pytest.approx(-1.0, abs=1e-12)
+    assert spearman_rho(x, x, 3) == pytest.approx(1.0, abs=1e-12)
+    assert spearman_rho(x, list(reversed(x)), 3) == pytest.approx(-1.0, abs=1e-12)
 
 
 def _exact_table(pairs, system="s", field="f"):
@@ -123,11 +124,11 @@ def test_05_agreement_fixture():
         [("i0", 1), ("i1", 2), ("x0", 3), ("x1", 4), ("x2", 5), ("x3", 6)]
         + [(f"i{k}", 7 + k - 2) for k in range(2, 6)]
     )
-    assert agreement_level(intl, natl) == (2, 6)
+    assert agreement_level(intl, natl, "warn") == (2, 6)
 
     for s in [1, 4, 9]:
         pairs = [(f"i{k}", k + 1) for k in range(s)]
-        assert agreement_level(_exact_table(pairs), _exact_table(pairs)) == (s, s)
+        assert agreement_level(_exact_table(pairs), _exact_table(pairs), "warn") == (s, s)
 
 
 def test_06_external_table_fixture_round_trip(fixtures_dir):
@@ -149,7 +150,7 @@ def test_06_external_table_fixture_round_trip(fixtures_dir):
         x = [eff_a[i] for i in ids]
         y = [eff_b[i] for i in ids]
         oracle = scipy.stats.spearmanr(x, y).statistic
-        assert spearman_rho(x, y) == pytest.approx(oracle, abs=1e-12)
+        assert spearman_rho(x, y, 3) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_07_rank_order_invariances():
@@ -202,8 +203,8 @@ def test_08_size_independence_split():
         c1, ck = corpus_for(1), corpus_for(k)
         t1, tk = top10_threshold(c1), top10_threshold(ck)
         assert t1 == tk  # tie-free boundary by construction
-        ind1 = compute_indicators(c1, t1)
-        indk = compute_indicators(ck, tk)
+        ind1 = compute_indicators(c1, t1, frozenset(), "best-all", "warn")[0]
+        indk = compute_indicators(ck, tk, frozenset(), "best-all", "warn")[0]
         for inst in base:
             assert indk[inst].ndoc == k * ind1[inst].ndoc
             assert indk[inst].ncit == k * ind1[inst].ncit

@@ -61,7 +61,8 @@ def watch_live_field_results(monkeypatch, log: Path):
         live = sum(type(o) is Indicators for o in gc.get_objects())
         with log.open("a", encoding="ascii") as fh:
             fh.write(f"{os.getpid()},{live}\n")
-        return Indicators(real(*args, **kwargs))
+        indicators, misses = real(*args, **kwargs)
+        return Indicators(indicators), misses
 
     monkeypatch.setattr(pipeline, "compute_indicators", counting)
 
@@ -606,6 +607,33 @@ class TestRank:
             assert len(calls) == 6 and max(live for _, live in calls) <= 1, calls
             pids = {pid for pid, _ in calls}
             assert pids == {os.getpid()} if cpus == 1 else len(pids) >= 2, calls
+
+    def test_quartile_miss_warnings_do_not_depend_on_cpus(self, workspace, monkeypatch,
+                                                           caplog):
+        # Without these two 2010 rows every fixture field misses quartiles in
+        # both windows. Only the parent logs, so at two CPUs the fields of a
+        # child's share still get their lines, in the same order.
+        journals = workspace / "journals.csv"
+        dropped = ('J-PH-A,"Physics, Applied",2010,',
+                   'J-CS-A,"Computer Science, Artificial Intelligence",2010,')
+        lines = journals.read_text(encoding="utf-8").splitlines(keepends=True)
+        journals.write_text("".join(line for line in lines if not line.startswith(dropped)),
+                            encoding="utf-8")
+        set_national(workspace, False)
+        config = load_config(workspace / "config.json")
+        expected = [f"field {name!r}: {count} quartile lookup(s) missing in window {window}, "
+                    "counted as not-Q1"
+                    for window in ("2008-2012", "2003-2012")
+                    for name, count in (("Artificial Intelligence", 4),
+                                        ("Computer Science", 4), ("Physics", 5))]
+        for cpus in (1, 2):
+            pin_cpus(monkeypatch, cpus)
+            for run, messages in ((run_rank, expected), (run_compare, expected[:3])):
+                caplog.clear()
+                with caplog.at_level("WARNING", logger="bibliorank.indicators"):
+                    run(config)
+                assert_no_child_process()
+                assert [r.getMessage() for r in caplog.records] == messages, (run, cpus)
 
     @pytest.mark.parametrize("failing", [
         # the fixture fields in name order are artificial_intelligence,

@@ -63,14 +63,14 @@ class TestMidranks:
 
 class TestSpearmanRho:
     def test_identity(self):
-        assert spearman_rho([3, 1, 4, 1.5, 9], [3, 1, 4, 1.5, 9]) == pytest.approx(1.0)
+        assert spearman_rho([3, 1, 4, 1.5, 9], [3, 1, 4, 1.5, 9], 3) == pytest.approx(1.0)
 
     def test_reversal(self):
-        assert spearman_rho([1, 2, 3, 4], [4, 3, 2, 1]) == pytest.approx(-1.0)
+        assert spearman_rho([1, 2, 3, 4], [4, 3, 2, 1], 3) == pytest.approx(-1.0)
 
     def test_worked_example(self):
         # d^2 sums to 4 at n = 4 -> 1 - 24/60
-        assert spearman_rho([1, 2, 3, 4], [2, 1, 4, 3]) == pytest.approx(0.6, abs=1e-12)
+        assert spearman_rho([1, 2, 3, 4], [2, 1, 4, 3], 3) == pytest.approx(0.6, abs=1e-12)
 
     def test_insufficient_pairs(self):
         with pytest.raises(InsufficientDataError):
@@ -78,16 +78,16 @@ class TestSpearmanRho:
 
     def test_constant_input(self):
         with pytest.raises(ConstantInputError):
-            spearman_rho([1, 1, 1], [1, 2, 3])
+            spearman_rho([1, 1, 1], [1, 2, 3], 3)
 
     def test_length_mismatch(self):
         with pytest.raises(InputError):
-            spearman_rho([1, 2, 3], [1, 2])
+            spearman_rho([1, 2, 3], [1, 2], 3)
 
     @given(st.permutations(list(range(1, 21))))
     def test_matches_closed_form_without_ties(self, perm):
         x = list(range(1, len(perm) + 1))
-        assert spearman_rho(x, perm) == pytest.approx(closed_form(x, perm), abs=1e-12)
+        assert spearman_rho(x, perm, 3) == pytest.approx(closed_form(x, perm), abs=1e-12)
 
     @given(
         st.lists(st.integers(0, 10), min_size=3, max_size=30),
@@ -96,8 +96,8 @@ class TestSpearmanRho:
     def test_symmetric_and_bounded(self, y, rnd):
         x = list(range(len(y)))
         try:
-            rho_xy = spearman_rho(x, y)
-            rho_yx = spearman_rho(y, x)
+            rho_xy = spearman_rho(x, y, 3)
+            rho_yx = spearman_rho(y, x, 3)
         except ConstantInputError:
             return
         assert rho_xy == pytest.approx(rho_yx, abs=1e-12)
@@ -107,8 +107,8 @@ class TestSpearmanRho:
     def test_invariant_under_increasing_transform(self, perm):
         x = list(range(10))
         transformed = [3.0 * v + 7 for v in perm]
-        assert spearman_rho(x, list(perm)) == pytest.approx(
-            spearman_rho(x, transformed), abs=1e-12)
+        assert spearman_rho(x, list(perm), 3) == pytest.approx(
+            spearman_rho(x, transformed, 3), abs=1e-12)
 
 
 class TestAgreementLevel:
@@ -119,18 +119,18 @@ class TestAgreementLevel:
             (f"x{k}", 3 + k) for k in range(4)
         ] + [(f"i{k}", 7 + k - 2) for k in range(2, 6)]
         natl = exact_table(national_pairs)
-        assert agreement_level(intl, natl) == (2, 6)
+        assert agreement_level(intl, natl, "warn") == (2, 6)
 
     def test_perfect_agreement(self):
         intl = exact_table([(f"i{k}", k + 1) for k in range(5)])
         natl = exact_table([(f"i{k}", k + 1) for k in range(5)])
-        assert agreement_level(intl, natl) == (5, 5)
+        assert agreement_level(intl, natl, "warn") == (5, 5)
 
     def test_tie_group_straddling_cutoff_counts_by_rank_value(self):
         intl = exact_table([("a", 10), ("b", 20)])  # s = 2
         # national competition ranks 1, 2, 2: the tie at rank 2 stays <= s
         natl = RankingTable("n", "f", ("x", "a", "b"), (1, 2, 2))
-        assert agreement_level(intl, natl) == (2, 2)
+        assert agreement_level(intl, natl, "warn") == (2, 2)
 
     def test_missing_national_warn_vs_strict(self):
         intl = exact_table([("a", 1), ("ghost", 2)])
@@ -152,7 +152,7 @@ class TestAgreementLevel:
             intl = exact_table([(u, k + 1) for k, u in enumerate(intl_insts)])
             natl_rank = {u: k + 1 for k, u in enumerate(natl_order)}
             expected = sum(1 for u in intl_insts if natl_rank[u] <= s)
-            assert agreement_level(intl, natl) == (expected, s)
+            assert agreement_level(intl, natl, "warn") == (expected, s)
 
     def test_invariant_under_relabeling(self):
         intl = exact_table([("a", 1), ("b", 2), ("c", 3)])
@@ -162,20 +162,20 @@ class TestAgreementLevel:
                              for inst, rank in zip(intl.ids, intl.ranks)])
         natl2 = exact_table([(rename[inst], rank)
                              for inst, rank in zip(natl.ids, natl.ranks)])
-        assert agreement_level(intl, natl) == agreement_level(intl2, natl2)
+        assert agreement_level(intl, natl, "warn") == agreement_level(intl2, natl2, "warn")
 
 
 class TestComparePair:
     def test_small_n_keeps_agreement(self):
         intl = exact_table([("a", 1), ("b", 2)])
         natl = exact_table([("a", 1), ("b", 2)])
-        pair = compare_pair(intl, natl)
+        pair = compare_pair(intl, natl, 3, "warn")
         assert pair.rho is None
         assert (pair.agreement_num, pair.agreement_den) == (2, 2)
 
     def test_identical_tables(self):
         pairs = [(f"u{k}", k + 1) for k in range(5)]
-        pair = compare_pair(exact_table(pairs), exact_table(pairs))
+        pair = compare_pair(exact_table(pairs), exact_table(pairs), 3, "warn")
         assert pair.rho == pytest.approx(1.0)
         assert (pair.agreement_num, pair.agreement_den) == (5, 5)
 
@@ -268,7 +268,7 @@ class TestRunCrosswalk:
         intl, natl = self.tables()
         crosswalk = FieldCrosswalk("intl", "nat", (
             ("wide", "alpha"), ("wide", "beta"), ("wide", "gamma")))
-        report = run_crosswalk(crosswalk, intl, natl)
+        report = run_crosswalk(crosswalk, intl, natl, 3, "warn")
         assert len(report.pairs) == 3
         assert report.unresolved == ()
 
@@ -276,7 +276,7 @@ class TestRunCrosswalk:
         intl, natl = self.tables()
         crosswalk = FieldCrosswalk("intl", "nat", (
             ("wide", "alpha"), ("missing", "beta")))
-        report = run_crosswalk(crosswalk, intl, natl)
+        report = run_crosswalk(crosswalk, intl, natl, 3, "warn")
         assert report.unresolved == (("missing", "beta"),)
         assert len(report.pairs) == 1
 
@@ -284,14 +284,14 @@ class TestRunCrosswalk:
         intl, natl = self.tables()
         crosswalk = FieldCrosswalk("intl", "nat", (("missing", "beta"),))
         with pytest.raises(InputError, match="zero field pairs"):
-            run_crosswalk(crosswalk, intl, natl)
+            run_crosswalk(crosswalk, intl, natl, 3, "warn")
 
     def test_empty_intersection_emits_insufficient_pair(self):
         intl = {"wide": restrict_to_system(exact_table([("stranger", 1)], "intl", "wide"),
                                            {"u0"})}
         natl = {"alpha": exact_table([("u0", 1)], "nat", "alpha")}
         crosswalk = FieldCrosswalk("intl", "nat", (("wide", "alpha"),))
-        report = run_crosswalk(crosswalk, intl, natl)
+        report = run_crosswalk(crosswalk, intl, natl, 3, "warn")
         pair = report.pairs[0]
         assert pair.rho is None
         assert pair.agreement_den == 0
@@ -309,9 +309,9 @@ class TestRunCrosswalk:
         monkeypatch.setattr(ranking, "competition_ranks", counting)
         crosswalk = FieldCrosswalk("intl", "nat", (
             ("wide", "alpha"), ("narrow", "alpha"), ("wide", "beta"), ("narrow", "beta")))
-        first = run_crosswalk(crosswalk, intl, natl)
+        first = run_crosswalk(crosswalk, intl, natl, 3, "warn")
         assert ranked == [8, 8]  # alpha and beta, once each
-        assert run_crosswalk(crosswalk, intl, natl) == first
+        assert run_crosswalk(crosswalk, intl, natl, 3, "warn") == first
         assert ranked == [8, 8]
 
     def test_duplicate_crosswalk_pair_rejected(self, tmp_path):

@@ -298,7 +298,7 @@ class TestLoadJournals:
         corpus = make_corpus({"u": [1]}, journal=make_journal(years=[2010]), year=1999)
         with pytest.raises(QuartileLookupError,
                            match="journal 'J' has no quartile for category 'alpha' in year 1999"):
-            compute_indicators(corpus, top10_threshold(corpus), missing_quartile="strict")
+            compute_indicators(corpus, top10_threshold(corpus), frozenset(), "best-all", "strict")
 
 
 class TestTimeWindow:

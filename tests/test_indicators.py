@@ -21,7 +21,8 @@ def brute_force_h(citations):
 def h_of(citations):
     """H of one institution whose papers have these citation counts."""
     corpus = make_corpus({"u": citations})
-    return compute_indicators(corpus, top10_threshold(corpus))["u"].h
+    return compute_indicators(corpus, top10_threshold(corpus), frozenset(), "best-all",
+                              "warn")[0]["u"].h
 
 
 class TestHIndex:
@@ -29,7 +30,7 @@ class TestHIndex:
         # an institution with no papers gets no indicator row, so no H; an
         # empty pool has no top-10% threshold, so any threshold will do
         corpus = make_corpus({"u": []})
-        assert compute_indicators(corpus, 0) == {}
+        assert compute_indicators(corpus, 0, frozenset(), "best-all", "warn")[0] == {}
 
     def test_all_zero(self):
         assert h_of([0, 0, 0]) == 0
@@ -76,7 +77,7 @@ class TestComputeIndicators:
         })
         t = top10_threshold(corpus)
         assert t == 9
-        ind = compute_indicators(corpus, t)["x"]
+        ind = compute_indicators(corpus, t, frozenset(), "best-all", "warn")[0]["x"]
         assert ind.ndoc == 2
         assert ind.ncit == 9
         assert ind.h == 1
@@ -85,7 +86,8 @@ class TestComputeIndicators:
 
     def test_acit_division(self):
         corpus = make_corpus({"u": [27, 0, 0, 0, 0, 0, 0, 0]})
-        ind = compute_indicators(corpus, top10_threshold(corpus))["u"]
+        ind = compute_indicators(corpus, top10_threshold(corpus), frozenset(), "best-all",
+                                 "warn")[0]["u"]
         assert ind.acit == pytest.approx(3.375)
 
     def test_pct_q1_ratio(self):
@@ -98,7 +100,8 @@ class TestComputeIndicators:
             PublicationRecord("r4", "u", 2010, "JQ3", 1),
         ]
         corpus = Corpus(tuple(records), {"JQ1": q1, "JQ3": q3})
-        ind = compute_indicators(corpus, top10_threshold(corpus))["u"]
+        ind = compute_indicators(corpus, top10_threshold(corpus), frozenset(), "best-all",
+                                 "warn")[0]["u"]
         assert ind.pct_q1 == pytest.approx(0.5)
 
     def test_q1_policy_any_relevant_vs_best_all(self):
@@ -106,10 +109,9 @@ class TestComputeIndicators:
         journal = {"inside": {2010: 2}, "outside": {2010: 1}}
         corpus = Corpus((PublicationRecord("r1", "u", 2010, "J", 1),), {"J": journal})
         t = top10_threshold(corpus)
-        relevant = compute_indicators(corpus, t, field_categories=frozenset({"inside"}),
-                                      q1_policy="any-relevant")
-        best_all = compute_indicators(corpus, t, field_categories=frozenset({"inside"}),
-                                      q1_policy="best-all")
+        relevant = compute_indicators(corpus, t, frozenset({"inside"}), "any-relevant",
+                                      "warn")[0]
+        best_all = compute_indicators(corpus, t, frozenset({"inside"}), "best-all", "warn")[0]
         assert relevant["u"].pct_q1 == 0.0
         assert best_all["u"].pct_q1 == 1.0
 
@@ -118,11 +120,12 @@ class TestComputeIndicators:
         corpus = Corpus((PublicationRecord("r1", "u", 2010, "J", 1),), {"J": journal})
         t = top10_threshold(corpus)
         with pytest.raises(QuartileLookupError):
-            compute_indicators(corpus, t, missing_quartile="strict")
+            compute_indicators(corpus, t, frozenset(), "best-all", "strict")
         # warn mode counts the paper as not-Q1
-        assert compute_indicators(corpus, t, missing_quartile="warn")["u"].pct_q1 == 0.0
+        assert compute_indicators(corpus, t, frozenset(), "best-all",
+                                  "warn")[0]["u"].pct_q1 == 0.0
 
-    def test_missing_quartiles_tallied_per_paper_sharing_journal_year(self, caplog):
+    def test_missing_quartiles_tallied_per_paper_sharing_journal_year(self):
         # every 2010 lookup misses in both categories; 2011 is Q1
         journal = make_journal(("a", "b"), quartile=1, years=[2011])
         records = [PublicationRecord(f"r{i}", inst, 2010, "J", i)
@@ -130,15 +133,12 @@ class TestComputeIndicators:
         records.append(PublicationRecord("r9", "v", 2011, "J", 0))
         corpus = Corpus(tuple(records), {"J": journal})
         t = top10_threshold(corpus)
-        with caplog.at_level("WARNING", logger="bibliorank.indicators"):
-            result = compute_indicators(corpus, t, missing_quartile="warn", field_name="F")
-        assert [r.getMessage() for r in caplog.records] == [
-            "field F: 10 quartile lookup(s) missing, counted as not-Q1"
-        ]
+        result, misses = compute_indicators(corpus, t, frozenset(), "best-all", "warn")
+        assert misses == 10
         assert result["u"].pct_q1 == 0.0
         assert result["v"].pct_q1 == pytest.approx(1 / 3)
         with pytest.raises(QuartileLookupError):
-            compute_indicators(corpus, t, missing_quartile="strict")
+            compute_indicators(corpus, t, frozenset(), "best-all", "strict")
 
     def test_strict_names_first_missing_quartile_in_corpus_order(self):
         # u's papers come first and last; the first miss in corpus order is v's
@@ -150,16 +150,19 @@ class TestComputeIndicators:
                    PublicationRecord("r3", "u", 2010, "JM2", 1)]
         corpus = Corpus(tuple(records), journals)
         with pytest.raises(QuartileLookupError, match="'JM1'"):
-            compute_indicators(corpus, top10_threshold(corpus), missing_quartile="strict")
+            compute_indicators(corpus, top10_threshold(corpus), frozenset(), "best-all",
+                               "strict")
 
     def test_ndoc_sums_to_corpus_size(self):
         corpus = make_corpus({"a": [1, 2, 3], "b": [4], "c": [5, 6]})
-        result = compute_indicators(corpus, top10_threshold(corpus))
+        result = compute_indicators(corpus, top10_threshold(corpus), frozenset(), "best-all",
+                                    "warn")[0]
         assert sum(ind.ndoc for ind in result.values()) == len(corpus)
 
     def test_zero_paper_institutions_omitted(self):
         corpus = make_corpus({"a": [1]})
-        assert set(compute_indicators(corpus, top10_threshold(corpus))) == {"a"}
+        assert set(compute_indicators(corpus, top10_threshold(corpus), frozenset(), "best-all",
+                                      "warn")[0]) == {"a"}
 
     def test_replication_keeps_ratios_scales_counts(self):
         # distinct citations, pool size a multiple of 10: threshold is tie-free
@@ -171,8 +174,8 @@ class TestComputeIndicators:
         t1 = top10_threshold(corpus1)
         tk = top10_threshold(corpusk)
         assert t1 == tk
-        ind1 = compute_indicators(corpus1, t1)
-        indk = compute_indicators(corpusk, tk)
+        ind1 = compute_indicators(corpus1, t1, frozenset(), "best-all", "warn")[0]
+        indk = compute_indicators(corpusk, tk, frozenset(), "best-all", "warn")[0]
         for inst in base:
             assert indk[inst].ndoc == k * ind1[inst].ndoc
             assert indk[inst].ncit == k * ind1[inst].ncit
@@ -186,7 +189,7 @@ def brute_force_indicators(corpus, threshold, field_categories, q1_policy):
     def is_q1(rec):
         quartiles = corpus.journals[rec.journal_id]
         cats = set(quartiles)
-        if q1_policy == "any-relevant" and field_categories is not None:
+        if q1_policy == "any-relevant":
             cats = cats & field_categories
         # a missing quartile counts as not-Q1 under "warn"
         return any(quartiles[c].get(rec.year) == 1 for c in cats)
@@ -229,12 +232,11 @@ def quartile_corpora(draw):
 
 
 @given(corpus=quartile_corpora(),
-       field_categories=st.none() | CATEGORY_SETS,
+       field_categories=CATEGORY_SETS,
        q1_policy=st.sampled_from(["any-relevant", "best-all"]))
 def test_compute_indicators_matches_brute_force(corpus, field_categories, q1_policy):
     threshold = top10_threshold(corpus)
-    result = compute_indicators(corpus, threshold, field_categories=field_categories,
-                                q1_policy=q1_policy, missing_quartile="warn")
+    result = compute_indicators(corpus, threshold, field_categories, q1_policy, "warn")[0]
     expected = brute_force_indicators(corpus, threshold, field_categories, q1_policy)
     assert {
         ind.institution_id: (ind.ndoc, ind.ncit, ind.h, ind.pct_q1, ind.acit, ind.topcit)
