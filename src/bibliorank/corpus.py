@@ -12,8 +12,8 @@ import csv
 import json
 from contextlib import contextmanager
 from functools import partial
-from itertools import repeat
-from operator import add, itemgetter
+from itertools import compress, islice, repeat
+from operator import add, eq, itemgetter
 from pathlib import Path
 from typing import (Callable, Container, ContextManager, Iterable, Iterator, Mapping,
                     NamedTuple, Sequence, TextIO)
@@ -238,29 +238,30 @@ def load_publications(path: str | Path, format: str, years: Container[int]) -> P
     # A journal id's first row has a journal cell not in the memo, so it
     # takes the full checks, which alone fill this.
     first_records: dict[str, str] = {}
-    # The ids alone: a duplicate reads the file again to name the first line.
-    seen: set[str] = set()
-    with _publication_rows(path, format) as (rows, line):
-        for cells in rows:
-            rid, inst, year, jid, cites = cells
-            try:
-                rec = _new_record((rid.strip(), institutions[inst], year_memo[year],
-                                   journals[jid], citations[cites]))
-            except (AttributeError, KeyError):  # a None record_id, or a cell not checked yet
-                rec = None
-            if rec is None or not rec.record_id:
-                rec = _check_record(cells, line(), memos)
-                first_records.setdefault(rec.journal_id, rec.record_id)
-            if rec.record_id in seen:
-                raise InputError(
-                    f"duplicate record_id {rec.record_id!r} "
-                    f"(first seen at line {_first_record_line(path, format, rec.record_id)})",
-                    line(),
-                )
-            seen.add(rec.record_id)
-            if rec.year in years:
-                records.append(rec)
-    return Publications(records, len(seen), first_records)
+    # One hash per row, sorted once at the end: a repeat is only a candidate,
+    # which _raise_duplicate settles by reading the file again.
+    hashes: list[int] = []
+    try:
+        with _publication_rows(path, format) as (rows, line):
+            for cells in rows:
+                rid, inst, year, jid, cites = cells
+                try:
+                    rec = _new_record((rid.strip(), institutions[inst], year_memo[year],
+                                       journals[jid], citations[cites]))
+                except (AttributeError, KeyError):  # a None record_id, or a cell not checked yet
+                    rec = None
+                if rec is None or not rec.record_id:
+                    rec = _check_record(cells, line(), memos)
+                    first_records.setdefault(rec.journal_id, rec.record_id)
+                hashes.append(hash(rec.record_id))
+                if rec.year in years:
+                    records.append(rec)
+    except InputError:
+        # A duplicate among the rows before the fault comes first in the file.
+        _raise_duplicate(path, format, hashes)
+        raise
+    _raise_duplicate(path, format, hashes)
+    return Publications(records, len(hashes), first_records)
 
 
 def _publication_rows(path: str | Path, format: str) -> ContextManager[Rows]:
@@ -269,16 +270,24 @@ def _publication_rows(path: str | Path, format: str) -> ContextManager[Rows]:
             else _read_jsonl(path, PUBLICATION_COLUMNS))
 
 
-def _first_record_line(path: str | Path, format: str, record_id: str) -> int | None:
-    """The line of the publications file's first row whose trimmed record_id
-    is ``record_id``. Read again only to word a duplicate, so that the load
-    keeps no line per record; every row before the duplicate passed its
-    checks, so the first match is that record's."""
+def _raise_duplicate(path: str | Path, format: str, hashes: list[int]) -> None:
+    """Raise the first duplicate record id, in file order, among the first
+    ``len(hashes)`` rows of a publications file, which passed their checks and
+    whose ids hash to ``hashes``; sorts ``hashes``. Only the ids whose hash
+    repeats are read again and tracked, so a hash collision raises nothing."""
+    hashes.sort()
+    repeated = set(compress(hashes, map(eq, hashes, islice(hashes, 1, None))))
+    if not repeated:
+        return
+    first_lines: dict[str, int] = {}
     with _publication_rows(path, format) as (rows, line):
-        for cells in rows:
-            if cells[0] is not None and normalize_id(cells[0]) == record_id:
-                return line()
-    return None
+        for cells in islice(rows, len(hashes)):
+            record_id = normalize_id(cells[0])
+            if hash(record_id) in repeated:
+                first = first_lines.setdefault(record_id, line())
+                if first != line():
+                    raise InputError(f"duplicate record_id {record_id!r} "
+                                     f"(first seen at line {first})", line()) from None
 
 
 def _check_journal_row(cells: Sequence[str | None], line: int,

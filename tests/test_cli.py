@@ -1095,7 +1095,13 @@ class TestPublicationsInWindows:
         ("R9001,UnivA,1999,J-CS-A,-1\n", "line 205: negative citations (-1)"),
         ("R9001,UnivA,1999,J-OLD,1\nR9002,UnivA,2010,J-NEW,1\n",
          "record 'R9001' references unknown journal 'J-OLD'"),
-    ], ids=["duplicate", "negative_citations", "unknown_journal"])
+        # the first fault in the file wins, though duplicates are settled after the last row
+        ("R0014,UnivB,2010,J-CS-A,1\nR9001,UnivA,1999,J-CS-A,-1\n",
+         "line 205: duplicate record_id 'R0014' (first seen at line 15)"),
+        ("R9001,UnivA,1999,J-CS-A,-1\nR0014,UnivB,2010,J-CS-A,1\n",
+         "line 205: negative citations (-1)"),
+    ], ids=["duplicate", "negative_citations", "unknown_journal",
+            "duplicate_then_negative_citations", "negative_citations_then_duplicate"])
     @pytest.mark.parametrize("command, national", COMMANDS[:3])
     def test_fault_in_a_row_outside_every_window_exits_one(
             self, workspace, monkeypatch, command, national, rows, message):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bibliorank import corpus
 from bibliorank.concordance import load_crosswalk
 from bibliorank.corpus import (
     JOURNAL_COLUMNS,
@@ -201,10 +202,10 @@ class TestLoadPublications:
         # every row's journal, by the first record that names it, in file order
         assert list(loaded.first_records.items()) == [("j1", "r1"), ("j2", "r2"), ("j3", "r3")]
 
-    def test_memory_kept_per_row_of_another_year(self, tmp_path):
-        # 20,000 rows of years outside every window, 1,000 of a year inside
-        # one: a row outside keeps its id in the load's set of ids, which
-        # goes on return, and nothing after it.
+    @staticmethod
+    def traced_bytes_per_row_of_another_year(tmp_path):
+        """The load's traced (kept, peak) bytes per row of another year, for
+        20,000 rows of years outside every window and 1,000 of a year inside one."""
         path = tmp_path / "p.csv"
         path.write_text(PUB_HEADER + "".join(
             f"r{i},u{i % 50},{2010 if i % 21 == 0 else 1990 + i % 10},j{i % 30},{i % 97}\n"
@@ -213,11 +214,71 @@ class TestLoadPublications:
         try:
             before = tracemalloc.get_traced_memory()[0]
             loaded = load_publications(path, "csv", frozenset({2010}))
-            kept = tracemalloc.get_traced_memory()[0]
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert (len(loaded.records), loaded.rows) == (1_000, 21_000)
-        assert (kept - before) / 20_000 < 24
+        return (kept - before) / 20_000, (peak - before) / 20_000
+
+    def test_memory_kept_per_row_of_another_year(self, tmp_path):
+        # a row outside keeps its id's hash in the load's list of hashes,
+        # which goes on return, and nothing after it
+        assert self.traced_bytes_per_row_of_another_year(tmp_path)[0] < 24
+
+    def test_peak_memory_per_row(self, tmp_path):
+        # while the file loads, a row of another year holds only its id's
+        # hash: a repeat is only a candidate until the file is read again,
+        # so the load keeps no set of ids
+        assert self.traced_bytes_per_row_of_another_year(tmp_path)[1] < 80
+
+    @pytest.mark.parametrize("format, tail", [
+        ("csv", 'r6,"' + "x" * 140_000 + "\n"),  # an unterminated quote: a csv.Error
+        ("jsonl", '{"record_id": "r6"\n'),
+    ], ids=["csv", "jsonl"])
+    def test_duplicate_before_later_faults_wins(self, tmp_path, format, tail):
+        # duplicates are settled after the last row, but the first fault in the file wins
+        path = tmp_path / f"p.{format}"
+        dump_publications([PublicationRecord("r1", "ua", 2010, "j1", 1),
+                           PublicationRecord("dup", "ua", 2010, "j1", 1),
+                           PublicationRecord("r3", "ua", 1999, "j1", 1),
+                           PublicationRecord("dup", "ub", 2011, "j2", 2),
+                           PublicationRecord("r5", "ua", 2010, "j1", -1)], path, format)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(tail)
+        line = 5 if format == "csv" else 4
+        with pytest.raises(InputError) as info:
+            load_records(path, format)
+        assert str(info.value) == (
+            f"line {line}: duplicate record_id 'dup' (first seen at line {line - 2})")
+        assert info.value.line == line
+
+    @pytest.mark.parametrize("format", ["csv", "jsonl"])
+    def test_cell_fault_before_duplicate_wins(self, tmp_path, format):
+        path = tmp_path / f"p.{format}"
+        dump_publications([PublicationRecord("dup", "ua", 2010, "j1", 1),
+                           PublicationRecord("r2", "ua", 1999, "j1", -1),
+                           PublicationRecord("dup", "ub", 2011, "j2", 2)], path, format)
+        line = 3 if format == "csv" else 2
+        with pytest.raises(InputError) as info:
+            load_records(path, format)
+        assert str(info.value) == f"line {line}: negative citations (-1)"
+
+    @pytest.mark.parametrize("format", ["csv", "jsonl"])
+    def test_hash_collisions_are_not_duplicates(self, tmp_path, monkeypatch, format):
+        records = [PublicationRecord(f" r{i} ", f"u{i % 3}", 2005 + i % 9, "j1", i)
+                   for i in range(20)]
+        path = tmp_path / f"p.{format}"
+        dump_publications(records, path, format)
+        years = frozenset({2006, 2010})
+        unpatched = load_publications(path, format, years)
+        monkeypatch.setattr(corpus, "hash", lambda _: 0, raising=False)  # every row a candidate
+        assert load_publications(path, format, years) == unpatched
+        dump_publications(records + [PublicationRecord("r7", "u9", 2000, "j2", 1)], path, format)
+        line = 22 if format == "csv" else 21
+        with pytest.raises(InputError) as info:
+            load_publications(path, format, years)
+        assert str(info.value) == (
+            f"line {line}: duplicate record_id 'r7' (first seen at line {line - 13})")
 
 
 JOURNAL_HEADER = "journal_id,category,year,quartile\n"
