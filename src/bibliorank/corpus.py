@@ -38,16 +38,17 @@ def normalize_category(raw: str) -> str:
 
 
 class PublicationRecord(NamedTuple):
-    """One citable paper with a snapshot citation count."""
+    """One citable paper with a snapshot citation count. Its record id is
+    checked at load and not kept: only ``validate`` prints ids, and it asks
+    the load for them (``Publications.ids``)."""
 
-    record_id: str
     institution_id: str
     year: int
     journal_id: str
     citations: int
 
 
-# A record from a tuple of its five fields, built in C: the class's own
+# A record from a tuple of its four fields, built in C: the class's own
 # __new__ is a Python function, one frame per row of a load.
 _new_record = partial(tuple.__new__, PublicationRecord)
 
@@ -129,10 +130,12 @@ def read_csv(path: str | Path, columns: Sequence[str], what: str) -> Iterator[Ro
     A header lacking any of ``columns`` is an error at line 1, naming the
     file as ``what``. A row's cells are those of ``columns``, in that order,
     as ``csv.DictReader`` gives them: a repeated name takes its last cell, a
-    short row is padded with None, and a blank row is skipped.
+    short row is padded with None, and a blank row is skipped. A row that
+    breaks the CSV syntax, such as a quote left open at the end of the file
+    or text after a closing quote, is an error at its line.
     """
     with _open_input(Path(path)) as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)
         try:
             header = next(reader, None)
             if header is None or set(columns) - set(header):
@@ -196,7 +199,8 @@ def memoize_checked(memos: Sequence[dict], cells: Sequence[str | None],
 
 
 def _check_record(cells: Sequence[str | None], line: int,
-                  memos: Sequence[dict]) -> PublicationRecord:
+                  memos: Sequence[dict]) -> tuple[str, PublicationRecord]:
+    """A publications row's record id and record, once every cell passed its check."""
     # Every cell is normalized before the check, so a blank one counts as missing.
     texts = ["" if c is None else normalize_id(c) for c in cells]
     missing = [c for c, text in zip(PUBLICATION_COLUMNS, texts) if not text]
@@ -212,7 +216,7 @@ def _check_record(cells: Sequence[str | None], line: int,
     if citations > CITATIONS_MAX:
         raise InputError(f"citations {citations} above sanity bound {CITATIONS_MAX}", line)
     # record_id is unique, so it is not memoized.
-    return PublicationRecord(record_id, *memoize_checked(
+    return record_id, PublicationRecord(*memoize_checked(
         memos, cells[1:], (institution_id, year, journal_id, citations)))
 
 
@@ -221,20 +225,26 @@ class Publications(NamedTuple):
 
     records: list[PublicationRecord]  # those of the years asked for, in file order
     rows: int  # every data row, of those years or not
-    # Each journal id, in file order, and the first record that names it.
+    # Each journal id, in file order, and the id of the first record that names it.
     first_records: dict[str, str]
+    # The record id of each of ``records``, in the same order, if the load
+    # was asked for them; else empty.
+    ids: list[str]
 
 
-def load_publications(path: str | Path, format: str, years: Container[int]) -> Publications:
+def load_publications(path: str | Path, format: str, years: Container[int],
+                      keep_ids: bool) -> Publications:
     """Load the records of ``years`` from a CSV or JSONL publications file.
 
     Every row is checked, of those years or not; a duplicate record id is an
     error naming both rows. Only a record whose year is in ``years`` is kept,
-    and row order is preserved. ``RunConfig.validate`` checks ``format``.
+    and row order is preserved. A record id is kept only under ``keep_ids``,
+    in ``Publications.ids``. ``RunConfig.validate`` checks ``format``.
     """
     memos: tuple[dict, ...] = ({}, {}, {}, {})
     institutions, year_memo, journals, citations = memos
     records: list[PublicationRecord] = []
+    ids: list[str] = []
     # A journal id's first row has a journal cell not in the memo, so it
     # takes the full checks, which alone fill this.
     first_records: dict[str, str] = {}
@@ -246,22 +256,25 @@ def load_publications(path: str | Path, format: str, years: Container[int]) -> P
             for cells in rows:
                 rid, inst, year, jid, cites = cells
                 try:
-                    rec = _new_record((rid.strip(), institutions[inst], year_memo[year],
+                    record_id = rid.strip()
+                    rec = _new_record((institutions[inst], year_memo[year],
                                        journals[jid], citations[cites]))
                 except (AttributeError, KeyError):  # a None record_id, or a cell not checked yet
-                    rec = None
-                if rec is None or not rec.record_id:
-                    rec = _check_record(cells, line(), memos)
-                    first_records.setdefault(rec.journal_id, rec.record_id)
-                hashes.append(hash(rec.record_id))
+                    record_id = ""
+                if not record_id:
+                    record_id, rec = _check_record(cells, line(), memos)
+                    first_records.setdefault(rec.journal_id, record_id)
+                hashes.append(hash(record_id))
                 if rec.year in years:
                     records.append(rec)
+                    if keep_ids:
+                        ids.append(record_id)
     except InputError:
         # A duplicate among the rows before the fault comes first in the file.
         _raise_duplicate(path, format, hashes)
         raise
     _raise_duplicate(path, format, hashes)
-    return Publications(records, len(hashes), first_records)
+    return Publications(records, len(hashes), first_records, ids)
 
 
 def _publication_rows(path: str | Path, format: str) -> ContextManager[Rows]:

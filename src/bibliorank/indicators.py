@@ -87,7 +87,7 @@ def compute_indicators(field_corpus: Corpus, threshold: int,
     q1_by_inst: dict[str, int] = {}
     decided: dict[tuple[str, int], tuple[bool, int]] = {}
     total_misses = 0
-    for _, inst, year, journal_id, citations in field_corpus.publications:
+    for inst, year, journal_id, citations in field_corpus.publications:
         key = (journal_id, year)
         if key not in decided:
             decided[key] = _is_q1(

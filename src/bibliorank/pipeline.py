@@ -148,12 +148,13 @@ class ValidationReport(NamedTuple):
     unassigned_by_window: Mapping[str, tuple[str, ...]]
 
 
-def _load_inputs(config: RunConfig, windows: Sequence[TimeWindow]
+def _load_inputs(config: RunConfig, windows: Sequence[TimeWindow], keep_ids: bool
                  ) -> tuple[Publications, dict[str, Quartiles], Taxonomy]:
     """Parse the publications, journals and taxonomy files, once per run,
     keeping of the first two only the records and quartiles of years inside
-    one of ``windows``, the windows the command ranks. Then check that every
-    record, in any window or none, names a journal of the journals file.
+    one of ``windows``, the windows the command ranks, and the records' ids
+    only under ``keep_ids``. Then check that every record, in any window or
+    none, names a journal of the journals file.
 
     The two parses are the two indices of ``fork_shares``: the
     publications, index 0, are parsed in this process and stay here (a round
@@ -166,7 +167,7 @@ def _load_inputs(config: RunConfig, windows: Sequence[TimeWindow]
     """
     years = window_years(windows)
     loads = (partial(load_publications, config.publications, config.publications_format,
-                     years),
+                     years, keep_ids),
              partial(_journals_in_windows, config.journals, years))
     publications, journals = fork_shares((1, 1), lambda i: loads[i]())
     taxonomy = load_taxonomy(config.taxonomy)
@@ -182,19 +183,29 @@ def _journals_in_windows(path: Path, years: frozenset[int]
     """The journals file, every row checked, with only the quartiles of
     ``years``: a quartile is looked up only for a record in a window, and so
     only for a year in one. Every journal and category is kept, so the
-    journal count and the unknown-journal check see them all."""
+    journal count and the unknown-journal check see them all.
+
+    The (journal, category) pairs with the same quartiles in ``years`` share
+    one year map, which no caller changes. Marshal sends a map held more
+    than once as one object, so the sharing survives the trip back from a
+    forked child."""
     journals = load_journals(path)
+    shared: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
     for by_cat in journals.values():
         for cat, by_year in by_cat.items():
-            # A new dict, sized to its years: deleting keys would not shrink one.
-            by_cat[cat] = {year: q for year, q in by_year.items() if year in years}
+            series = tuple(sorted((year, q) for year, q in by_year.items() if year in years))
+            kept = shared.get(series)
+            if kept is None:
+                # A new dict, sized to its years: deleting keys would not shrink one.
+                kept = shared[series] = dict(series)
+            by_cat[cat] = kept
     return journals
 
 
 def run_validate(config: RunConfig) -> ValidationReport:
     """Run all loaders and per-window corpus builds; raise on hard errors."""
     config.validate()
-    publications, journals, taxonomy = _load_inputs(config, config.windows)
+    publications, journals, taxonomy = _load_inputs(config, config.windows, keep_ids=True)
     _check_field_stems(taxonomy)
     external = ({} if config.external_rankings is None
                 else load_external_rankings(config.external_rankings))
@@ -202,15 +213,18 @@ def run_validate(config: RunConfig) -> ValidationReport:
         _supplied_national_tables(config, load_external_rankings(config.national_rankings))
     if config.crosswalk is not None:
         _load_crosswalks(config, external)
+    # A record matches no field iff its journal has no category of any field.
+    categories = frozenset().union(*taxonomy.values())
     retained: dict[str, int] = {}
     dropped: dict[str, int] = {}
     unassigned: dict[str, tuple[str, ...]] = {}
     for window in config.windows:
         corpus = build_corpus(publications.records, journals, window)
-        assignment = assign_fields(corpus, taxonomy)
         retained[str(window)] = len(corpus)
         dropped[str(window)] = publications.rows - len(corpus)
-        unassigned[str(window)] = assignment.unassigned
+        unassigned[str(window)] = tuple(sorted(
+            record_id for rec, record_id in zip(publications.records, publications.ids)
+            if rec.year in window and categories.isdisjoint(journals[rec.journal_id])))
     return ValidationReport(
         publication_count=publications.rows,
         journal_count=len(journals),
@@ -328,7 +342,7 @@ def run_rank(config: RunConfig) -> list[Path]:
     w10, ...). Returns the written paths in deterministic order.
     """
     config.validate()
-    publications, journals, taxonomy = _load_inputs(config, config.windows)
+    publications, journals, taxonomy = _load_inputs(config, config.windows, keep_ids=False)
     _check_field_stems(taxonomy)
     written: list[Path] = []
     for window in config.windows:
@@ -370,7 +384,7 @@ def _national_tables(config: RunConfig) -> dict[str, RankingTable]:
     """Without a national file: the tables of ranking the first window, its
     fields spread over the usable CPUs as ``rank`` spreads them. Only that
     window's records and quartiles are kept."""
-    publications, journals, taxonomy = _load_inputs(config, config.windows[:1])
+    publications, journals, taxonomy = _load_inputs(config, config.windows[:1], keep_ids=False)
     results = compute_field_results(config.windows[0], publications.records, journals,
                                     taxonomy, partial(_field_table, config, taxonomy))
     if not results:

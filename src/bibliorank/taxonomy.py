@@ -22,11 +22,9 @@ Taxonomy = Mapping[str, frozenset[str]]
 
 
 class FieldAssignment(NamedTuple):
-    """Each field's records in corpus order, and the sorted ids of the
-    records that matched no field, for the coverage report."""
+    """Each field's records in corpus order."""
 
     records_by_field: Mapping[str, tuple[PublicationRecord, ...]]
-    unassigned: tuple[str, ...]
 
 
 def load_taxonomy(path: str | Path) -> dict[str, frozenset[str]]:
@@ -69,21 +67,15 @@ def assign_fields(corpus: Corpus, taxonomy: Taxonomy) -> FieldAssignment:
     """
     buckets: dict[str, list[PublicationRecord]] = {name: [] for name in taxonomy}
     matched_by_journal: dict[str, frozenset[str]] = {}
-    unassigned: list[str] = []
     for rec in corpus.publications:
         matched = matched_by_journal.get(rec.journal_id)
         if matched is None:
             journal = corpus.journals[rec.journal_id]  # its keys are its categories
             matched = matched_by_journal[rec.journal_id] = frozenset(
                 name for name, cats in taxonomy.items() if not cats.isdisjoint(journal))
-        if not matched:
-            unassigned.append(rec.record_id)
         for name in matched:
             buckets[name].append(rec)
-    return FieldAssignment(
-        records_by_field={name: tuple(recs) for name, recs in buckets.items()},
-        unassigned=tuple(sorted(unassigned)),
-    )
+    return FieldAssignment({name: tuple(recs) for name, recs in buckets.items()})
 
 
 def field_corpus(corpus: Corpus, assignment: FieldAssignment, field: str) -> Corpus:

@@ -21,11 +21,9 @@ def make_journal(categories=("alpha",), quartile=2, years=range(2000, 2021)):
 def make_corpus(citations_by_inst, journal=None, year=2010):
     """Corpus from {institution: [citations, ...]}, one shared journal "J"."""
     records = []
-    i = 0
     for inst, citation_list in citations_by_inst.items():
         for c in citation_list:
-            i += 1
-            records.append(PublicationRecord(f"r{i}", inst, year, "J", c))
+            records.append(PublicationRecord(inst, year, "J", c))
     return Corpus(tuple(records), {"J": journal or make_journal()})
 
 

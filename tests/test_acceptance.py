@@ -68,8 +68,8 @@ def test_02_h_index_oracle_equivalence():
             counts = (citations[None, :] >= hs[:, None]).sum(axis=1)
             feasible = hs[counts >= hs]
             expected = int(feasible.max()) if feasible.size else 0
-        # one institution's papers; record ids do not matter to the indicators
-        corpus = Corpus(tuple(PublicationRecord("r", "u", 2010, "J", c)
+        # one institution's papers
+        corpus = Corpus(tuple(PublicationRecord("u", 2010, "J", c)
                               for c in citations.tolist()), journals)
         # top10_threshold needs a non-empty pool; with no papers any threshold
         # gives no indicator row
@@ -193,11 +193,9 @@ def test_08_size_independence_split():
     for k in (2, 3, 5):
         def corpus_for(mult):
             records = []
-            i = 0
             for inst, papers in base.items():
                 for jid, c in papers * mult:
-                    i += 1
-                    records.append(PublicationRecord(f"r{i}", inst, 2010, jid, c))
+                    records.append(PublicationRecord(inst, 2010, jid, c))
             return Corpus(tuple(records), {"JQ1": q1, "JQ3": q3})
 
         c1, ck = corpus_for(1), corpus_for(k)

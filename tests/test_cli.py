@@ -157,6 +157,23 @@ class TestValidate:
         for rid in ["R0201", "R0202", "R0203"]:
             assert f"unassigned: {rid}" in result.output
 
+    def test_unassigned_lines_do_not_depend_on_cpus(self, workspace, monkeypatch):
+        # R9001 names J-OTHER, a journal of no field, as R0201-R0203 do, but
+        # its year is outside every window, so no window lists it
+        with (workspace / "publications.csv").open("a", encoding="utf-8") as fh:
+            fh.write("R9001,UnivA,1999,J-OTHER,1\n")
+        outputs = []
+        for cpus in (1, 2):
+            forked = pin_cpus(monkeypatch, cpus)
+            result = run_cli("validate", "--config", str(workspace / "config.json"))
+            assert_no_child_process()
+            assert result.exit_code == 0, result.output
+            assert len(forked) == cpus - 1
+            outputs.append(result.output)
+        assert outputs[0] == outputs[1]
+        assert re.findall(r"(?m)^  unassigned: (.*)$", outputs[1]) == [
+            "R0201", "R0202", "R0203"] * 2
+
     def test_corrupted_csv_exits_one(self, workspace):
         (workspace / "publications.csv").write_text(
             "record_id,institution_id,year,journal_id,citations\n"
@@ -952,7 +969,7 @@ class TestJournalsInWindows:
                 set_national(workspace, national)
                 journals.write_text(header + "".join(rows), encoding="utf-8")
                 config = load_config(workspace / "config.json")
-                loaded = pipeline._load_inputs(config, config.windows)[1]
+                loaded = pipeline._load_inputs(config, config.windows, False)[1]
                 before = outputs_of(workspace, command, workspace / "before")
                 journals.write_text(header + "".join(kept), encoding="utf-8")
                 assert loaded == pipeline.load_journals(journals)
@@ -973,6 +990,27 @@ class TestJournalsInWindows:
             range(2003, 2013))
         result = run_cli("validate", "--config", str(workspace / "config.json"))
         assert "journals: 7\n" in result.output, result.output  # the fixtures' 6 and J-OLD
+
+    def test_equal_series_share_one_map_through_a_child(self, workspace, monkeypatch):
+        # J-A and J-B hold the same quartiles in the windows' years, in
+        # another row order, and differ outside them; J-C differs inside them
+        with (workspace / "journals.csv").open("a", encoding="utf-8") as fh:
+            fh.write("J-A,x,2001,1\nJ-A,x,2010,2\nJ-A,x,2011,3\n"
+                     "J-B,y,2011,3\nJ-B,y,2010,2\nJ-B,y,2014,4\nJ-C,x,2010,2\n")
+        config = load_config(workspace / "config.json")
+        years = window_years(config.windows)
+        forked = pin_cpus(monkeypatch, 2)
+        load = partial(pipeline._journals_in_windows, config.journals, years)
+        for journals in (load(), forks._fork_call(load)(),
+                         pipeline._load_inputs(config, config.windows, False)[1]):
+            assert journals["J-A"]["x"] == {2010: 2, 2011: 3}
+            assert journals["J-A"]["x"] is journals["J-B"]["y"]
+            assert journals["J-C"]["x"] is not journals["J-A"]["x"]
+            maps = [by_year for by_cat in journals.values() for by_year in by_cat.values()]
+            assert len({id(m) for m in maps}) == len(
+                {tuple(sorted(m.items())) for m in maps}) < len(maps)
+        assert len(forked) == 2
+        assert_no_child_process()
 
     @pytest.mark.parametrize("row, message", [
         ('J-CS-A,"Computer Science, Artificial Intelligence",2014,2\n',
@@ -1055,17 +1093,17 @@ class TestPublicationsInWindows:
         assert first < window_years(config.windows)
         kept = []
 
-        def keeping(name, years_of):
+        def keeping(name, years_at, years_of):
             real = getattr(pipeline, name)
 
             def wrapper(*args):
                 value = real(*args)
-                kept.append((name, args[-1], years_of(value)))
+                kept.append((name, args[years_at], years_of(value)))
                 return value
             monkeypatch.setattr(pipeline, name, wrapper)
 
-        keeping("load_publications", lambda p: {rec.year for rec in p.records})
-        keeping("_journals_in_windows", lambda j: {
+        keeping("load_publications", 2, lambda p: {rec.year for rec in p.records})
+        keeping("_journals_in_windows", 1, lambda j: {
             year for by_cat in j.values() for by_year in by_cat.values() for year in by_year})
         pin_cpus(monkeypatch, 1)
         before = outputs_of(workspace, "compare", workspace / "before")
@@ -1083,10 +1121,15 @@ class TestPublicationsInWindows:
     def test_load_inputs_keeps_records_in_windows_in_file_order(self, workspace, windows):
         config = load_config(workspace / "config.json")
         years = window_years(config.windows[windows])
-        publications = pipeline._load_inputs(config, config.windows[windows])[0]
-        records = fixture_records()
-        assert publications.records == [rec for rec in records if rec[2] in years]
-        assert publications.rows == len(records) > len(publications.records)
+        publications = pipeline._load_inputs(config, config.windows[windows], True)[0]
+        rows = fixture_records()
+        kept = [row for row in rows if row[2] in years]
+        assert publications.records == [row[1:] for row in kept]
+        assert publications.ids == [row[0] for row in kept]
+        assert publications.rows == len(rows) > len(publications.records)
+        # rank and compare keep no record id
+        without_ids = pipeline._load_inputs(config, config.windows[windows], False)[0]
+        assert without_ids == publications._replace(ids=[])
 
     @pytest.mark.parametrize("rows, message", [
         # R0014's row, line 15, is of 2014
@@ -1100,8 +1143,11 @@ class TestPublicationsInWindows:
          "line 205: duplicate record_id 'R0014' (first seen at line 15)"),
         ("R9001,UnivA,1999,J-CS-A,-1\nR0014,UnivB,2010,J-CS-A,1\n",
          "line 205: negative citations (-1)"),
+        # the last row of the file opens a quote and never closes it
+        ('R9001,UnivA,1999,J-CS-A,"5', "line 205: malformed CSV: unexpected end of data"),
     ], ids=["duplicate", "negative_citations", "unknown_journal",
-            "duplicate_then_negative_citations", "negative_citations_then_duplicate"])
+            "duplicate_then_negative_citations", "negative_citations_then_duplicate",
+            "unterminated_quote"])
     @pytest.mark.parametrize("command, national", COMMANDS[:3])
     def test_fault_in_a_row_outside_every_window_exits_one(
             self, workspace, monkeypatch, command, national, rows, message):
@@ -1246,7 +1292,7 @@ class TestForkPoints:
         forked = pin_cpus(monkeypatch, 2)
         config = load_config(workspace / "config.json")
         with pytest.raises(InputError) as info:
-            pipeline._load_inputs(config, config.windows)
+            pipeline._load_inputs(config, config.windows, False)
         assert_no_child_process()
         assert len(forked) == 1
         assert info.value.line == 86
@@ -1269,11 +1315,11 @@ class TestForkPoints:
             return {field: RankingTable(*c) for field, c in columns.items()}
 
         forked = pin_cpus(monkeypatch, 2)
-        through_child = pipeline._load_inputs(config, config.windows)[1], national(
+        through_child = pipeline._load_inputs(config, config.windows, False)[1], national(
             forks._fork_call(partial(pipeline._national_file_columns, config))())
         assert len(forked) == 2
         forked = pin_cpus(monkeypatch, 1)
-        in_process = (pipeline._load_inputs(config, config.windows)[1],
+        in_process = (pipeline._load_inputs(config, config.windows, False)[1],
                       national(pipeline._national_file_columns(config)))
         assert not forked
         child, parent = ((journals, {field: t.columns() for field, t in tables.items()})

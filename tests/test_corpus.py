@@ -5,6 +5,7 @@ import re
 import tempfile
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,16 +40,26 @@ def write(tmp_path, name, text):
     return path
 
 
-def dump_publications(records, path, format):
-    """Serialize records so that a re-load round-trips exactly."""
+class Row(NamedTuple):
+    """A publications row: its record id, then the fields of its record."""
+
+    record_id: str
+    institution_id: str
+    year: int
+    journal_id: str
+    citations: int
+
+
+def dump_publications(rows, path, format):
+    """Serialize rows so that a re-load round-trips exactly."""
     with path.open("w", encoding="utf-8", newline="") as fh:
         if format == "csv":
             writer = csv.writer(fh)
             writer.writerow(PUBLICATION_COLUMNS)
-            for r in records:
+            for r in rows:
                 writer.writerow([r.record_id, r.institution_id, r.year, r.journal_id, r.citations])
         else:
-            for r in records:
+            for r in rows:
                 fh.write(json.dumps({
                     "record_id": r.record_id,
                     "institution_id": r.institution_id,
@@ -62,9 +73,12 @@ PUB_HEADER = "record_id,institution_id,year,journal_id,citations\n"
 EVERY_YEAR = window_years([TimeWindow(YEAR_MIN, YEAR_MAX)])
 
 
-def load_records(path, format):
-    """Every record of a publications file: those of each year a valid row can hold."""
-    return load_publications(path, format, EVERY_YEAR).records
+def load_rows(path, format):
+    """Every row of a publications file, each a Row of its id and record:
+    those of each year a valid row can hold."""
+    loaded = load_publications(path, format, EVERY_YEAR, True)
+    return [Row(record_id, *rec) for record_id, rec in zip(loaded.ids, loaded.records)]
+
 RANKING_HEADER = "system_name,field_name,institution_id,rank\n"
 
 
@@ -75,15 +89,15 @@ class TestLoadPublications:
             "r2,ub,2011,j1,0\n"
             "r3,ua,2012,j2,17\n"
         ))
-        records = load_records(path, "csv")
+        records = load_rows(path, "csv")
         assert len(records) == 3
-        assert records[0] == PublicationRecord("r1", "ua", 2010, "j1", 5)
+        assert records[0] == Row("r1", "ua", 2010, "j1", 5)
         assert records[2].citations == 17
 
     def test_negative_citations_names_row(self, tmp_path):
         path = write(tmp_path, "p.csv", PUB_HEADER + "r1,ua,2010,j1,-1\n")
         with pytest.raises(InputError, match="line 2.*negative"):
-            load_records(path, "csv")
+            load_rows(path, "csv")
 
     def test_duplicate_id_names_both_rows(self, tmp_path):
         path = write(tmp_path, "p.csv", PUB_HEADER + (
@@ -94,7 +108,7 @@ class TestLoadPublications:
             "r5,ua,2010,j1,1\n"
         ))
         with pytest.raises(InputError, match=r"line 5.*'dup'.*line 3"):
-            load_records(path, "csv")
+            load_rows(path, "csv")
 
     def test_duplicate_after_blank_and_multiline_rows_names_physical_lines(self, tmp_path):
         path = write(tmp_path, "p.csv", PUB_HEADER + (
@@ -103,7 +117,7 @@ class TestLoadPublications:
             "dup,ub,2011,j1,2\n"
         ))
         with pytest.raises(InputError, match=r"line 5.*'dup'.*line 4"):
-            load_records(path, "csv")
+            load_rows(path, "csv")
 
     @pytest.mark.parametrize("name, text", [
         ("p.csv", PUB_HEADER + 'r1,"u\na",2010,j1,1\n\n\n dup ,ua,2010,j1,1\n'
@@ -120,7 +134,7 @@ class TestLoadPublications:
         path = write(tmp_path, name, text)
         line = 8 if name == "p.csv" else 6
         with pytest.raises(InputError) as info:
-            load_records(path, name.rsplit(".", 1)[1])
+            load_rows(path, name.rsplit(".", 1)[1])
         assert str(info.value) == (
             f"line {line}: duplicate record_id 'dup' (first seen at line {line - 2})")
         assert info.value.line == line
@@ -128,24 +142,24 @@ class TestLoadPublications:
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "p.csv", "record_id,year,journal_id,citations\nr1,2010,j1,1\n")
         with pytest.raises(InputError):
-            load_records(path, "csv")
+            load_rows(path, "csv")
 
     def test_year_sanity_range(self, tmp_path):
         path = write(tmp_path, "p.csv", PUB_HEADER + "r1,ua,1825,j1,1\n")
         with pytest.raises(InputError, match="sanity range"):
-            load_records(path, "csv")
+            load_rows(path, "csv")
 
     def test_jsonl(self, tmp_path):
         path = write(tmp_path, "p.jsonl",
                      '{"record_id":"r1","institution_id":"ua","year":2010,'
                      '"journal_id":"j1","citations":3}\n')
-        records = load_records(path, "jsonl")
-        assert records == [PublicationRecord("r1", "ua", 2010, "j1", 3)]
+        records = load_rows(path, "jsonl")
+        assert records == [Row("r1", "ua", 2010, "j1", 3)]
 
     def test_jsonl_parse_error_has_line(self, tmp_path):
         path = write(tmp_path, "p.jsonl", '{"record_id": "r1"\n')
         with pytest.raises(InputError, match="line 1"):
-            load_records(path, "jsonl")
+            load_rows(path, "jsonl")
 
     @pytest.mark.parametrize("value", ["[1, 2]", "7"], ids=["array", "number"])
     def test_jsonl_non_object_line_has_line(self, tmp_path, value):
@@ -153,11 +167,11 @@ class TestLoadPublications:
                      '{"record_id":"r1","institution_id":"ua","year":2010,'
                      '"journal_id":"j1","citations":3}\n' + value + "\n")
         with pytest.raises(InputError, match="line 2.*JSON object"):
-            load_records(path, "jsonl")
+            load_rows(path, "jsonl")
 
     def test_ids_trimmed(self, tmp_path):
         path = write(tmp_path, "p.csv", PUB_HEADER + " r1 , ua ,2010, j1 ,5\n")
-        rec = load_records(path, "csv")[0]
+        rec = load_rows(path, "csv")[0]
         assert (rec.record_id, rec.institution_id, rec.journal_id) == ("r1", "ua", "j1")
 
     @pytest.mark.parametrize("column", ["record_id", "institution_id", "journal_id"])
@@ -174,17 +188,15 @@ class TestLoadPublications:
         line = 2 if format == "csv" else 1
         with pytest.raises(InputError,
                            match=re.escape(f"line {line}: missing required column(s) {column}")):
-            load_records(path, format)
+            load_rows(path, format)
 
     @pytest.mark.parametrize("format", ["csv", "jsonl"])
     def test_round_trip(self, tmp_path, format):
-        records = [
-            PublicationRecord(f"r{i}", f"u{i % 3}", 2005 + i % 9, "j1", i * 7 % 23)
-            for i in range(20)
-        ]
+        records = [Row(f"r{i}", f"u{i % 3}", 2005 + i % 9, "j1", i * 7 % 23)
+                   for i in range(20)]
         path = tmp_path / f"out.{format}"
         dump_publications(records, path, format)
-        assert load_records(path, format) == records
+        assert load_rows(path, format) == records
 
     def test_only_records_of_the_years_asked_for_are_kept(self, tmp_path):
         path = write(tmp_path, "p.csv", PUB_HEADER + (
@@ -194,13 +206,17 @@ class TestLoadPublications:
             "r4,ua,2011,j1,2\n"
             "r5,uc,2010,j3,3\n"
         ))
-        loaded = load_publications(path, "csv", window_years([TimeWindow(2010, 2011)]))
-        assert loaded.records == [PublicationRecord("r2", "ub", 2010, "j2", 0),
-                                  PublicationRecord("r4", "ua", 2011, "j1", 2),
-                                  PublicationRecord("r5", "uc", 2010, "j3", 3)]
+        years = window_years([TimeWindow(2010, 2011)])
+        loaded = load_publications(path, "csv", years, True)
+        assert loaded.records == [PublicationRecord("ub", 2010, "j2", 0),
+                                  PublicationRecord("ua", 2011, "j1", 2),
+                                  PublicationRecord("uc", 2010, "j3", 3)]
+        assert loaded.ids == ["r2", "r4", "r5"]
         assert loaded.rows == 5
         # every row's journal, by the first record that names it, in file order
         assert list(loaded.first_records.items()) == [("j1", "r1"), ("j2", "r2"), ("j3", "r3")]
+        # without keep_ids, the same but no id of a record
+        assert load_publications(path, "csv", years, False) == loaded._replace(ids=[])
 
     @staticmethod
     def traced_bytes_per_row_of_another_year(tmp_path):
@@ -213,7 +229,7 @@ class TestLoadPublications:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            loaded = load_publications(path, "csv", frozenset({2010}))
+            loaded = load_publications(path, "csv", frozenset({2010}), False)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -231,6 +247,24 @@ class TestLoadPublications:
         # so the load keeps no set of ids
         assert self.traced_bytes_per_row_of_another_year(tmp_path)[1] < 80
 
+    def test_memory_kept_per_record_of_the_years_asked_for(self, tmp_path):
+        # a kept record is four fields, whose texts the memos share, and its
+        # list slot: its record id goes with its row (about 92 bytes here,
+        # against 156-165 when each record held its id)
+        path = tmp_path / "p.csv"
+        path.write_text(PUB_HEADER + "".join(
+            f"record-{i:08d},u{i % 50},2010,j{i % 30},{i % 97}\n" for i in range(10_000)),
+            encoding="utf-8")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_publications(path, "csv", frozenset({2010}), False)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (len(loaded.records), loaded.ids) == (10_000, [])
+        assert (kept - before) / 10_000 < 110
+
     @pytest.mark.parametrize("format, tail", [
         ("csv", 'r6,"' + "x" * 140_000 + "\n"),  # an unterminated quote: a csv.Error
         ("jsonl", '{"record_id": "r6"\n'),
@@ -238,16 +272,16 @@ class TestLoadPublications:
     def test_duplicate_before_later_faults_wins(self, tmp_path, format, tail):
         # duplicates are settled after the last row, but the first fault in the file wins
         path = tmp_path / f"p.{format}"
-        dump_publications([PublicationRecord("r1", "ua", 2010, "j1", 1),
-                           PublicationRecord("dup", "ua", 2010, "j1", 1),
-                           PublicationRecord("r3", "ua", 1999, "j1", 1),
-                           PublicationRecord("dup", "ub", 2011, "j2", 2),
-                           PublicationRecord("r5", "ua", 2010, "j1", -1)], path, format)
+        dump_publications([Row("r1", "ua", 2010, "j1", 1),
+                           Row("dup", "ua", 2010, "j1", 1),
+                           Row("r3", "ua", 1999, "j1", 1),
+                           Row("dup", "ub", 2011, "j2", 2),
+                           Row("r5", "ua", 2010, "j1", -1)], path, format)
         with path.open("a", encoding="utf-8") as fh:
             fh.write(tail)
         line = 5 if format == "csv" else 4
         with pytest.raises(InputError) as info:
-            load_records(path, format)
+            load_rows(path, format)
         assert str(info.value) == (
             f"line {line}: duplicate record_id 'dup' (first seen at line {line - 2})")
         assert info.value.line == line
@@ -255,28 +289,27 @@ class TestLoadPublications:
     @pytest.mark.parametrize("format", ["csv", "jsonl"])
     def test_cell_fault_before_duplicate_wins(self, tmp_path, format):
         path = tmp_path / f"p.{format}"
-        dump_publications([PublicationRecord("dup", "ua", 2010, "j1", 1),
-                           PublicationRecord("r2", "ua", 1999, "j1", -1),
-                           PublicationRecord("dup", "ub", 2011, "j2", 2)], path, format)
+        dump_publications([Row("dup", "ua", 2010, "j1", 1),
+                           Row("r2", "ua", 1999, "j1", -1),
+                           Row("dup", "ub", 2011, "j2", 2)], path, format)
         line = 3 if format == "csv" else 2
         with pytest.raises(InputError) as info:
-            load_records(path, format)
+            load_rows(path, format)
         assert str(info.value) == f"line {line}: negative citations (-1)"
 
     @pytest.mark.parametrize("format", ["csv", "jsonl"])
     def test_hash_collisions_are_not_duplicates(self, tmp_path, monkeypatch, format):
-        records = [PublicationRecord(f" r{i} ", f"u{i % 3}", 2005 + i % 9, "j1", i)
-                   for i in range(20)]
+        rows = [Row(f" r{i} ", f"u{i % 3}", 2005 + i % 9, "j1", i) for i in range(20)]
         path = tmp_path / f"p.{format}"
-        dump_publications(records, path, format)
+        dump_publications(rows, path, format)
         years = frozenset({2006, 2010})
-        unpatched = load_publications(path, format, years)
+        unpatched = load_publications(path, format, years, True)
         monkeypatch.setattr(corpus, "hash", lambda _: 0, raising=False)  # every row a candidate
-        assert load_publications(path, format, years) == unpatched
-        dump_publications(records + [PublicationRecord("r7", "u9", 2000, "j2", 1)], path, format)
+        assert load_publications(path, format, years, True) == unpatched
+        dump_publications(rows + [Row("r7", "u9", 2000, "j2", 1)], path, format)
         line = 22 if format == "csv" else 21
         with pytest.raises(InputError) as info:
-            load_publications(path, format, years)
+            load_publications(path, format, years, False)
         assert str(info.value) == (
             f"line {line}: duplicate record_id 'r7' (first seen at line {line - 13})")
 
@@ -377,8 +410,8 @@ class TestTimeWindow:
 
 # Each input loader with the header line its file format needs.
 EVERY_LOADER = pytest.mark.parametrize("loader, header", [
-    (lambda p: load_records(p, "csv"), PUB_HEADER),
-    (lambda p: load_records(p, "jsonl"), ""),
+    (lambda p: load_rows(p, "csv"), PUB_HEADER),
+    (lambda p: load_rows(p, "jsonl"), ""),
     (load_journals, JOURNAL_HEADER),
     (load_taxonomy, "field_name,level,category\n"),
     (load_external_rankings, "system_name,field_name,institution_id,rank\n"),
@@ -415,6 +448,27 @@ def test_byte_order_mark_is_dropped(tmp_path, loader, header):
     plain.write_text(text, encoding="utf-8")
     marked.write_text("\ufeff" + text, encoding="utf-8")
     assert as_data(loader(marked)) == as_data(loader(plain))
+
+
+@pytest.mark.parametrize("loader, header", [
+    (lambda p: load_rows(p, "csv"), PUB_HEADER),
+    (load_journals, JOURNAL_HEADER),
+    (load_taxonomy, "field_name,level,category\n"),
+    (load_external_rankings, RANKING_HEADER),
+    (load_crosswalk, "source_system,source_field,target_system,target_field\n"),
+], ids=["publications", "journals", "taxonomy", "external_rankings", "crosswalk"])
+@pytest.mark.parametrize("tail, message", [
+    ('x,"5', "unexpected end of data"),
+    ('x,"5"z\n', "',' expected after '\"'"),
+], ids=["quote_open_at_end", "text_after_quote"])
+def test_malformed_csv_is_an_error_at_its_line(tmp_path, loader, header, tail, message):
+    # read without strict mode, either row would load as the cells x and 5 or 5z
+    path = tmp_path / "input.csv"
+    path.write_text(header + VALID_ROWS[header] + tail, encoding="utf-8")
+    with pytest.raises(InputError) as info:
+        loader(path)
+    assert str(info.value) == f"line 4: malformed CSV: {message}"
+    assert info.value.line == 4
 
 
 @EVERY_LOADER
@@ -460,11 +514,32 @@ READ_COLUMNS = ("a", "b", "c")
 
 
 def dictreader_rows(path, columns):
-    """The reference for read_csv: csv.DictReader's rows cut to ``columns``,
-    as tuples in ``columns`` order."""
+    """The reference for read_csv: strict csv.DictReader's (line, row) pairs,
+    each row cut to ``columns`` as a tuple in ``columns`` order, up to its
+    first csv.Error; and that error as read_csv words it, or None."""
+    rows = []
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [(reader.line_num, tuple(row[c] for c in columns)) for row in reader]
+        reader = csv.DictReader(fh, strict=True)
+        try:
+            for row in reader:
+                rows.append((reader.line_num, tuple(row[c] for c in columns)))
+        except csv.Error as exc:
+            # DictReader's own line_num moves only on a row it returns
+            return rows, str(InputError(f"malformed CSV: {exc}", reader.reader.line_num))
+    return rows, None
+
+
+def read_csv_rows(path, columns):
+    """read_csv's (line, cells) pairs, up to its first InputError; and that
+    error's message, or None."""
+    rows = []
+    try:
+        with read_csv(path, columns, "test") as (cells, line):
+            for row in cells:
+                rows.append((line(), row))
+    except InputError as exc:
+        return rows, str(exc)
+    return rows, None
 
 
 def csv_text(rows, terminator):
@@ -491,11 +566,10 @@ def test_read_csv_matches_dictreader(header, body):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         path.write_text(csv_text([header], "\n") + body, encoding="utf-8", newline="")
-        # One wanted column still gives 1-tuples.
+        # One wanted column still gives 1-tuples. A row that breaks the CSV
+        # syntax, such as a quote left open at the end, is an error at its line.
         for columns in (READ_COLUMNS, READ_COLUMNS[1:2]):
-            expected = dictreader_rows(path, columns)
-            with read_csv(path, columns, "test") as (rows, line):
-                assert [(line(), cells) for cells in rows] == expected
+            assert read_csv_rows(path, columns) == dictreader_rows(path, columns)
 
 
 # The loaders memoize each column's checked values by raw cell text. These
@@ -546,7 +620,7 @@ def reference_publications(path, format):
             raise InputError(f"duplicate record_id {record_id!r} "
                              f"(first seen at line {seen[record_id]})", line)
         seen[record_id] = line
-        records.append(PublicationRecord(record_id, inst, year, jid, citations))
+        records.append(Row(record_id, inst, year, jid, citations))
     return records
 
 
@@ -647,19 +721,22 @@ IDS = ["I1", " I1", "I1 ", "I2", "I3"]
                 ["-1", "1000000001", "x", *BLANK]]),
     format=st.sampled_from(["csv", "jsonl"]),
     years=st.frozensets(st.sampled_from([2010, 2011])),
+    keep_ids=st.booleans(),
 )
-def test_load_publications_matches_per_row_reference(rows, format, years):
+def test_load_publications_matches_per_row_reference(rows, format, years, keep_ids):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"p.{format}"
         write_rows(path, PUBLICATION_COLUMNS, rows, format)
         expected = outcome(lambda p: reference_publications(p, format), path)
         if isinstance(expected, list):
             first_records = {}
-            for rec in expected:
-                first_records.setdefault(rec.journal_id, rec.record_id)
-            expected = ([rec for rec in expected if rec.year in years], len(expected),
-                        first_records)
-        assert outcome(lambda p: load_publications(p, format, years), path) == expected
+            for row in expected:
+                first_records.setdefault(row.journal_id, row.record_id)
+            kept = [row for row in expected if row.year in years]
+            expected = ([row[1:] for row in kept], len(expected), first_records,
+                        [row.record_id for row in kept] if keep_ids else [])
+        assert outcome(lambda p: load_publications(p, format, years, keep_ids),
+                       path) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -697,7 +774,7 @@ class TestMemoizedCells:
         path = write(tmp_path, "p.csv", PUB_HEADER + "r1,ua,2010,j1,5\nr2,ua,5,j1,5\n")
         with pytest.raises(InputError,
                            match=re.escape("line 3: year 5 outside sanity range [1900, 2100]")):
-            load_records(path, "csv")
+            load_rows(path, "csv")
 
     @pytest.mark.parametrize("format, text", [
         ("csv", PUB_HEADER + "r1,ua,2010,j1,1\nr2,ua,20x0,j1,1\n"),
@@ -708,7 +785,7 @@ class TestMemoizedCells:
         path = write(tmp_path, f"p.{format}", text)
         line = 3 if format == "csv" else 2
         with pytest.raises(InputError, match=f"^line {line}: year must be a base-10 integer"):
-            load_records(path, format)
+            load_rows(path, format)
 
     def test_year_memo_does_not_pass_a_quartile(self, tmp_path):
         path = write(tmp_path, "j.csv", JOURNAL_HEADER + "J,A,5,1\nJ,A,5,5\n")
@@ -753,15 +830,15 @@ class TestMemoizedCells:
 
     def test_rows_share_one_object_per_cell_text(self, tmp_path):
         path = write(tmp_path, "p.csv", PUB_HEADER + "r1,ua,2010,j1,5\nr2,ua,2010,j1,5\n")
-        first, second = load_records(path, "csv")
-        assert all(a is b for a, b in zip(first[1:], second[1:]))
+        first, second = load_publications(path, "csv", EVERY_YEAR, False).records
+        assert all(a is b for a, b in zip(first, second))
         # the second row is built from the memos alone, not by _check_record
         assert type(second) is PublicationRecord
-        assert second == PublicationRecord("r2", "ua", 2010, "j1", 5)
+        assert second == PublicationRecord("ua", 2010, "j1", 5)
 
 
 def _records(years):
-    return [PublicationRecord(f"r{i}", "ua", y, "J", 1) for i, y in enumerate(years)]
+    return [PublicationRecord("ua", y, "J", i) for i, y in enumerate(years)]
 
 
 class TestBuildCorpus:

@@ -1,11 +1,14 @@
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bibliorank.corpus import Corpus, PublicationRecord
+from bibliorank.corpus import JOURNAL_COLUMNS, Corpus, PublicationRecord
 from bibliorank.errors import QuartileLookupError
 from bibliorank.indicators import compute_indicators, top10_threshold
+from bibliorank.pipeline import _journals_in_windows
 
 from conftest import make_corpus, make_journal
 
@@ -94,10 +97,10 @@ class TestComputeIndicators:
         q1 = make_journal(("a",), quartile=1)
         q3 = make_journal(("a",), quartile=3)
         records = [
-            PublicationRecord("r1", "u", 2010, "JQ1", 1),
-            PublicationRecord("r2", "u", 2010, "JQ1", 1),
-            PublicationRecord("r3", "u", 2010, "JQ3", 1),
-            PublicationRecord("r4", "u", 2010, "JQ3", 1),
+            PublicationRecord("u", 2010, "JQ1", 1),
+            PublicationRecord("u", 2010, "JQ1", 1),
+            PublicationRecord("u", 2010, "JQ3", 1),
+            PublicationRecord("u", 2010, "JQ3", 1),
         ]
         corpus = Corpus(tuple(records), {"JQ1": q1, "JQ3": q3})
         ind = compute_indicators(corpus, top10_threshold(corpus), frozenset(), "best-all",
@@ -107,7 +110,7 @@ class TestComputeIndicators:
     def test_q1_policy_any_relevant_vs_best_all(self):
         # Q1 only in a category outside the field under evaluation
         journal = {"inside": {2010: 2}, "outside": {2010: 1}}
-        corpus = Corpus((PublicationRecord("r1", "u", 2010, "J", 1),), {"J": journal})
+        corpus = Corpus((PublicationRecord("u", 2010, "J", 1),), {"J": journal})
         t = top10_threshold(corpus)
         relevant = compute_indicators(corpus, t, frozenset({"inside"}), "any-relevant",
                                       "warn")[0]
@@ -117,7 +120,7 @@ class TestComputeIndicators:
 
     def test_missing_quartile_strict_raises(self):
         journal = make_journal(("a",), years=[2011])
-        corpus = Corpus((PublicationRecord("r1", "u", 2010, "J", 1),), {"J": journal})
+        corpus = Corpus((PublicationRecord("u", 2010, "J", 1),), {"J": journal})
         t = top10_threshold(corpus)
         with pytest.raises(QuartileLookupError):
             compute_indicators(corpus, t, frozenset(), "best-all", "strict")
@@ -128,9 +131,9 @@ class TestComputeIndicators:
     def test_missing_quartiles_tallied_per_paper_sharing_journal_year(self):
         # every 2010 lookup misses in both categories; 2011 is Q1
         journal = make_journal(("a", "b"), quartile=1, years=[2011])
-        records = [PublicationRecord(f"r{i}", inst, 2010, "J", i)
+        records = [PublicationRecord(inst, 2010, "J", i)
                    for i, inst in enumerate("uuuvv")]
-        records.append(PublicationRecord("r9", "v", 2011, "J", 0))
+        records.append(PublicationRecord("v", 2011, "J", 0))
         corpus = Corpus(tuple(records), {"J": journal})
         t = top10_threshold(corpus)
         result, misses = compute_indicators(corpus, t, frozenset(), "best-all", "warn")
@@ -145,9 +148,9 @@ class TestComputeIndicators:
         journals = {"JOK": make_journal(("a",)),
                     "JM1": make_journal(("a",), years=[2011]),
                     "JM2": make_journal(("a",), years=[2011])}
-        records = [PublicationRecord("r1", "u", 2010, "JOK", 1),
-                   PublicationRecord("r2", "v", 2010, "JM1", 1),
-                   PublicationRecord("r3", "u", 2010, "JM2", 1)]
+        records = [PublicationRecord("u", 2010, "JOK", 1),
+                   PublicationRecord("v", 2010, "JM1", 1),
+                   PublicationRecord("u", 2010, "JM2", 1)]
         corpus = Corpus(tuple(records), journals)
         with pytest.raises(QuartileLookupError, match="'JM1'"):
             compute_indicators(corpus, top10_threshold(corpus), frozenset(), "best-all",
@@ -226,8 +229,8 @@ def quartile_corpora(draw):
     picks = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, len(journals) - 1),
                                     st.sampled_from(YEARS), st.integers(0, 30)),
                           min_size=1, max_size=60))
-    records = tuple(PublicationRecord(f"r{n}", f"u{inst}", year, f"J{j}", cites)
-                    for n, (inst, j, year, cites) in enumerate(picks))
+    records = tuple(PublicationRecord(f"u{inst}", year, f"J{j}", cites)
+                    for inst, j, year, cites in picks)
     return Corpus(records, journals)
 
 
@@ -243,3 +246,33 @@ def test_compute_indicators_matches_brute_force(corpus, field_categories, q1_pol
         for ind in result.values()
     } == expected
     assert all(inst == ind.institution_id for inst, ind in result.items())
+
+
+@given(corpus=quartile_corpora(),
+       field_categories=CATEGORY_SETS,
+       q1_policy=st.sampled_from(["any-relevant", "best-all"]),
+       missing_quartile=st.sampled_from(["warn", "strict"]))
+def test_shared_year_maps_decide_as_unshared_ones(corpus, field_categories, q1_policy,
+                                                  missing_quartile):
+    # The loaded journals share one year map among the (journal, category)
+    # pairs with the same quartiles in the windows' years. Each pair also has
+    # a Q1 row of 2000, outside them, so that a category with no year in them
+    # is still in the file.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "journals.csv"
+        path.write_text(",".join(JOURNAL_COLUMNS) + "\n" + "".join(
+            f"{jid},{cat},{year},{q}\n"
+            for jid, quartiles in corpus.journals.items() for cat, by_year in quartiles.items()
+            for year, q in [(2000, 1), *by_year.items()]), encoding="utf-8")
+        shared = _journals_in_windows(path, frozenset(YEARS))
+    assert shared == corpus.journals
+
+    def outcome(journals):
+        fc = Corpus(corpus.publications, journals)
+        try:
+            return compute_indicators(fc, top10_threshold(fc), field_categories, q1_policy,
+                                      missing_quartile)
+        except QuartileLookupError as exc:
+            return str(exc)
+    assert outcome(shared) == outcome(corpus.journals)
+

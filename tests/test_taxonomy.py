@@ -71,26 +71,27 @@ def taxonomy(tmp_path):
     return load_taxonomy(path)
 
 
-def fields_of(assignment, record_id):
-    """Names of the fields whose bucket holds the record."""
+def fields_of(assignment, institution_id):
+    """Names of the fields whose bucket holds the record of that institution,
+    the one record of each institution in these tests."""
     return {name for name, recs in assignment.records_by_field.items()
-            if any(rec.record_id == record_id for rec in recs)}
+            if any(rec.institution_id == institution_id for rec in recs)}
 
 
 class TestAssignFields:
     def test_intersection_rule(self, taxonomy):
-        corpus = Corpus((PublicationRecord("r1", "u", 2010, "J", 0),),
+        corpus = Corpus((PublicationRecord("u1", 2010, "J", 0),),
                         {"J": make_journal(("a",))})
         assignment = assign_fields(corpus, taxonomy)
-        assert fields_of(assignment, "r1") == {"F"}
-        assert assignment.unassigned == ()
+        assert fields_of(assignment, "u1") == {"F"}
 
-    def test_no_matching_field_reported_unassigned(self, taxonomy):
-        corpus = Corpus((PublicationRecord("r1", "u", 2010, "J", 0),),
+    def test_no_matching_field_leaves_record_in_no_bucket(self, taxonomy):
+        # validate lists such a record as unassigned (tests/test_cli.py)
+        corpus = Corpus((PublicationRecord("u1", 2010, "J", 0),),
                         {"J": make_journal(("zzz",))})
         assignment = assign_fields(corpus, taxonomy)
-        assert fields_of(assignment, "r1") == set()
-        assert assignment.unassigned == ("r1",)
+        assert fields_of(assignment, "u1") == set()
+        assert assignment.records_by_field == {"F": (), "G": ()}
 
     def test_matches_nested_loop_oracle(self, taxonomy):
         rng = random.Random(7)
@@ -98,46 +99,41 @@ class TestAssignFields:
         journals = {f"J{i}": make_journal(rng.sample(cats, rng.randint(1, 3)))
                     for i in range(8)}
         records = [
-            PublicationRecord(f"r{i}", f"u{i % 4}", 2010, rng.choice(list(journals)), i)
+            PublicationRecord(f"u{i}", 2010, rng.choice(list(journals)), i)
             for i in range(50)
         ]
         corpus = Corpus(tuple(records), journals)
         assignment = assign_fields(corpus, taxonomy)
-        unassigned = []
         for rec in records:
             jcats = set(corpus.journals[rec.journal_id])
             expected = {
                 name for name, fcats in taxonomy.items()
                 if any(c in fcats for c in jcats)
             }
-            assert fields_of(assignment, rec.record_id) == expected
-            if not expected:
-                unassigned.append(rec.record_id)
-        assert assignment.unassigned == tuple(sorted(unassigned))
+            assert fields_of(assignment, rec.institution_id) == expected
 
     def test_order_independent(self, taxonomy):
         journals = {"J1": make_journal(("a",)), "J2": make_journal(("c",))}
-        records = [PublicationRecord(f"r{i}", "u", 2010, f"J{1 + i % 2}", 0)
+        records = [PublicationRecord(f"u{i}", 2010, f"J{1 + i % 2}", 0)
                    for i in range(10)]
         corpus = Corpus(tuple(records), journals)
         shuffled = Corpus(tuple(reversed(records)), journals)
         first = assign_fields(corpus, taxonomy)
         second = assign_fields(shuffled, taxonomy)
         for rec in records:
-            assert fields_of(first, rec.record_id) == fields_of(second, rec.record_id)
-        assert first.unassigned == second.unassigned
+            assert fields_of(first, rec.institution_id) == fields_of(second, rec.institution_id)
 
 
 class TestFieldCorpus:
     def test_record_in_two_fields_appears_in_both(self, taxonomy):
-        corpus = Corpus((PublicationRecord("r1", "u", 2010, "J", 0),),
+        corpus = Corpus((PublicationRecord("u", 2010, "J", 0),),
                         {"J": make_journal(("a", "c"))})
         assignment = assign_fields(corpus, taxonomy)
         assert len(field_corpus(corpus, assignment, "F")) == 1
         assert len(field_corpus(corpus, assignment, "G")) == 1
 
     def test_empty_field_is_valid(self, taxonomy):
-        corpus = Corpus((PublicationRecord("r1", "u", 2010, "J", 0),),
+        corpus = Corpus((PublicationRecord("u", 2010, "J", 0),),
                         {"J": make_journal(("a",))})
         assignment = assign_fields(corpus, taxonomy)
         assert len(field_corpus(corpus, assignment, "G")) == 0
@@ -145,31 +141,36 @@ class TestFieldCorpus:
     def test_union_over_fields_covers_assigned_records(self, taxonomy):
         rng = random.Random(11)
         journals = {f"J{i}": make_journal((rng.choice("abcz"),)) for i in range(6)}
-        records = [PublicationRecord(f"r{i}", "u", 2010, rng.choice(list(journals)), 0)
+        records = [PublicationRecord(f"u{i}", 2010, rng.choice(list(journals)), 0)
                    for i in range(40)]
         corpus = Corpus(tuple(records), journals)
         assignment = assign_fields(corpus, taxonomy)
-        assigned = {rec.record_id for rec in records} - set(assignment.unassigned)
+        categories = set().union(*taxonomy.values())
+        assigned = {rec.institution_id for rec in records
+                    if categories & set(journals[rec.journal_id])}
+        assert 0 < len(assigned) < len(records)
         union = set()
         for name in taxonomy:
-            union |= {p.record_id
+            union |= {p.institution_id
                       for p in field_corpus(corpus, assignment, name).publications}
         assert union == assigned
 
     def test_disjoint_taxonomies_give_disjoint_fields(self, taxonomy):
         # F uses {a,b}, G uses {c}: single-category journals cannot overlap
         journals = {"J1": make_journal(("a",)), "J2": make_journal(("c",))}
-        records = [PublicationRecord(f"r{i}", "u", 2010, f"J{1 + i % 2}", 0)
+        records = [PublicationRecord(f"u{i}", 2010, f"J{1 + i % 2}", 0)
                    for i in range(20)]
         corpus = Corpus(tuple(records), journals)
         assignment = assign_fields(corpus, taxonomy)
-        f_ids = {p.record_id for p in field_corpus(corpus, assignment, "F").publications}
-        g_ids = {p.record_id for p in field_corpus(corpus, assignment, "G").publications}
+        f_ids = {p.institution_id
+                 for p in field_corpus(corpus, assignment, "F").publications}
+        g_ids = {p.institution_id
+                 for p in field_corpus(corpus, assignment, "G").publications}
         assert not (f_ids & g_ids)
 
     def test_journals_shared(self, taxonomy):
         journals = {"J1": make_journal(("a",)), "J2": make_journal(("c",))}
-        corpus = Corpus((PublicationRecord("r1", "u", 2010, "J1", 0),), journals)
+        corpus = Corpus((PublicationRecord("u", 2010, "J1", 0),), journals)
         assignment = assign_fields(corpus, taxonomy)
         sub = field_corpus(corpus, assignment, "F")
         assert sub.journals is corpus.journals
@@ -186,7 +187,7 @@ CATS = st.frozensets(st.sampled_from("abcdefg"), min_size=1, max_size=3)
 def test_field_corpus_matches_order_preserving_filter(field_cats, journal_cats, picks):
     taxonomy = {f"F{i}": cats for i, cats in enumerate(field_cats)}
     journals = {f"J{i}": make_journal(cats) for i, cats in enumerate(journal_cats)}
-    records = [PublicationRecord(f"r{i}", f"u{i % 5}", year,
+    records = [PublicationRecord(f"u{i % 5}", year,
                                  f"J{j % len(journals)}", i)
                for i, (j, year) in enumerate(picks)]
     corpus = Corpus(tuple(records), journals)
