@@ -46,7 +46,7 @@ from .indicators import IndicatorSet, compute_indicators, top10_threshold
 from .ranking import (Columns, RankingTable, build_ranking, load_external_rankings,
                       restrict_to_system)
 from .scoring import IndexScore, classify_quadrants, score_field
-from .taxonomy import Taxonomy, assign_fields, field_corpus, load_taxonomy
+from .taxonomy import Taxonomy, assign_fields, field_corpus, fields_of_journal, load_taxonomy
 
 _T = TypeVar("_T")
 
@@ -203,7 +203,7 @@ def _journals_in_windows(path: Path, years: frozenset[int]
 
 
 def run_validate(config: RunConfig) -> ValidationReport:
-    """Run all loaders and per-window corpus builds; raise on hard errors."""
+    """Run all loaders and count each window's records; raise on hard errors."""
     config.validate()
     publications, journals, taxonomy = _load_inputs(config, config.windows, keep_ids=True)
     _check_field_stems(taxonomy)
@@ -213,18 +213,23 @@ def run_validate(config: RunConfig) -> ValidationReport:
         _supplied_national_tables(config, load_external_rankings(config.national_rankings))
     if config.crosswalk is not None:
         _load_crosswalks(config, external)
-    # A record matches no field iff its journal has no category of any field.
-    categories = frozenset().union(*taxonomy.values())
+    # Whether each journal's records belong to no field.
+    fieldless = {journal_id: not fields_of_journal(journal, taxonomy)
+                 for journal_id, journal in journals.items()}
     retained: dict[str, int] = {}
     dropped: dict[str, int] = {}
     unassigned: dict[str, tuple[str, ...]] = {}
     for window in config.windows:
-        corpus = build_corpus(publications.records, journals, window)
-        retained[str(window)] = len(corpus)
-        dropped[str(window)] = publications.rows - len(corpus)
-        unassigned[str(window)] = tuple(sorted(
-            record_id for rec, record_id in zip(publications.records, publications.ids)
-            if rec.year in window and categories.isdisjoint(journals[rec.journal_id])))
+        kept = 0
+        ids: list[str] = []
+        for rec, record_id in zip(publications.records, publications.ids, strict=True):
+            if rec.year in window:
+                kept += 1
+                if fieldless[rec.journal_id]:
+                    ids.append(record_id)
+        retained[str(window)] = kept
+        dropped[str(window)] = publications.rows - kept
+        unassigned[str(window)] = tuple(sorted(ids))
     return ValidationReport(
         publication_count=publications.rows,
         journal_count=len(journals),

@@ -10,7 +10,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
-from .corpus import Corpus, PublicationRecord, normalize_category, normalize_id, read_csv
+from .corpus import (Corpus, PublicationRecord, Quartiles, normalize_category, normalize_id,
+                     read_csv)
 from .errors import InputError
 
 LEVELS = ("field", "subfield")
@@ -59,6 +60,13 @@ def load_taxonomy(path: str | Path) -> dict[str, frozenset[str]]:
     return {n: frozenset(c) for n, c in categories.items()}
 
 
+def fields_of_journal(journal: Quartiles, taxonomy: Taxonomy) -> frozenset[str]:
+    """The fields whose categories ``journal``'s intersect: those that a
+    record of ``journal`` belongs to."""
+    # a journal's keys are its categories
+    return frozenset(name for name, cats in taxonomy.items() if not cats.isdisjoint(journal))
+
+
 def assign_fields(corpus: Corpus, taxonomy: Taxonomy) -> FieldAssignment:
     """Map every record to the fields whose categories its journal intersects.
 
@@ -70,9 +78,8 @@ def assign_fields(corpus: Corpus, taxonomy: Taxonomy) -> FieldAssignment:
     for rec in corpus.publications:
         matched = matched_by_journal.get(rec.journal_id)
         if matched is None:
-            journal = corpus.journals[rec.journal_id]  # its keys are its categories
-            matched = matched_by_journal[rec.journal_id] = frozenset(
-                name for name, cats in taxonomy.items() if not cats.isdisjoint(journal))
+            matched = matched_by_journal[rec.journal_id] = fields_of_journal(
+                corpus.journals[rec.journal_id], taxonomy)
         for name in matched:
             buckets[name].append(rec)
     return FieldAssignment({name: tuple(recs) for name, recs in buckets.items()})

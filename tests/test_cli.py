@@ -4,6 +4,7 @@ import hashlib
 import json
 import marshal
 import os
+import random
 import re
 import shutil
 import signal
@@ -21,7 +22,7 @@ from bibliorank import cli, forks, pipeline
 from bibliorank.config import RunConfig, load_config
 from bibliorank.corpus import TimeWindow, window_years
 from bibliorank.errors import InputError
-from bibliorank.pipeline import run_compare, run_rank
+from bibliorank.pipeline import run_compare, run_rank, run_validate
 from bibliorank.ranking import RankingTable
 from conftest import FIXTURES, run_cli
 
@@ -158,10 +159,11 @@ class TestValidate:
             assert f"unassigned: {rid}" in result.output
 
     def test_unassigned_lines_do_not_depend_on_cpus(self, workspace, monkeypatch):
-        # R9001 names J-OTHER, a journal of no field, as R0201-R0203 do, but
-        # its year is outside every window, so no window lists it
+        # R9001 and R0000 name J-OTHER, a journal of no field, as R0201-R0203
+        # do. R9001's year is outside every window, so no window lists it;
+        # R0000 is the last row but sorts first.
         with (workspace / "publications.csv").open("a", encoding="utf-8") as fh:
-            fh.write("R9001,UnivA,1999,J-OTHER,1\n")
+            fh.write("R9001,UnivA,1999,J-OTHER,1\nR0000,UnivB,2010,J-OTHER,2\n")
         outputs = []
         for cpus in (1, 2):
             forked = pin_cpus(monkeypatch, cpus)
@@ -172,7 +174,46 @@ class TestValidate:
             outputs.append(result.output)
         assert outputs[0] == outputs[1]
         assert re.findall(r"(?m)^  unassigned: (.*)$", outputs[1]) == [
-            "R0201", "R0202", "R0203"] * 2
+            "R0000", "R0201", "R0202", "R0203"] * 2
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_unassigned_match_nested_loop_oracle(self, tmp_path, seed):
+        rng = random.Random(seed)
+        taxonomy = {"F": ["a", "b"], "G": ["c"]}
+        journals = {f"J{i}": rng.sample("abcde", rng.randint(1, 2)) for i in range(8)}
+        # ids in shuffled file order, so that sorted order differs from it
+        ids = [f"r{i}" for i in range(60)]
+        rng.shuffle(ids)
+        records = [(rid, rng.randint(2004, 2013), rng.choice(list(journals))) for rid in ids]
+        (tmp_path / "taxonomy.csv").write_text("field_name,level,category\n" + "".join(
+            f"{name},field,{cat}\n" for name, cats in taxonomy.items() for cat in cats),
+            encoding="utf-8")
+        (tmp_path / "journals.csv").write_text("journal_id,category,year,quartile\n" + "".join(
+            f"{jid},{cat},2008,1\n" for jid, cats in journals.items() for cat in cats),
+            encoding="utf-8")
+        (tmp_path / "publications.csv").write_text(
+            "record_id,institution_id,year,journal_id,citations\n" + "".join(
+                f"{rid},u,{year},{jid},0\n" for rid, year, jid in records), encoding="utf-8")
+        windows = (TimeWindow(2008, 2010), TimeWindow(2006, 2012))
+        report = run_validate(RunConfig(
+            publications=tmp_path / "publications.csv", journals=tmp_path / "journals.csv",
+            taxonomy=tmp_path / "taxonomy.csv", windows=windows, out_dir=tmp_path / "out"))
+        for window in windows:
+            in_window = [(rid, jid) for rid, year, jid in records if year in window]
+            expected = []
+            for rid, jid in in_window:
+                in_a_field = False
+                for field_cats in taxonomy.values():
+                    for cat in journals[jid]:
+                        if cat in field_cats:
+                            in_a_field = True
+                if not in_a_field:
+                    expected.append(rid)
+            assert 1 < len(expected) < len(in_window)
+            assert expected != sorted(expected)
+            assert report.unassigned_by_window[str(window)] == tuple(sorted(expected))
+            assert report.retained_by_window[str(window)] == len(in_window)
+            assert report.dropped_by_window[str(window)] == len(records) - len(in_window)
 
     def test_corrupted_csv_exits_one(self, workspace):
         (workspace / "publications.csv").write_text(

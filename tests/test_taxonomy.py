@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from bibliorank.corpus import Corpus, PublicationRecord
 from bibliorank.errors import InputError
-from bibliorank.taxonomy import assign_fields, field_corpus, load_taxonomy
+from bibliorank.taxonomy import assign_fields, field_corpus, fields_of_journal, load_taxonomy
 
 from conftest import make_journal
 
@@ -111,6 +111,7 @@ class TestAssignFields:
                 if any(c in fcats for c in jcats)
             }
             assert fields_of(assignment, rec.institution_id) == expected
+            assert fields_of_journal(corpus.journals[rec.journal_id], taxonomy) == expected
 
     def test_order_independent(self, taxonomy):
         journals = {"J1": make_journal(("a",)), "J2": make_journal(("c",))}
